@@ -6,6 +6,7 @@ from .errors import (
     DimensionMismatch,
     DivisionByZero,
     FiniteFieldRequired,
+    InvariantViolation,
     InvalidModule,
     MixedFields,
     MixedPairs,

@@ -10,13 +10,25 @@ class exactly when they differ by an inner one.
 ``reduce_canonical`` rewrites a biderivation as (canonical + inner witness)
 for a family of module shapes where the canonical form is unique, so that
 canonical forms are literal representatives of extension classes.
+
+``select_regime`` names the shape of a module pair, and one table maps each
+regime label to a reduction plan: layered or entrywise, plus an order of the
+(row, col) entries.  A layered plan (matrix-source, carlitz-target) kills
+whole top layers of the matrix with the inverse of the source's leading
+matrix.  An entrywise plan reduces one entry at a time, killing its leading
+coefficient against the higher of the two diagonal entries that meet there:
+forward against the source's, reversed against the target's.  A step at
+(row, col) changes only that row and that column, and the entry order puts
+every such change on an entry not yet reduced.  The plan fixes the
+canonical slots, the concrete reduction here and the tracked one in
+``ext_structures``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MixedPairs, UnsupportedRegime
+from .errors import InvariantViolation, MixedPairs, UnsupportedRegime
 from .modules_t import TModule
 from .skewpoly import (
     SkewMatrix,
@@ -86,10 +98,6 @@ class Biderivation:
 def inner_matrix(source, target, u):
     """delta^(U) = U*Phi_t - Psi_t*U."""
     return u * source.t_matrix - target.t_matrix * u
-
-
-def inner(source, target, u):
-    return Biderivation(source, target, inner_matrix(source, target, u))
 
 
 # ---------------------------------------------------------------------------
@@ -197,171 +205,116 @@ def select_regime(source, target):
 
 
 # ---------------------------------------------------------------------------
-# Canonical slots: the free positions of the canonical form, in basis order.
-# A slot (row, col, deg) addresses the coefficient of var^deg in the matrix
-# entry at (row, col).
+# Reduction plans: how each regime reaches its canonical form.
+
+
+def _row_zero_leftward(source, target):
+    return tuple((0, j) for j in reversed(range(source.dim)))
+
+
+def _row_major(source, target):
+    return tuple((r, c) for r in range(target.dim) for c in range(source.dim))
+
+
+def _column_major(source, target):
+    return tuple((w, i) for i in range(source.dim) for w in range(target.dim))
+
+
+# regime -> (layered?, order of the (row, col) entries).  On a one-column
+# matrix, column-major order runs down column 0 with rows ascending.
+_PLANS = {
+    DRINFELD_FORWARD: (False, _column_major),
+    DRINFELD_REVERSED: (False, _column_major),
+    MATRIX_SOURCE: (True, _row_major),
+    TRIANGULAR_SOURCE: (False, _row_zero_leftward),
+    CARLITZ_TARGET: (True, _row_major),
+    TRIANGULAR_TARGET_REVERSED: (False, _column_major),
+    DIAGONAL_PAIRS: (False, _column_major),
+}
+
+
+def reduction_plan(source, target, regime):
+    """(layered, entries): whether the regime kills whole layers, and the
+    (row, col) entries of a biderivation in reduction order."""
+    if regime not in _PLANS:
+        raise UnsupportedRegime(f"unknown regime {regime!r}")
+    layered, order = _PLANS[regime]
+    return layered, order(source, target)
+
+
+def _entry_bound(source, target, r, c):
+    """The degree an entrywise plan reduces the entry at (r, c) below."""
+    return max(source.t_matrix.entry(c, c).degree,
+               target.t_matrix.entry(r, r).degree)
 
 
 def canonical_slots(source, target, regime=None):
+    """The free positions of the canonical form, in basis order.  A slot
+    (row, col, deg) addresses the coefficient of var^deg in the matrix
+    entry at (row, col)."""
     if regime is None:
         regime = select_regime(source, target)
-    if regime == DRINFELD_FORWARD:
-        return tuple((0, 0, k) for k in range(source.rank))
-    if regime == DRINFELD_REVERSED:
-        return tuple((0, 0, k) for k in range(target.rank))
-    if regime == MATRIX_SOURCE:
-        return tuple((0, j, k)
-                     for j in range(source.dim)
-                     for k in range(source.rank))
-    if regime == TRIANGULAR_SOURCE:
-        ranks = source.diagonal_ranks()
-        return tuple((0, j, k)
-                     for j in reversed(range(source.dim))
-                     for k in range(ranks[j]))
-    if regime == CARLITZ_TARGET:
-        return tuple((i, j, k)
-                     for i in range(target.dim)
-                     for j in range(source.dim)
-                     for k in range(source.rank))
-    if regime == TRIANGULAR_TARGET_REVERSED:
-        ranks = target.diagonal_ranks()
-        return tuple((v, 0, k)
-                     for v in range(target.dim)
-                     for k in range(ranks[v]))
-    if regime == DIAGONAL_PAIRS:
-        src = source.diagonal_ranks()
-        tgt = target.diagonal_ranks()
-        return tuple((w, i, k)
-                     for i in range(source.dim)
-                     for w in range(target.dim)
-                     for k in range(max(src[i], tgt[w])))
-    raise UnsupportedRegime(f"unknown regime {regime!r}")
+    layered, entries = reduction_plan(source, target, regime)
+    return tuple((r, c, k) for r, c in entries
+                 for k in range(source.rank if layered
+                                else _entry_bound(source, target, r, c)))
 
 
 # ---------------------------------------------------------------------------
-# Scalar reduction steps.
+# The two reduction loops.  Both work on mutable grids of SkewPoly: the
+# biderivation, which becomes the canonical form, and the witness.
 
 
-def _scalar_forward(phi, psi, delta):
-    spec, var = delta.spec, delta.var
-    sign = twist_sign(var)
-    n = phi.degree
-    lead = phi.leading()[1]
-    witness = SkewPoly.zero(spec, var)
-    while delta.degree >= n:
-        deg, c = delta.leading()
-        k = deg - n
-        u = SkewPoly.term(spec, var, c / lead.twist(sign * k), k)
-        delta = delta - (u * phi - psi * u)
-        witness = witness + u
-    return delta, witness
+def _step(source, target, grid, witness, r, c, u):
+    """Add u to the witness at (r, c) and subtract delta^(u) from the grid.
+    For u alone at (r, c), u*Phi - Psi*u touches only row r and column c."""
+    for l, p in enumerate(source.t_matrix.entries[c]):
+        if p:
+            grid[r][l] = grid[r][l] - u * p
+    for w, psi_row in enumerate(target.t_matrix.entries):
+        if psi_row[r]:
+            grid[w][c] = grid[w][c] + psi_row[r] * u
+    witness[r][c] = witness[r][c] + u
 
 
-def _scalar_reversed(phi, psi, delta):
-    spec, var = delta.spec, delta.var
-    sign = twist_sign(var)
-    m = psi.degree
-    lead = psi.leading()[1]
-    witness = SkewPoly.zero(spec, var)
-    while delta.degree >= m:
-        deg, c = delta.leading()
-        k = deg - m
-        u = SkewPoly.term(spec, var, ((-c) / lead).twist(-sign * m), k)
-        delta = delta - (u * phi - psi * u)
-        witness = witness + u
-    return delta, witness
-
-
-def _scalar_pair(phi, psi, delta):
-    if phi.degree > psi.degree:
-        return _scalar_forward(phi, psi, delta)
-    return _scalar_reversed(phi, psi, delta)
-
-
-# ---------------------------------------------------------------------------
-# Matrix reduction loops.
-
-
-def _layer_matrix(spec, var, grid, k):
-    return SkewMatrix.from_rows(spec, var, [
-        [SkewPoly.term(spec, var, c, k) for c in row] for row in grid])
-
-
-def _reduce_layered(source, target, matrix):
-    """Kill whole top layers with the inverse of the source's leading
-    matrix (matrix-source and carlitz-target regimes)."""
-    spec, var = matrix.spec, matrix.var
+def _reduce_layered(source, target, grid, witness):
+    spec, var = source.spec, source.var
     sign = twist_sign(var)
     n = source.rank
     lead_inv = const_inverse(source.leading_matrix())
-    witness = SkewMatrix.zeros(spec, var, matrix.nrows, matrix.ncols)
-    while matrix.max_degree >= n:
-        deg = matrix.max_degree
+    while True:
+        deg = max(e.degree for row in grid for e in row)
+        if deg < n:
+            return
         k = deg - n
-        v = matrix.coefficient_matrix(deg)
-        u = _layer_matrix(spec, var, const_mul(v, const_twist(lead_inv,
-                                                              sign * k)), k)
-        matrix = matrix - inner_matrix(source, target, u)
-        witness = witness + u
-    return matrix, witness
+        top = tuple(tuple(e.coefficient(deg) for e in row) for row in grid)
+        coeffs = const_mul(top, const_twist(lead_inv, sign * k))
+        for r, row in enumerate(coeffs):
+            for c, a in enumerate(row):
+                if a:
+                    _step(source, target, grid, witness, r, c,
+                          SkewPoly.term(spec, var, a, k))
 
 
-def _reduce_triangular_source(source, target, matrix):
-    spec, var = matrix.spec, matrix.var
+def _reduce_entrywise(source, target, entries, grid, witness):
+    spec, var = source.spec, source.var
     sign = twist_sign(var)
-    phi = source.t_matrix
-    witness = SkewMatrix.zeros(spec, var, 1, source.dim)
-    for j in reversed(range(source.dim)):
-        xj = phi.entry(j, j)
-        nj = xj.degree
-        lead = xj.leading()[1]
-        while matrix.entry(0, j).degree >= nj:
-            deg, c = matrix.entry(0, j).leading()
-            k = deg - nj
-            u = SkewMatrix.zeros(spec, var, 1, source.dim).with_entry(
-                0, j, SkewPoly.term(spec, var, c / lead.twist(sign * k), k))
-            matrix = matrix - inner_matrix(source, target, u)
-            witness = witness + u
-    return matrix, witness
-
-
-def _reduce_triangular_target(source, target, matrix):
-    spec, var = matrix.spec, matrix.var
-    sign = twist_sign(var)
-    psi = target.t_matrix
-    witness = SkewMatrix.zeros(spec, var, target.dim, 1)
-    for v in range(target.dim):
-        yv = psi.entry(v, v)
-        nv = yv.degree
-        lead = yv.leading()[1]
-        while matrix.entry(v, 0).degree >= nv:
-            deg, c = matrix.entry(v, 0).leading()
-            k = deg - nv
-            u = SkewMatrix.zeros(spec, var, target.dim, 1).with_entry(
-                v, 0, SkewPoly.term(spec, var,
-                                    ((-c) / lead).twist(-sign * nv), k))
-            matrix = matrix - inner_matrix(source, target, u)
-            witness = witness + u
-    return matrix, witness
-
-
-def _reduce_diagonal_pairs(source, target, matrix):
-    spec, var = matrix.spec, matrix.var
-    can_rows = []
-    wit_rows = []
-    for w in range(target.dim):
-        can_row = []
-        wit_row = []
-        for i in range(source.dim):
-            c, u = _scalar_pair(source.t_matrix.entry(i, i),
-                                target.t_matrix.entry(w, w),
-                                matrix.entry(w, i))
-            can_row.append(c)
-            wit_row.append(u)
-        can_rows.append(can_row)
-        wit_rows.append(wit_row)
-    return (SkewMatrix.from_rows(spec, var, can_rows),
-            SkewMatrix.from_rows(spec, var, wit_rows))
+    for r, c in entries:
+        bound = _entry_bound(source, target, r, c)
+        src_diag = source.t_matrix.entry(c, c)
+        # forward when the source's diagonal entry is the higher one
+        forward = src_diag.degree == bound
+        lead = (src_diag if forward
+                else target.t_matrix.entry(r, r)).leading()[1]
+        while grid[r][c].degree >= bound:
+            deg, a = grid[r][c].leading()
+            k = deg - bound
+            if forward:
+                a = a / lead.twist(sign * k)
+            else:
+                a = ((-a) / lead).twist(-sign * bound)
+            _step(source, target, grid, witness, r, c,
+                  SkewPoly.term(spec, var, a, k))
 
 
 # ---------------------------------------------------------------------------
@@ -381,28 +334,20 @@ def reduce_canonical(delta, regime=None):
     source, target = delta.source, delta.target
     if regime is None:
         regime = select_regime(source, target)
-    matrix = delta.matrix
-    if regime in (DRINFELD_FORWARD, DRINFELD_REVERSED):
-        phi = source.scalar_poly()
-        psi = target.scalar_poly()
-        if regime == DRINFELD_FORWARD:
-            c, u = _scalar_forward(phi, psi, matrix.entry(0, 0))
-        else:
-            c, u = _scalar_reversed(phi, psi, matrix.entry(0, 0))
-        spec, var = matrix.spec, matrix.var
-        canonical = SkewMatrix.from_rows(spec, var, [[c]])
-        witness = SkewMatrix.from_rows(spec, var, [[u]])
-    elif regime in (MATRIX_SOURCE, CARLITZ_TARGET):
-        canonical, witness = _reduce_layered(source, target, matrix)
-    elif regime == TRIANGULAR_SOURCE:
-        canonical, witness = _reduce_triangular_source(source, target, matrix)
-    elif regime == TRIANGULAR_TARGET_REVERSED:
-        canonical, witness = _reduce_triangular_target(source, target, matrix)
-    elif regime == DIAGONAL_PAIRS:
-        canonical, witness = _reduce_diagonal_pairs(source, target, matrix)
+    layered, entries = reduction_plan(source, target, regime)
+    spec, var = source.spec, source.var
+    grid = [list(row) for row in delta.matrix.entries]
+    witness = [[SkewPoly.zero(spec, var)] * source.dim
+               for _ in range(target.dim)]
+    if layered:
+        _reduce_layered(source, target, grid, witness)
     else:
-        raise UnsupportedRegime(f"unknown regime {regime!r}")
-    assert (delta.matrix - inner_matrix(source, target, witness)) \
-        == canonical, "reduction self-check failed"
+        _reduce_entrywise(source, target, entries, grid, witness)
+    canonical = SkewMatrix(spec, var, tuple(map(tuple, grid)))
+    witness = SkewMatrix(spec, var, tuple(map(tuple, witness)))
+    if delta.matrix - inner_matrix(source, target, witness) != canonical:
+        raise InvariantViolation("reduction self-check failed: the "
+                                 "canonical form and witness do not "
+                                 "recombine to the input")
     return ReductionResult(Biderivation(source, target, canonical), witness,
                            regime)

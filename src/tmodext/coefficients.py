@@ -381,10 +381,6 @@ class FieldSpec:
         return self.p if self.kind == "finite" else self.p ** self.m
 
     @property
-    def is_perfect(self):
-        return self.kind != "rational"
-
-    @property
     def _ops(self):
         return _get_ops(self.p, self.modulus)
 

@@ -82,6 +82,11 @@ class FiniteFieldRequired(TmodError):
     finite coefficient field."""
 
 
+class InvariantViolation(TmodError):
+    """An internal consistency check failed: a computed result contradicts
+    the identity it must satisfy."""
+
+
 class ParseError(TmodError):
     """Malformed input text."""
 

@@ -20,18 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .biderivations import (
-    CARLITZ_TARGET,
     DIAGONAL_PAIRS,
-    DRINFELD_FORWARD,
     FORWARD_REGIMES,
-    MATRIX_SOURCE,
-    TRIANGULAR_SOURCE,
     Biderivation,
     canonical_slots,
     reduce_canonical,
+    reduction_plan,
     select_regime,
 )
-from .errors import UnsupportedRegime
+from .errors import InvariantViolation, UnsupportedRegime
 from .modules_t import TModule, tmodule
 from .skewpoly import (
     SkewMatrix,
@@ -177,15 +174,6 @@ def _t_zeros(spec, var, nrows, ncols):
             for _ in range(nrows)]
 
 
-def _t_add(a, b):
-    return [[x.add(y) for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
-
-
-def _t_sub(a, b):
-    return [[x.add(y.neg()) for x, y in zip(r1, r2)]
-            for r1, r2 in zip(a, b)]
-
-
 def _t_lmul_skew(mat, tracked):
     """Concrete SkewMatrix times tracked matrix."""
     spec, var = mat.spec, mat.var
@@ -199,30 +187,25 @@ def _t_lmul_skew(mat, tracked):
     return out
 
 
-def _t_rmul_skew(tracked, mat):
-    """Tracked matrix times concrete SkewMatrix."""
-    spec, var = mat.spec, mat.var
-    out = _t_zeros(spec, var, len(tracked), mat.ncols)
-    for i in range(len(tracked)):
-        for j in range(mat.ncols):
-            acc = _Tracked.zero(spec, var)
-            for k in range(mat.nrows):
-                acc = acc.add(tracked[i][k].rmul_poly(mat.entry(k, j)))
-            out[i][j] = acc
-    return out
-
-
-def _t_max_degree(tracked):
-    return max((e.top_degree for row in tracked for e in row), default=-1)
-
-
-def _t_inner(source, target, u):
-    return _t_sub(_t_rmul_skew(u, source.t_matrix),
-                  _t_lmul_skew(target.t_matrix, u))
-
-
 # ---------------------------------------------------------------------------
-# Tracked reduction (forward regimes only: solves only scale trackers).
+# Tracked reduction: the two loops of the reduction plans, for forward
+# regimes only, so that every solve only scales trackers.
+
+
+def _t_step(source, target, tracked, r, c, u):
+    """Subtract delta^(u) = u*Phi - Psi*u for u alone at (r, c): only row r
+    and column c change.  Each changed entry's share is summed before it is
+    subtracted, as in a matrix product: subtracting term by term builds
+    more weights by addition, which costs memory with dense F_q(th)
+    numerators."""
+    inner = {(r, l): u.rmul_poly(p)
+             for l, p in enumerate(source.t_matrix.entries[c]) if p}
+    for w, psi_row in enumerate(target.t_matrix.entries):
+        if psi_row[r]:
+            term = u.lmul_poly(psi_row[r]).neg()
+            inner[w, c] = inner[w, c].add(term) if (w, c) in inner else term
+    for (i, j), part in inner.items():
+        tracked[i][j] = tracked[i][j].add(part.neg())
 
 
 def _t_reduce_layered(source, target, tracked):
@@ -231,8 +214,10 @@ def _t_reduce_layered(source, target, tracked):
     n = source.rank
     lead_inv = const_inverse(source.leading_matrix())
     d = source.dim
-    while _t_max_degree(tracked) >= n:
-        deg = _t_max_degree(tracked)
+    while True:
+        deg = max(e.top_degree for row in tracked for e in row)
+        if deg < n:
+            return
         k = deg - n
         ainv = const_twist(lead_inv, sign * k)
         u = _t_zeros(spec, var, len(tracked), d)
@@ -243,57 +228,24 @@ def _t_reduce_layered(source, target, tracked):
                     lf = _lf_add(lf, _lf_scale(tracked[w][l].linform(deg),
                                                ainv[l][j]))
                 u[w][j] = _Tracked.from_linform(spec, var, lf, k)
-        tracked = _t_sub(tracked, _t_inner(source, target, u))
-    return tracked
+        for w, row in enumerate(u):
+            for j, uwj in enumerate(row):
+                if uwj.coeffs:
+                    _t_step(source, target, tracked, w, j, uwj)
 
 
-def _t_reduce_scalar_forward(source, target, tracked):
+def _t_reduce_entrywise(source, target, entries, tracked):
     spec, var = source.spec, source.var
     sign = twist_sign(var)
-    phi = source.scalar_poly()
-    n = phi.degree
-    lead = phi.leading()[1]
-    while tracked[0][0].top_degree >= n:
-        deg = tracked[0][0].top_degree
-        k = deg - n
-        lf = _lf_scale(tracked[0][0].linform(deg),
-                       lead.twist(sign * k).inverse())
-        u = [[_Tracked.from_linform(spec, var, lf, k)]]
-        tracked = _t_sub(tracked, _t_inner(source, target, u))
-    return tracked
-
-
-def _t_reduce_triangular_source(source, target, tracked):
-    spec, var = source.spec, source.var
-    sign = twist_sign(var)
-    phi = source.t_matrix
-    d = source.dim
-    for j in reversed(range(d)):
-        xj = phi.entry(j, j)
-        nj = xj.degree
-        lead = xj.leading()[1]
-        while tracked[0][j].top_degree >= nj:
-            deg = tracked[0][j].top_degree
-            k = deg - nj
-            lf = _lf_scale(tracked[0][j].linform(deg),
+    for r, c in entries:
+        n, lead = source.t_matrix.entry(c, c).leading()
+        while tracked[r][c].top_degree >= n:
+            deg = tracked[r][c].top_degree
+            k = deg - n
+            lf = _lf_scale(tracked[r][c].linform(deg),
                            lead.twist(sign * k).inverse())
-            u = _t_zeros(spec, var, 1, d)
-            u[0][j] = _Tracked.from_linform(spec, var, lf, k)
-            tracked = _t_sub(tracked, _t_inner(source, target, u))
-    return tracked
-
-
-def _t_reduce(source, target, tracked, regime):
-    if regime == DRINFELD_FORWARD:
-        return _t_reduce_scalar_forward(source, target, tracked)
-    if regime in (MATRIX_SOURCE, CARLITZ_TARGET):
-        return _t_reduce_layered(source, target, tracked)
-    if regime == TRIANGULAR_SOURCE:
-        return _t_reduce_triangular_source(source, target, tracked)
-    raise UnsupportedRegime(
-        f"the t-module structure is only computed for forward regimes, "
-        f"not {regime!r}; reversed pairs still have canonical forms and a "
-        f"split test, and their structure is available on the adjoint side")
+            _t_step(source, target, tracked, r, c,
+                    _Tracked.from_linform(spec, var, lf, k))
 
 
 # ---------------------------------------------------------------------------
@@ -396,26 +348,30 @@ def ext_structure(source, target, regime=None):
         r, c, k = slot
         tracked[r][c] = tracked[r][c].add(
             _Tracked.basis(spec, var, slot, k))
-    acted = _t_lmul_skew(target.t_matrix, tracked)
-    canonical = _t_reduce(source, target, acted, regime)
+    acted = _t_lmul_skew(target.t_matrix, tracked)  # reduced in place
+    layered, entries = reduction_plan(source, target, regime)
+    if layered:
+        _t_reduce_layered(source, target, acted)
+    else:
+        _t_reduce_entrywise(source, target, entries, acted)
 
     zero = SkewPoly.zero(spec, var)
     grid = [[zero for _ in range(len(basis))] for _ in range(len(basis))]
     for r in range(target.dim):
         for c in range(source.dim):
-            for deg, lf in canonical[r][c].coeffs.items():
+            for deg, lf in acted[r][c].coeffs.items():
                 if not lf:
                     continue
                 out_slot = (r, c, deg)
                 if out_slot not in index:
-                    raise AssertionError(
+                    raise InvariantViolation(
                         f"tracked reduction left a coefficient outside the "
                         f"canonical slots at {out_slot}")
                 a = index[out_slot]
                 for slot, tracker in lf.items():
                     b = index[slot]
                     if any(i < 0 for i in tracker):
-                        raise AssertionError(
+                        raise InvariantViolation(
                             "tracked reduction produced a negative twist "
                             "index in a forward regime")
                     grid[a][b] = SkewPoly.from_pairs(
@@ -512,11 +468,6 @@ class GaSequence:
             return None
         return trivial(self.structure.spec, len(self.pure),
                        self.structure.var)
-
-    def sub_module(self):
-        if self.sub_pi is None:
-            return None
-        return tmodule(self.structure.spec, self.sub_pi)
 
     def to_json(self):
         return {

@@ -18,6 +18,7 @@ from .biderivations import (
     select_regime,
 )
 from .errors import (
+    InvariantViolation,
     NotAQthPower,
     UnboundedSearch,
     UnsupportedRegime,
@@ -238,7 +239,9 @@ def is_split(delta, bound=None):
     if particular is None:
         return Inconclusive(bound)
     witness = _combine(unknowns, particular)
-    assert inner_matrix(source, target, witness) == delta.matrix
+    if inner_matrix(source, target, witness) != delta.matrix:
+        raise InvariantViolation("the solved split witness does not "
+                                 "reproduce the biderivation")
     return SplitWitness(witness)
 
 
@@ -314,6 +317,13 @@ def hom_space(source, target, bound=None):
 # partner module.
 
 
+def _require_pair(delta, source, target):
+    if delta.source != source or delta.target != target:
+        raise InvariantViolation(
+            "the class given at this six-term node is not a biderivation "
+            "between the node's modules")
+
+
 @dataclass(frozen=True)
 class SixTerm:
     """Structure maps and induced maps of a short exact sequence.
@@ -357,12 +367,12 @@ class SixTerm:
                                      self.delta.matrix * f))
 
     def co_ext_middle(self, eta):
-        assert eta.source == self.partner and eta.target == self.sub
+        _require_pair(eta, self.partner, self.sub)
         return class_of(Biderivation(self.partner, self.middle,
                                      (-self.inclusion) * eta.matrix))
 
     def co_ext_quot(self, xi):
-        assert xi.source == self.partner and xi.target == self.middle
+        _require_pair(xi, self.partner, self.middle)
         return class_of(Biderivation(self.partner, self.quotient,
                                      (-self.projection) * xi.matrix))
 
@@ -383,12 +393,12 @@ class SixTerm:
                                      g * self.delta.matrix))
 
     def contra_ext_middle(self, eta):
-        assert eta.source == self.quotient and eta.target == self.partner
+        _require_pair(eta, self.quotient, self.partner)
         return class_of(Biderivation(self.middle, self.partner,
                                      eta.matrix * (-self.projection)))
 
     def contra_ext_sub(self, xi):
-        assert xi.source == self.middle and xi.target == self.partner
+        _require_pair(xi, self.middle, self.partner)
         return class_of(Biderivation(self.sub, self.partner,
                                      xi.matrix * (-self.inclusion)))
 

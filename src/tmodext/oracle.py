@@ -64,7 +64,7 @@ def _guard_carrier(count, what):
 # Random data.
 
 
-def random_poly(spec, var, rng, max_deg, ensure=None):
+def random_poly(spec, var, rng, max_deg):
     pairs = [(d, spec.random_element(rng)) for d in range(max_deg + 1)]
     return SkewPoly.from_pairs(spec, var, pairs)
 

@@ -203,12 +203,6 @@ class SkewPoly:
         return SkewPoly(self.spec, var,
                         tuple((i, a.twist(-s * i)) for i, a in self.coeffs))
 
-    def coeff_twist(self, j):
-        """Entrywise coefficient twist (does NOT commute with multiplication;
-        used for building inner witnesses degree by degree)."""
-        return SkewPoly(self.spec, self.var,
-                        tuple((i, a.twist(j)) for i, a in self.coeffs))
-
     def shift(self, k):
         """Multiply by var^k on the degree level only: coefficients are kept
         as-is and degrees move by k (k may be negative if every degree
@@ -357,9 +351,6 @@ class SkewMatrix:
     def submatrix(self, row_idx, col_idx):
         return SkewMatrix(self.spec, self.var, tuple(
             tuple(self.entries[i][j] for j in col_idx) for i in row_idx))
-
-    def transpose(self):
-        return SkewMatrix(self.spec, self.var, tuple(zip(*self.entries)))
 
     def adjoint(self):
         """Entrywise adjoint composed with transposition, so that
@@ -519,6 +510,10 @@ _TOKEN_RE = re.compile(
 
 _LBP = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
 _UNARY_BP = 25
+# Each nesting level (parentheses, a unary minus, an operand, a matrix entry)
+# costs the parser at most four stack frames, so this keeps deep input well
+# inside the interpreter's recursion limit.
+MAX_NESTING = 100
 
 
 def _tokenize(text):
@@ -547,6 +542,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     # -- token plumbing -------------------------------------------------------
 
@@ -578,6 +574,10 @@ class _Parser:
         return value
 
     def expression(self, rbp):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"expression nests deeper than {MAX_NESTING} "
+                             f"levels at position {self.peek()[2]}")
         tok = self.next()
         value = self.nud(tok)
         while True:
@@ -589,6 +589,7 @@ class _Parser:
                 break
             self.next()
             value = self.led(tok, value)
+        self.depth -= 1
         return value
 
     def nud(self, tok):

@@ -1,13 +1,20 @@
 """Biderivations: inner maps, regimes, canonical reduction, assembly."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tmodext
+import tmodext.biderivations as biderivations
 from tmodext import (
     TAU,
     Biderivation,
+    InvariantViolation,
     MixedFields,
     NotAQthPower,
     SkewMatrix,
@@ -154,8 +161,15 @@ def _pairs_f9():
     mat = tmodule(F9, parse_matrix(
         F9, "[[g, 1], [0, g]] + [[1, 0], [0, 1]]*tau^2"))
     diag = tmodule(F9, parse_matrix(F9, "[[g + tau^3, 0], [0, g + tau^2]]"))
+    mixed = tmodule(F9, parse_matrix(F9, "[[g + tau^3, 0], [0, g + tau]]"))
+    tgt24 = tmodule(F9, parse_matrix(F9, "[[g + tau^2, 0], [0, g + tau^4]]"))
     return [(r3, r2), (r2, r3), (mat, C), (tri, C), (r3, c2), (C, tri),
-            (diag, C)]
+            (diag, C), (mixed, tgt24)]
+
+
+def test_pairs_cover_every_regime():
+    regimes = {select_regime(src, tgt) for src, tgt in _pairs_f9()}
+    assert regimes == set(biderivations._PLANS)
 
 
 def test_reduction_witness_identity_all_regimes():
@@ -212,6 +226,52 @@ def test_scalar_action_reduction_golden():
     assert f.coefficient(1) == _c(2) * (th - th.twist(1))
     assert f.coefficient(2) == th * _c() + _c(6)
     assert f.degree == 2
+
+
+# The self-check must survive ``python -O``, which strips assert statements.
+_WRONG_WITNESS = textwrap.dedent("""
+    import tmodext.biderivations as biderivations
+    from tmodext import (Biderivation, InvariantViolation, drinfeld,
+                         make_finite, parse_matrix, parse_poly)
+
+    real = biderivations._reduce_entrywise
+
+
+    def wrong_witness(source, target, entries, grid, witness):
+        real(source, target, entries, grid, witness)
+        witness[0][0] = witness[0][0] + 1
+
+
+    F9 = make_finite(3, 2)
+    src = drinfeld(F9, parse_poly(F9, "g + tau^3"))
+    tgt = drinfeld(F9, parse_poly(F9, "g + tau^2"))
+    delta = Biderivation(src, tgt, parse_matrix(F9, "[[g*tau^4 + 1]]"))
+""")
+
+
+def test_reduction_self_check_raises_invariant_violation(monkeypatch):
+    scope = {}
+    exec(_WRONG_WITNESS, scope)
+    monkeypatch.setattr(biderivations, "_reduce_entrywise",
+                        scope["wrong_witness"])
+    with pytest.raises(InvariantViolation, match="self-check"):
+        reduce_canonical(scope["delta"])
+
+    script = _WRONG_WITNESS + textwrap.dedent("""
+        import sys
+        biderivations._reduce_entrywise = wrong_witness
+        try:
+            biderivations.reduce_canonical(delta)
+        except InvariantViolation:
+            print("InvariantViolation", sys.flags.optimize)
+    """)
+    src_dir = os.path.dirname(os.path.dirname(tmodext.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["InvariantViolation", "1"]
 
 
 def test_reversed_regime_obstruction_over_rational():

@@ -4,6 +4,7 @@ import json
 
 import tmodext.cli as cli
 from tmodext import Check, Report
+from tmodext.skewpoly import MAX_NESTING
 
 Q3 = "GF(3)(th)"
 F4 = "GF(2^2)"
@@ -309,6 +310,21 @@ def test_usage_errors_exit_two(capsys):
         "ext", "--field", "GF(6)", "--phi", "th + tau^2",
         "--psi", "th + tau"])
     assert code == 2
+
+
+def test_deep_nesting_is_a_parse_error(capsys):
+    nested = "(" * 3000 + "th" + ")" * 3000
+    code, out, err = run(capsys, [
+        "ext", "--field", Q3, "--phi", nested + " + tau^3",
+        "--psi", "th + tau^2"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"deeper than {MAX_NESTING} levels" in err
+    shallow = "(" * 20 + "th" + ")" * 20
+    code, _, _ = run(capsys, [
+        "ext", "--field", Q3, "--phi", shallow + " + tau^3",
+        "--psi", "th + tau^2"])
+    assert code == 0
 
 
 def test_help_exits_zero(capsys):
