@@ -5,6 +5,9 @@ modules, biderivations, and polynomials in the same text grammar the parsers
 accept; results are printed in canonical text form or, with --json, as
 stable JSON documents.  Exit codes: 0 success, 1 domain error, 2 usage or
 parse error, 3 verification failure.
+
+Each subcommand is one row of ``_COMMANDS`` (name, handler, help, flags),
+and each flag is declared once in ``_FLAGS``.
 """
 
 from __future__ import annotations
@@ -46,21 +49,23 @@ def _slot_text(slot):
 
 
 def _emit(args, text, payload):
+    """Print the text, or the JSON payload under --json; with --out, write
+    it to that file instead.  Returns exit code 0."""
     out = json.dumps(payload, indent=2) if args.json else text
-    if getattr(args, "out", None):
+    if args.out is None:
+        print(out)
+        return 0
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(out + "\n")
-        return
-    print(out)
-
-
-def _field(args):
-    return parse_field(args.field)
+    except OSError as exc:
+        raise UsageError(
+            f"cannot write {args.out}: {exc.strerror or exc}") from None
+    return 0
 
 
 def _var(args):
-    name = getattr(args, "var", "tau")
-    return SIGMA if name == "sigma" else TAU
+    return SIGMA if getattr(args, "var", "tau") == "sigma" else TAU
 
 
 def _module(spec, text, var=TAU):
@@ -69,89 +74,106 @@ def _module(spec, text, var=TAU):
     return parse_module(spec, text, var)
 
 
-def _delta(spec, source, target, text, var=TAU):
+def _delta(spec, source, target, text):
     if text is None:
         raise UsageError("--delta is required here")
-    mat = parse_matrix(spec, text, var)
-    return Biderivation(source, target, mat)
+    return Biderivation(source, target, parse_matrix(spec, text, source.var))
 
 
-def _structure_payload(spec, structure, seq):
-    return {
-        "field": spec.header(),
-        "source": structure.source.t_matrix.to_json(),
-        "target": structure.target.t_matrix.to_json(),
-        "regime": structure.regime,
-        "basis": [list(slot) for slot in structure.basis],
-        "pi_t": structure.pi.to_json(),
-        "ga_rank": seq.s,
-    }
+def _pair(spec, args):
+    """The --phi and --psi modules, in that order."""
+    var = _var(args)
+    return _module(spec, args.phi, var), _module(spec, args.psi, var)
 
 
-def _structure_text(spec, structure, seq, title="Pi_t"):
-    lines = [
-        f"field: {spec.header()}",
-        f"source: {structure.source.describe()}",
-        f"target: {structure.target.describe()}",
-        f"regime: {structure.regime}",
-        "basis: " + " ".join(_slot_text(s) for s in structure.basis),
-        f"ga_rank: {seq.s}",
-        f"{title}:",
-        str(structure.pi),
-    ]
-    return "\n".join(lines)
+def _class(spec, args):
+    """The --delta class of Ext(--phi, --psi), parsed after both modules."""
+    return _delta(spec, *_pair(spec, args), args.delta)
 
 
-def cmd_ext(args):
-    spec = _field(args)
-    source = _module(spec, args.phi)
-    target = _module(spec, args.psi)
-    structure = ext_structure(source, target)
-    seq = ga_sequence(structure)
-    _emit(args, _structure_text(spec, structure, seq),
-          _structure_payload(spec, structure, seq))
-    return 0
+# ---------------------------------------------------------------------------
+# Structure commands: one printer, one builder per command.
 
 
-def cmd_ext0(args):
-    spec = _field(args)
-    source = _module(spec, args.phi)
-    target = _module(spec, args.psi)
-    structure = ext_structure(source, target)
-    seq = ga_sequence(structure)
-    sub_basis = [structure.basis[i] for i in range(structure.rank)
-                 if i not in seq.pure]
+def _print_structure(args, spec, structure, basis, pi, ga_rank, title):
     payload = {
         "field": spec.header(),
         "source": structure.source.t_matrix.to_json(),
         "target": structure.target.t_matrix.to_json(),
         "regime": structure.regime,
-        "basis": [list(slot) for slot in sub_basis],
-        "pi_t": seq.sub_pi.to_json(),
-        "ga_rank": seq.s,
+        "basis": [list(slot) for slot in basis],
+        "pi_t": pi.to_json(),
+        "ga_rank": ga_rank,
     }
     text = "\n".join([
         f"field: {spec.header()}",
         f"source: {structure.source.describe()}",
         f"target: {structure.target.describe()}",
         f"regime: {structure.regime}",
-        "basis: " + " ".join(_slot_text(s) for s in sub_basis),
-        f"ga_rank: {seq.s}",
-        "Pi0_t:",
-        str(seq.sub_pi),
+        "basis: " + " ".join(_slot_text(s) for s in basis),
+        f"ga_rank: {ga_rank}",
+        f"{title}:",
+        str(pi),
     ])
-    _emit(args, text, payload)
-    return 0
+    return _emit(args, text, payload)
+
+
+def _print_ext(args, spec, structure, title="Pi_t"):
+    seq = ga_sequence(structure)
+    return _print_structure(args, spec, structure, structure.basis,
+                            structure.pi, seq.s, title)
+
+
+def cmd_ext(args):
+    spec = parse_field(args.field)
+    return _print_ext(args, spec, ext_structure(*_pair(spec, args)))
+
+
+def cmd_ext0(args):
+    spec = parse_field(args.field)
+    structure = ext_structure(*_pair(spec, args))
+    seq = ga_sequence(structure)
+    basis = [slot for i, slot in enumerate(structure.basis)
+             if i not in seq.pure]
+    return _print_structure(args, spec, structure, basis, seq.sub_pi, seq.s,
+                            "Pi0_t")
+
+
+def cmd_ext_prod(args):
+    spec = parse_field(args.field)
+    sources = [_module(spec, part) for part in args.phi.split(";")]
+    targets = [_module(spec, part) for part in args.psi.split(";")]
+    return _print_ext(args, spec, ext_product(sources, targets))
+
+
+def cmd_ext_tmod(args):
+    spec = parse_field(args.field)
+    source, target = _pair(spec, args)
+    if not source.has_invertible_leading():
+        raise UnsupportedRegime(
+            "ext-tmod needs a source with an invertible leading "
+            "coefficient matrix")
+    return _print_ext(args, spec, ext_structure(source, target))
+
+
+def cmd_ext_carlitz(args):
+    spec = parse_field(args.field)
+    source = _module(spec, args.phi)
+    return _print_ext(args, spec,
+                      ext_structure(source, carlitz_power(spec, args.e)))
+
+
+def cmd_ext_dual(args):
+    spec = parse_field(args.field)
+    return _print_ext(args, spec, duality_transport(*_pair(spec, args)),
+                      title="Pi_t (adjoint side)")
 
 
 def cmd_ext_seq(args):
-    spec = _field(args)
-    source = _module(spec, args.phi)
-    target = _module(spec, args.psi)
-    structure = ext_structure(source, target)
+    spec = parse_field(args.field)
+    structure = ext_structure(*_pair(spec, args))
     seq = ga_sequence(structure)
-    payload = dict(seq.to_json())
-    payload["field"] = spec.header()
+    payload = {**seq.to_json(), "field": spec.header()}
     lines = [
         f"field: {spec.header()}",
         f"s: {seq.s}",
@@ -164,60 +186,15 @@ def cmd_ext_seq(args):
         "Pi0_t:",
         str(seq.sub_pi) if seq.sub_pi is not None else "(none)",
     ]
-    _emit(args, "\n".join(lines), payload)
-    return 0
+    return _emit(args, "\n".join(lines), payload)
 
 
-def cmd_ext_prod(args):
-    spec = _field(args)
-    sources = [_module(spec, part) for part in args.phi.split(";")]
-    targets = [_module(spec, part) for part in args.psi.split(";")]
-    structure = ext_product(sources, targets)
-    seq = ga_sequence(structure)
-    _emit(args, _structure_text(spec, structure, seq),
-          _structure_payload(spec, structure, seq))
-    return 0
-
-
-def cmd_ext_carlitz(args):
-    spec = _field(args)
-    source = _module(spec, args.phi)
-    target = carlitz_power(spec, args.e)
-    structure = ext_structure(source, target)
-    seq = ga_sequence(structure)
-    _emit(args, _structure_text(spec, structure, seq),
-          _structure_payload(spec, structure, seq))
-    return 0
-
-
-def cmd_ext_tmod(args):
-    spec = _field(args)
-    source = _module(spec, args.phi)
-    target = _module(spec, args.psi)
-    if not source.has_invertible_leading():
-        raise UnsupportedRegime(
-            "ext-tmod needs a source with an invertible leading "
-            "coefficient matrix")
-    structure = ext_structure(source, target)
-    seq = ga_sequence(structure)
-    _emit(args, _structure_text(spec, structure, seq),
-          _structure_payload(spec, structure, seq))
-    return 0
-
-
-def cmd_ext_dual(args):
-    spec = _field(args)
-    source = _module(spec, args.phi)
-    target = _module(spec, args.psi)
-    structure = duality_transport(source, target)
-    seq = ga_sequence(structure)
-    _emit(args, _structure_text(spec, structure, seq, title="Pi_t (adjoint side)"),
-          _structure_payload(spec, structure, seq))
-    return 0
+# ---------------------------------------------------------------------------
+# Calculator commands.
 
 
 def cmd_adjoint(args):
-    spec = _field(args)
+    spec = parse_field(args.field)
     var = _var(args)
     if args.phi is not None:
         result = _module(spec, args.phi, var).adjoint().t_matrix
@@ -225,17 +202,11 @@ def cmd_adjoint(args):
         result = parse_matrix(spec, args.delta, var).adjoint()
     else:
         raise UsageError("adjoint needs --phi or --delta")
-    _emit(args, str(result), result.to_json())
-    return 0
+    return _emit(args, str(result), result.to_json())
 
 
 def cmd_reduce(args):
-    spec = _field(args)
-    var = _var(args)
-    source = _module(spec, args.phi, var)
-    target = _module(spec, args.psi, var)
-    delta = _delta(spec, source, target, args.delta, var)
-    result = reduce_canonical(delta)
+    result = reduce_canonical(_class(parse_field(args.field), args))
     payload = {
         "canonical": result.canonical.matrix.to_json(),
         "witness": result.witness.to_json(),
@@ -248,17 +219,11 @@ def cmd_reduce(args):
         "witness:",
         str(result.witness),
     ])
-    _emit(args, text, payload)
-    return 0
+    return _emit(args, text, payload)
 
 
 def cmd_assemble(args):
-    spec = _field(args)
-    var = _var(args)
-    source = _module(spec, args.phi, var)
-    target = _module(spec, args.psi, var)
-    delta = _delta(spec, source, target, args.delta, var)
-    built = assemble(delta)
+    built = assemble(_class(parse_field(args.field), args))
     payload = {
         "middle": built.middle.t_matrix.to_json(),
         "inclusion": built.inclusion.to_json(),
@@ -272,86 +237,55 @@ def cmd_assemble(args):
         "projection:",
         str(built.projection),
     ])
-    _emit(args, text, payload)
-    return 0
+    return _emit(args, text, payload)
+
+
+def _print_canonical(args, result):
+    return _emit(args, str(result.matrix),
+                 {"canonical": result.matrix.to_json()})
 
 
 def cmd_baer(args):
-    spec = _field(args)
-    source = _module(spec, args.phi)
-    target = _module(spec, args.psi)
-    d1 = _delta(spec, source, target, args.delta)
-    d2 = _delta(spec, source, target, args.delta2)
-    result = baer_sum(d1, d2)
-    _emit(args, str(result.matrix),
-          {"canonical": result.matrix.to_json()})
-    return 0
+    spec = parse_field(args.field)
+    d1 = _class(spec, args)
+    d2 = _delta(spec, d1.source, d1.target, args.delta2)
+    return _print_canonical(args, baer_sum(d1, d2))
 
 
 def cmd_act(args):
-    spec = _field(args)
-    source = _module(spec, args.phi)
-    target = _module(spec, args.psi)
-    delta = _delta(spec, source, target, args.delta)
-    apoly = parse_apoly(spec, args.a)
-    result = t_action(apoly, delta)
-    _emit(args, str(result.matrix),
-          {"canonical": result.matrix.to_json()})
-    return 0
+    spec = parse_field(args.field)
+    delta = _class(spec, args)
+    return _print_canonical(args, t_action(parse_apoly(spec, args.a), delta))
 
 
-def _maybe_canonical(delta):
+def _print_moved(args, move, map_text, module_text):
+    """Move the --delta class along a morphism, then print the result and,
+    when a regime applies, its canonical form."""
+    spec = parse_field(args.field)
+    delta = _class(spec, args)
+    module = _module(spec, module_text)
+    result = move(delta, parse_matrix(spec, map_text), module)
     try:
-        return reduce_canonical(delta)
+        canonical = reduce_canonical(result).canonical.matrix
     except UnsupportedRegime:
-        return None
+        return _emit(args, str(result.matrix),
+                     {"delta": result.matrix.to_json(), "canonical": None})
+    text = "\n".join(["delta:", str(result.matrix),
+                      "canonical:", str(canonical)])
+    return _emit(args, text, {"delta": result.matrix.to_json(),
+                              "canonical": canonical.to_json()})
 
 
 def cmd_pullback(args):
-    spec = _field(args)
-    source = _module(spec, args.phi)
-    target = _module(spec, args.psi)
-    delta = _delta(spec, source, target, args.delta)
-    gmod = _module(spec, args.gmod)
-    g = parse_matrix(spec, args.g)
-    result = pullback(delta, g, gmod)
-    reduced = _maybe_canonical(result)
-    payload = {"delta": result.matrix.to_json(),
-               "canonical": reduced.canonical.matrix.to_json()
-               if reduced else None}
-    text = str(result.matrix) if reduced is None else "\n".join([
-        "delta:", str(result.matrix),
-        "canonical:", str(reduced.canonical.matrix)])
-    _emit(args, text, payload)
-    return 0
+    return _print_moved(args, pullback, args.g, args.gmod)
 
 
 def cmd_pushout(args):
-    spec = _field(args)
-    source = _module(spec, args.phi)
-    target = _module(spec, args.psi)
-    delta = _delta(spec, source, target, args.delta)
-    fmod = _module(spec, args.fmod)
-    f = parse_matrix(spec, args.f)
-    result = pushout(delta, f, fmod)
-    reduced = _maybe_canonical(result)
-    payload = {"delta": result.matrix.to_json(),
-               "canonical": reduced.canonical.matrix.to_json()
-               if reduced else None}
-    text = str(result.matrix) if reduced is None else "\n".join([
-        "delta:", str(result.matrix),
-        "canonical:", str(reduced.canonical.matrix)])
-    _emit(args, text, payload)
-    return 0
+    return _print_moved(args, pushout, args.f, args.fmod)
 
 
 def cmd_split(args):
-    spec = _field(args)
-    var = _var(args)
-    source = _module(spec, args.phi, var)
-    target = _module(spec, args.psi, var)
-    delta = _delta(spec, source, target, args.delta, var)
-    result = is_split(delta, bound=args.bound)
+    result = is_split(_class(parse_field(args.field), args), bound=args.bound)
     if result.kind == "split":
         payload = {"result": "split", "witness": result.witness.to_json()}
         text = "split\nwitness:\n" + str(result.witness)
@@ -368,34 +302,25 @@ def cmd_split(args):
     else:
         payload = {"result": "inconclusive", "bound": result.bound}
         text = f"inconclusive (searched degree bound {result.bound})"
-    _emit(args, text, payload)
-    return 0
+    return _emit(args, text, payload)
 
 
 def cmd_hom(args):
-    spec = _field(args)
-    source = _module(spec, args.phi)
-    target = _module(spec, args.psi)
-    space = hom_space(source, target, bound=args.bound)
+    space = hom_space(*_pair(parse_field(args.field), args), bound=args.bound)
     payload = {"basis": [f.to_json() for f in space.basis],
                "complete": space.complete,
                "bound": space.bound}
     lines = [f"complete: {'yes' if space.complete else 'no'}",
              f"bound: {space.bound}",
              f"fp_dimension: {space.fp_dimension}"]
-    for f in space.basis:
-        lines.append(str(f))
-    _emit(args, "\n".join(lines), payload)
-    return 0
+    lines.extend(str(f) for f in space.basis)
+    return _emit(args, "\n".join(lines), payload)
 
 
 def cmd_sixterm(args):
-    spec = _field(args)
-    source = _module(spec, args.phi)
-    target = _module(spec, args.psi)
-    delta = _delta(spec, source, target, args.delta)
-    partner = _module(spec, args.g)
-    bundle = six_term(delta, partner)
+    spec = parse_field(args.field)
+    delta = _class(spec, args)
+    bundle = six_term(delta, _module(spec, args.g))
     structure = bundle.omega_structure()
     block = bundle.delta_block()
     payload = {
@@ -416,44 +341,142 @@ def cmd_sixterm(args):
         "Delta_t:",
         str(block),
     ])
-    _emit(args, text, payload)
-    return 0
+    return _emit(args, text, payload)
 
 
 def cmd_verify(args):
-    spec = _field(args)
+    spec = parse_field(args.field)
     what = args.what
+    if what == "duality" and args.mode == "enumerate":
+        raise UsageError("--mode enumerate is not available for duality")
+    source, target = _pair(spec, args)
     if what == "structure":
-        source = _module(spec, args.phi)
-        target = _module(spec, args.psi)
-        structure = ext_structure(source, target)
-        report = verify_structure(structure, samples=args.samples,
-                                  seed=args.seed, mode=args.mode)
+        report = verify_structure(ext_structure(source, target),
+                                  samples=args.samples, seed=args.seed,
+                                  mode=args.mode)
     elif what == "duality":
-        if args.mode == "enumerate":
-            raise UsageError("--mode enumerate is not available for duality")
-        source = _module(spec, args.phi)
-        target = _module(spec, args.psi)
         report = verify_duality(source, target, classes=args.samples,
                                 seed=args.seed)
     elif what == "ga":
-        source = _module(spec, args.phi)
-        target = _module(spec, args.psi)
-        seq = ga_sequence(ext_structure(source, target))
-        report = verify_ga(seq, seed=args.seed)
-    elif what == "sixterm":
-        source = _module(spec, args.phi)
-        target = _module(spec, args.psi)
+        report = verify_ga(ga_sequence(ext_structure(source, target)),
+                           seed=args.seed)
+    else:
         delta = _delta(spec, source, target, args.delta)
-        partner = _module(spec, args.g)
-        report = verify_sixterm(six_term(delta, partner), seed=args.seed)
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown verification target {what!r}")
+        report = verify_sixterm(six_term(delta, _module(spec, args.g)),
+                                seed=args.seed)
     lines = [("pass" if c.passed else "FAIL") + f" {c.name}: {c.detail}"
              for c in report.checks]
     lines.append("ok" if report.ok else "FAILED")
     _emit(args, "\n".join(lines), report.to_json())
     return 0 if report.ok else 3
+
+
+# ---------------------------------------------------------------------------
+# The parser: a flag table and a command table.
+
+
+def _count(text):
+    """argparse type of --bound and --samples: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {value}")
+    return value
+
+
+# add_argument keywords of every flag.  "g/partner" is the flag --g with the
+# meaning after the slash; the part before it is the flag's name.
+_FLAGS = {
+    "field": dict(required=True,
+                  help="coefficient field header, e.g. GF(3)(th)"),
+    "json": dict(action="store_true", help="emit JSON instead of text"),
+    "out": dict(metavar="FILE",
+                help="write the output to FILE and print nothing"),
+    "phi": dict(required=True, help="source module expression"),
+    "phi/optional": dict(help="module expression"),
+    "psi": dict(required=True, help="target module expression"),
+    "delta": dict(required=True, help="biderivation matrix expression"),
+    "delta/optional": dict(help="matrix expression"),
+    "delta/sixterm": dict(help="biderivation (sixterm only)"),
+    "delta2": dict(required=True,
+                   help="second biderivation matrix expression"),
+    "var": dict(choices=("tau", "sigma"), default="tau",
+                help="twisted variable for all expressions"),
+    "e": dict(type=int, required=True, help="tensor-power exponent"),
+    "a": dict(required=True, help="polynomial in t, e.g. 't^2 + 1'"),
+    "bound": dict(type=_count, help="degree bound for bounded searches"),
+    "g/morphism": dict(required=True, help="morphism matrix expression"),
+    "g/partner": dict(required=True,
+                      help="partner module for the Hom/Ext sequences"),
+    "g/sixterm": dict(help="partner module (sixterm only)"),
+    "gmod": dict(required=True, help="module the morphism starts from"),
+    "f": dict(required=True, help="morphism matrix expression"),
+    "fmod": dict(required=True, help="module the morphism lands in"),
+    "what": dict(choices=("structure", "duality", "ga", "sixterm"),
+                 default="structure", help="which claim to verify"),
+    "samples": dict(type=_count, default=100,
+                    help="number of random samples"),
+    "seed": dict(type=int, default=0, help="random seed"),
+    "mode": dict(choices=("sample", "enumerate"), default="sample",
+                 help="sample random classes or enumerate all"),
+}
+
+# Flags every command takes, ahead of its own.
+_COMMON_FLAGS = ("field", "json", "out")
+
+# (name, handler, help, flags in the order --help lists them)
+_COMMANDS = (
+    ("ext", cmd_ext, "t-module structure on Ext(phi, psi)", "phi psi"),
+    ("ext0", cmd_ext0,
+     "structure on the zero-constant-term subgroup of Ext(phi, psi)",
+     "phi psi"),
+    ("ext-seq", cmd_ext_seq,
+     "the sequence 0 -> Ext0 -> Ext -> (scalar part)^s -> 0", "phi psi"),
+    ("ext-prod", cmd_ext_prod,
+     "structure on Ext of direct sums (semicolon-separated factors)",
+     "phi psi"),
+    ("ext-tmod", cmd_ext_tmod,
+     "structure on Ext(Phi, psi) for a higher-dimensional source Phi",
+     "phi psi"),
+    ("ext-carlitz", cmd_ext_carlitz,
+     "structure on Ext(phi, C^(e)) for the e-th Carlitz tensor power",
+     "phi e"),
+    ("ext-dual", cmd_ext_dual,
+     "adjoint-side structure on Ext(phi, psi) for a reversed pair",
+     "phi psi"),
+    ("adjoint", cmd_adjoint,
+     "adjoint of a module (--phi) or matrix (--delta)",
+     "var phi/optional delta/optional"),
+    ("reduce", cmd_reduce, "canonical form and witness of a biderivation",
+     "phi psi delta var"),
+    ("assemble", cmd_assemble,
+     "middle term, inclusion, and projection of the extension",
+     "phi psi delta var"),
+    ("baer", cmd_baer, "canonical form of the Baer sum of two classes",
+     "phi psi delta delta2"),
+    ("act", cmd_act, "canonical form of a(t) acting on a class",
+     "phi psi delta a"),
+    ("pullback", cmd_pullback,
+     "pull a class back along a morphism g: gmod -> phi",
+     "phi psi delta g/morphism gmod"),
+    ("pushout", cmd_pushout,
+     "push a class out along a morphism f: psi -> fmod",
+     "phi psi delta f fmod"),
+    ("split", cmd_split, "decide or search whether a class splits",
+     "phi psi delta var bound"),
+    ("hom", cmd_hom, "bounded basis of the morphism space Hom(phi, psi)",
+     "phi psi bound"),
+    ("sixterm", cmd_sixterm,
+     "six-term data of an extension against a partner module",
+     "phi psi delta g/partner"),
+    ("verify", cmd_verify,
+     "re-check a computed result with the brute-force oracle",
+     "what phi psi delta/sixterm g/sixterm samples seed mode"),
+)
 
 
 def _build_parser():
@@ -463,133 +486,11 @@ def _build_parser():
                     "Anderson t-modules over twisted polynomial rings.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     sub.required = True
-
-    def add(name, func, help_text, *, phi=False, psi=False, delta=False,
-            delta2=False, var=False, e=False, a=False, bound=False,
-            g=False, gmod=False, f=False, fmod=False, partner=False,
-            verify=False):
+    for name, handler, help_text, flags in _COMMANDS:
         p = sub.add_parser(name, help=help_text, description=help_text)
-        p.add_argument("--field", required=True,
-                       help="coefficient field header, e.g. GF(3)(th)")
-        p.add_argument("--json", action="store_true",
-                       help="emit JSON instead of text")
-        p.add_argument("--out", metavar="FILE",
-                       help="write the output to FILE and print nothing")
-        if phi:
-            p.add_argument("--phi", required=True,
-                           help="source module expression")
-        if psi:
-            p.add_argument("--psi", required=True,
-                           help="target module expression")
-        if delta:
-            p.add_argument("--delta", required=True,
-                           help="biderivation matrix expression")
-        if delta2:
-            p.add_argument("--delta2", required=True,
-                           help="second biderivation matrix expression")
-        if var:
-            p.add_argument("--var", choices=("tau", "sigma"), default="tau",
-                           help="twisted variable for all expressions")
-        if e:
-            p.add_argument("--e", type=int, required=True,
-                           help="tensor-power exponent")
-        if a:
-            p.add_argument("--a", required=True,
-                           help="polynomial in t, e.g. 't^2 + 1'")
-        if bound:
-            p.add_argument("--bound", type=int, default=None,
-                           help="degree bound for bounded searches")
-        if g:
-            p.add_argument("--g", required=True,
-                           help="morphism matrix expression")
-        if gmod:
-            p.add_argument("--gmod", required=True,
-                           help="module the morphism starts from")
-        if f:
-            p.add_argument("--f", required=True,
-                           help="morphism matrix expression")
-        if fmod:
-            p.add_argument("--fmod", required=True,
-                           help="module the morphism lands in")
-        if partner:
-            p.add_argument("--g", required=True,
-                           help="partner module for the Hom/Ext sequences")
-        if verify:
-            p.add_argument("--what",
-                           choices=("structure", "duality", "ga", "sixterm"),
-                           default="structure",
-                           help="which claim to verify")
-            p.add_argument("--phi", required=True,
-                           help="source module expression")
-            p.add_argument("--psi", required=True,
-                           help="target module expression")
-            p.add_argument("--delta", help="biderivation (sixterm only)")
-            p.add_argument("--g", help="partner module (sixterm only)")
-            p.add_argument("--samples", type=int, default=100,
-                           help="number of random samples")
-            p.add_argument("--seed", type=int, default=0,
-                           help="random seed")
-            p.add_argument("--mode", choices=("sample", "enumerate"),
-                           default="sample",
-                           help="sample random classes or enumerate all")
-        p.set_defaults(func=func)
-        return p
-
-    add("ext", cmd_ext,
-        "t-module structure on Ext(phi, psi)", phi=True, psi=True)
-    add("ext0", cmd_ext0,
-        "structure on the zero-constant-term subgroup of Ext(phi, psi)",
-        phi=True, psi=True)
-    add("ext-seq", cmd_ext_seq,
-        "the sequence 0 -> Ext0 -> Ext -> (scalar part)^s -> 0",
-        phi=True, psi=True)
-    add("ext-prod", cmd_ext_prod,
-        "structure on Ext of direct sums (semicolon-separated factors)",
-        phi=True, psi=True)
-    add("ext-tmod", cmd_ext_tmod,
-        "structure on Ext(Phi, psi) for a higher-dimensional source Phi",
-        phi=True, psi=True)
-    add("ext-carlitz", cmd_ext_carlitz,
-        "structure on Ext(phi, C^(e)) for the e-th Carlitz tensor power",
-        phi=True, e=True)
-    add("ext-dual", cmd_ext_dual,
-        "adjoint-side structure on Ext(phi, psi) for a reversed pair",
-        phi=True, psi=True)
-    add("adjoint", cmd_adjoint,
-        "adjoint of a module (--phi) or matrix (--delta)", var=True)
-    p_adj = sub.choices["adjoint"]
-    p_adj.add_argument("--phi", help="module expression")
-    p_adj.add_argument("--delta", help="matrix expression")
-    add("reduce", cmd_reduce,
-        "canonical form and witness of a biderivation",
-        phi=True, psi=True, delta=True, var=True)
-    add("assemble", cmd_assemble,
-        "middle term, inclusion, and projection of the extension",
-        phi=True, psi=True, delta=True, var=True)
-    add("baer", cmd_baer,
-        "canonical form of the Baer sum of two classes",
-        phi=True, psi=True, delta=True, delta2=True)
-    add("act", cmd_act,
-        "canonical form of a(t) acting on a class",
-        phi=True, psi=True, delta=True, a=True)
-    add("pullback", cmd_pullback,
-        "pull a class back along a morphism g: gmod -> phi",
-        phi=True, psi=True, delta=True, g=True, gmod=True)
-    add("pushout", cmd_pushout,
-        "push a class out along a morphism f: psi -> fmod",
-        phi=True, psi=True, delta=True, f=True, fmod=True)
-    add("split", cmd_split,
-        "decide or search whether a class splits",
-        phi=True, psi=True, delta=True, var=True, bound=True)
-    add("hom", cmd_hom,
-        "bounded basis of the morphism space Hom(phi, psi)",
-        phi=True, psi=True, bound=True)
-    add("sixterm", cmd_sixterm,
-        "six-term data of an extension against a partner module",
-        phi=True, psi=True, delta=True, partner=True)
-    add("verify", cmd_verify,
-        "re-check a computed result with the brute-force oracle",
-        verify=True)
+        for flag in (*_COMMON_FLAGS, *flags.split()):
+            p.add_argument("--" + flag.split("/")[0], **_FLAGS[flag])
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -601,12 +502,9 @@ def main(argv=None):
         except SystemExit as exc:  # --help exits with code 0
             return int(exc.code or 0)
         return args.func(args)
-    except (ParseError, UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except TmodError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (ParseError, UsageError)) else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -63,7 +63,7 @@ def pushout(delta, f, fmod):
 
 def _fp_unknown_matrices(spec, var, nrows, ncols, bound):
     """Basis of the F_p-space of nrows x ncols matrices with entry degrees
-    at most bound, as (description, SkewMatrix) pairs."""
+    at most bound, one SkewMatrix per F_p-basis vector."""
     out = []
     for i in range(nrows):
         for j in range(ncols):
@@ -150,18 +150,15 @@ def _fp_gauss(columns, rhs, p):
     return particular, null_basis
 
 
-def _combine(unknowns, coeffs):
+def _combine(unknowns, coeffs, zero):
+    """The sum of x*mat over the nonzero coeffs, or the caller's zero of the
+    result shape when there are none (also when there are no unknowns)."""
     acc = None
     for mat, x in zip(unknowns, coeffs):
-        if not x:
-            continue
-        term = mat * x
-        acc = term if acc is None else acc + term
-    if acc is None:
-        spec, var = unknowns[0].spec, unknowns[0].var
-        return SkewMatrix.zeros(spec, var, unknowns[0].nrows,
-                                unknowns[0].ncols)
-    return acc
+        if x:
+            term = mat * x
+            acc = term if acc is None else acc + term
+    return zero if acc is None else acc
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +235,8 @@ def is_split(delta, bound=None):
     particular, _ = _fp_gauss(columns, rhs, spec.p)
     if particular is None:
         return Inconclusive(bound)
-    witness = _combine(unknowns, particular)
+    witness = _combine(unknowns, particular, SkewMatrix.zeros(
+        spec, var, target.dim, source.dim))
     if inner_matrix(source, target, witness) != delta.matrix:
         raise InvariantViolation("the solved split witness does not "
                                  "reproduce the biderivation")
@@ -306,7 +304,8 @@ def hom_space(source, target, bound=None):
     keys = _collect_keys(residuals)
     columns = [_flatten(r, keys) for r in residuals]
     _, null_basis = _fp_gauss(columns, None, spec.p)
-    basis = tuple(_combine(unknowns, vec) for vec in null_basis)
+    zero = SkewMatrix.zeros(spec, var, target.dim, source.dim)
+    basis = tuple(_combine(unknowns, vec, zero) for vec in null_basis)
     for f in basis:
         check_morphism(f, source, target)
     return HomSpace(source, target, basis, False, bound)

@@ -203,15 +203,6 @@ class SkewPoly:
         return SkewPoly(self.spec, var,
                         tuple((i, a.twist(-s * i)) for i, a in self.coeffs))
 
-    def shift(self, k):
-        """Multiply by var^k on the degree level only: coefficients are kept
-        as-is and degrees move by k (k may be negative if every degree
-        stays nonnegative)."""
-        if any(i + k < 0 for i, _ in self.coeffs):
-            raise ParseError("negative twisted-polynomial degree")
-        return SkewPoly(self.spec, self.var,
-                        tuple((i + k, a) for i, a in self.coeffs))
-
     # -- rendering ------------------------------------------------------------
 
     def __str__(self):

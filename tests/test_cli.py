@@ -1,6 +1,14 @@
 """Tests driving the command-line interface in process."""
 
+import contextlib
+import io
 import json
+import os
+import re
+import tempfile
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import tmodext.cli as cli
 from tmodext import Check, Report
@@ -69,6 +77,17 @@ def test_out_flag_writes_file_and_prints_nothing(capsys, tmp_path):
     content = target.read_text()
     assert GOLDEN_PI in content
     assert content.endswith("\n")
+
+
+def test_out_to_missing_directory_exits_two(capsys, tmp_path):
+    target = tmp_path / "missing" / "pi.txt"
+    code, out, err = run(capsys, [
+        "ext", "--field", Q3, "--phi", "th + tau^3", "--psi", "th + tau^2",
+        "--out", str(target)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(target) in err
+    assert not target.parent.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +346,140 @@ def test_deep_nesting_is_a_parse_error(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["split", "--field", F9, "--phi", "g + tau^2", "--psi", "g + tau^2",
+      "--delta", "[[0]]", "--bound", "-1"],
+     "argument --bound: expected a non-negative integer, got -1"),
+    (["hom", "--field", F4, "--phi", "g + tau", "--psi", "g + tau",
+      "--bound", "-1"],
+     "argument --bound: expected a non-negative integer, got -1"),
+    (["verify", "--field", F9, "--phi", "g + tau^3", "--psi", "g + tau^2",
+      "--samples", "-5"],
+     "argument --samples: expected a non-negative integer, got -5"),
+    (["hom", "--field", F4, "--phi", "g + tau", "--psi", "g + tau",
+      "--bound", "abc"],
+     "argument --bound: invalid int value: 'abc'"),
+])
+def test_bad_counts_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, ["--help"])
     assert code == 0
     assert "COMMAND" in out
+
+
+# The flags each subcommand's usage line lists, in order (after --field,
+# --json and --out, which every subcommand takes).
+SUBCOMMAND_FLAGS = {
+    "ext": ["phi", "psi"],
+    "ext0": ["phi", "psi"],
+    "ext-seq": ["phi", "psi"],
+    "ext-prod": ["phi", "psi"],
+    "ext-tmod": ["phi", "psi"],
+    "ext-carlitz": ["phi", "e"],
+    "ext-dual": ["phi", "psi"],
+    "adjoint": ["var", "phi", "delta"],
+    "reduce": ["phi", "psi", "delta", "var"],
+    "assemble": ["phi", "psi", "delta", "var"],
+    "baer": ["phi", "psi", "delta", "delta2"],
+    "act": ["phi", "psi", "delta", "a"],
+    "pullback": ["phi", "psi", "delta", "g", "gmod"],
+    "pushout": ["phi", "psi", "delta", "f", "fmod"],
+    "split": ["phi", "psi", "delta", "var", "bound"],
+    "hom": ["phi", "psi", "bound"],
+    "sixterm": ["phi", "psi", "delta", "g"],
+    "verify": ["what", "phi", "psi", "delta", "g", "samples", "seed",
+               "mode"],
+}
+
+
+def test_every_subcommand_is_listed():
+    assert [row[0] for row in cli._COMMANDS] == list(SUBCOMMAND_FLAGS)
+
+
+@pytest.mark.parametrize("name", list(SUBCOMMAND_FLAGS))
+def test_subcommand_help_names_its_flags(capsys, name):
+    code, out, err = run(capsys, [name, "--help"])
+    assert code == 0 and err == ""
+    usage = out.split("\n\n")[0]
+    assert usage.startswith(f"usage: tmodext {name} [-h] ")
+    expected = ["field", "json", "out", *SUBCOMMAND_FLAGS[name]]
+    assert re.findall(r"--(\w+)", usage) == expected
+
+
+# ---------------------------------------------------------------------------
+# Property: whatever the flags hold, main returns an exit code and never
+# raises.  Degrees and carrier sizes stay small so each run is quick.
+
+# Per field: module expressions and 1x1 matrices that parse over it.
+_GOOD = {
+    "GF(2)": (["1 + tau", "1 + tau^2", "1 + tau^3"],
+              ["[[0]]", "[[1]]", "[[tau]]"]),
+    "GF(2^2)": (["g + tau", "g + tau^2", "g + tau^3"],
+                ["[[1]]", "[[tau]]", "[[g + tau]]"]),
+    "GF(3^2)": (["g + tau", "g + tau^2", "g + tau^3"],
+                ["[[0]]", "[[1]]", "[[tau]]", "[[g + tau^3]]"]),
+    "GF(3)(th)": (["th + tau", "th + tau^2", "th + tau^3",
+                   "[[th, 1], [0, th]] + [[1, 0], [0, 1]]*tau^2"],
+                  ["[[1 + tau]]", "[[th*tau^2]]", "[[1, tau]]"]),
+    "FTF(3; gens=a,th; inv=a)": (["th[0] + a[0]*tau", "th[0] + tau^2"],
+                                 ["[[1]]", "[[a[0]*tau]]"]),
+}
+_BAD_FIELDS = ["GF(6)", "GF(", ""]
+_BAD_EXPRESSIONS = ["th + * tau", "tau^", "0", "", "[[tau", "[[1], [2]]"]
+_INTS = ["-5", "-1", "0", "1", "2", "x"]
+_MODULE_FLAGS = {"phi", "psi", "gmod", "fmod", "g/partner", "g/sixterm",
+                 "phi/optional"}
+_POOLS = {
+    "e": _INTS, "bound": _INTS, "samples": _INTS, "seed": _INTS,
+    "a": ["t", "t^2 + 1", "0", "t +", ""],
+    "var": ["tau", "tau", "sigma", "rho"],
+    "what": ["structure", "duality", "ga", "sixterm", "all"],
+    "mode": ["sample", "enumerate", "all"],
+    "out": ["{missing}/out.txt"],
+}
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand with flags from the table, values from small pools:
+    mostly well-formed over the chosen field, now and then malformed."""
+    name, _, _, flags = draw(st.sampled_from(cli._COMMANDS))
+    field = draw(st.sampled_from(
+        _BAD_FIELDS if draw(st.integers(0, 5)) == 5 else list(_GOOD)))
+    modules, matrices = _GOOD.get(field, _GOOD["GF(3^2)"])
+    argv = [name]
+    for flag in (*cli._COMMON_FLAGS, *flags.split()):
+        # leave a flag out now and then, --out (never writable) mostly
+        if draw(st.integers(0, 9)) > (2 if flag == "out" else 8):
+            continue
+        argv.append("--" + flag.split("/")[0])
+        if flag == "field":
+            argv.append(field)
+        elif flag in _POOLS:
+            argv.append(draw(st.sampled_from(_POOLS[flag])))
+        elif flag != "json":
+            good = modules if flag in _MODULE_FLAGS else matrices
+            bad = draw(st.integers(0, 5)) == 5
+            argv.append(draw(st.sampled_from(_BAD_EXPRESSIONS if bad
+                                             else good)))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argvs())
+@example(["split", "--field", F9, "--phi", "g + tau^2", "--psi", "g + tau^2",
+          "--delta", "[[0]]", "--bound", "-1"])
+def test_main_returns_an_exit_code_and_never_raises(argv):
+    sink = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        missing = os.path.join(tmp, "missing")
+        argv = [arg.replace("{missing}", missing) for arg in argv]
+        with contextlib.redirect_stdout(sink), \
+                contextlib.redirect_stderr(sink):
+            code = cli.main(argv)
+    assert code in (0, 1, 2, 3)

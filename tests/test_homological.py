@@ -177,6 +177,20 @@ def test_equal_rank_split_search():
     assert res2.bound == 1
 
 
+def test_negative_bound_searches_nothing():
+    # no unknowns at all: the zero class still splits with the zero witness,
+    # a nonzero one stays inconclusive
+    mod = _drin(F9, "g + tau^2")
+    zero = Biderivation(mod, mod, parse_matrix(F9, "[[0]]"))
+    res = is_split(zero, bound=-1)
+    assert isinstance(res, SplitWitness)
+    assert res.witness == SkewMatrix.zeros(F9, mod.var, 1, 1)
+    res = is_split(Biderivation(mod, mod, parse_matrix(F9, "[[1]]")),
+                   bound=-1)
+    assert isinstance(res, Inconclusive) and res.bound == -1
+    assert hom_space(mod, mod, bound=-1).basis == ()
+
+
 def test_missing_qth_root_blocks_splitting():
     # over GF(3)(th) the reversed reduction must extract q-th roots; theta
     # is not a q^2-th power, so the forced witness does not exist
