@@ -10,10 +10,16 @@ Three kinds of domain share one element interface:
 Twisting an element by i means raising it to the q-th power i times
 (taking q-th roots for negative i).  All higher layers express their
 semilinear algebra through ``FieldElement.twist``.
+
+An element of F_{p^m}(th) is a reduced fraction whose numerator and monic
+denominator are sparse: tuples of (exponent, coefficient) pairs with
+nonzero coefficients only.  Twisting multiplies every exponent by q^i, so
+th^(q^k) costs one pair however large q^k is.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import re
 from dataclasses import dataclass
@@ -188,92 +194,102 @@ def _get_ops(p, modulus):
 
 
 # ---------------------------------------------------------------------------
-# Polynomials over F_{p^m}: tuples of coefficient tuples, ascending, trimmed.
+# Sparse polynomials in th over F_{p^m}: tuples of (exponent, coefficient)
+# pairs, ascending in the exponent, holding nonzero coefficients only.  The
+# q^k-th powers of th that twisting produces are single pairs, so a twist
+# re-indexes exponents and never allocates the gaps between them.
 
 
-def _rp_trim(c, ops):
-    c = list(c)
-    while c and c[-1] == ops.zero:
-        c.pop()
-    return tuple(c)
+def _rp_collect(terms, ops):
+    """The sparse polynomial summing the (exponent, coefficient) pairs."""
+    acc = {}
+    for e, c in terms:
+        cur = acc.get(e)
+        acc[e] = c if cur is None else ops.add(cur, c)
+    return tuple(sorted((e, c) for e, c in acc.items() if c != ops.zero))
 
 
 def _rp_add(a, b, ops):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else ops.zero
-        y = b[i] if i < len(b) else ops.zero
-        out.append(ops.add(x, y))
-    return _rp_trim(out, ops)
+    return _rp_collect(itertools.chain(a, b), ops)
 
 
 def _rp_neg(a, ops):
-    return tuple(ops.neg(x) for x in a)
+    return tuple((e, ops.neg(c)) for e, c in a)
 
 
 def _rp_mul(a, b, ops):
-    if not a or not b:
-        return ()
-    out = [ops.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x != ops.zero:
-            for j, y in enumerate(b):
-                out[i + j] = ops.add(out[i + j], ops.mul(x, y))
-    return _rp_trim(out, ops)
+    return _rp_collect(((ea + eb, ops.mul(ca, cb))
+                        for ea, ca in a for eb, cb in b), ops)
 
 
 def _rp_scale(a, s, ops):
-    return _rp_trim([ops.mul(x, s) for x in a], ops)
+    """a times a nonzero scalar s."""
+    return tuple((e, ops.mul(c, s)) for e, c in a)
 
 
 def _rp_divmod(a, b, ops):
-    a = list(_rp_trim(a, ops))
-    b = _rp_trim(b, ops)
+    """Long division that steps only through the exponents the remainder
+    holds: its terms sit in a dict, and a max-heap of their exponents (with
+    stale entries skipped) yields the leading one."""
     if not b:
         raise DivisionByZero("polynomial division by zero")
-    db = len(b) - 1
-    binv = ops.inv(b[-1])
-    q = [ops.zero] * max(0, len(a) - db)
-    while a and len(a) - 1 >= db:
-        c = ops.mul(a[-1], binv)
-        off = len(a) - 1 - db
-        if c != ops.zero:
-            q[off] = c
-            for j in range(db + 1):
-                a[off + j] = ops.sub(a[off + j], ops.mul(c, b[j]))
-        a.pop()
-        while a and a[-1] == ops.zero and len(a) - 1 >= db:
-            a.pop()
-    return _rp_trim(q, ops), _rp_trim(a, ops)
+    db, lead = b[-1]
+    binv = ops.inv(lead)
+    rem = dict(a)
+    heap = [-e for e in rem]
+    heapq.heapify(heap)
+    quot = []
+    while heap and -heap[0] >= db:
+        e = -heapq.heappop(heap)
+        c = rem.pop(e, None)
+        if c is None:
+            continue
+        f = ops.mul(c, binv)
+        quot.append((e - db, f))
+        for eb, cb in b[:-1]:
+            k = e - db + eb
+            cur = rem.get(k)
+            if cur is None:
+                rem[k] = ops.neg(ops.mul(f, cb))
+                heapq.heappush(heap, -k)
+                continue
+            cur = ops.sub(cur, ops.mul(f, cb))
+            if cur == ops.zero:
+                del rem[k]
+            else:
+                rem[k] = cur
+    return tuple(reversed(quot)), tuple(sorted(rem.items()))
 
 
 def _rp_gcd(a, b, ops):
-    a, b = _rp_trim(a, ops), _rp_trim(b, ops)
-    while b:
+    """The monic gcd of two polynomials, not both zero.  A single-term
+    operand c*th^k shares exactly th^min(k, v) with a nonzero partner whose
+    lowest exponent is v; answering that at once spares Euclid a walk down
+    through a huge exponent."""
+    while a and b:
+        if len(a) == 1 or len(b) == 1:
+            return ((min(a[0][0], b[0][0]), ops.one),)
         a, b = b, _rp_divmod(a, b, ops)[1]
-    if a:
-        a = _rp_scale(a, ops.inv(a[-1]), ops)
-    return a
+    g = a or b
+    return _rp_scale(g, ops.inv(g[-1][1]), ops)
 
 
 def _rat_normal(num, den, ops):
-    num = _rp_trim(num, ops)
-    den = _rp_trim(den, ops)
+    """num/den in lowest terms with a monic denominator."""
     if not den:
         raise DivisionByZero("zero denominator")
     if not num:
-        return ((), (ops.one,))
+        return ((), ((0, ops.one),))
     g = _rp_gcd(num, den, ops)
-    if len(g) > 1:
+    if g != ((0, ops.one),):
         num = _rp_divmod(num, g, ops)[0]
         den = _rp_divmod(den, g, ops)[0]
-    lead = den[-1]
+    lead = den[-1][1]
     if lead != ops.one:
         li = ops.inv(lead)
         num = _rp_scale(num, li, ops)
         den = _rp_scale(den, li, ops)
-    return (tuple(num), tuple(den))
+    return (num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +416,7 @@ class FieldSpec:
         if self.kind == "finite":
             return self._fe(ops.zero)
         if self.kind == "rational":
-            return self._fe(((), (ops.one,)))
+            return self._fe(((), ((0, ops.one),)))
         return self._fe(((), ()))
 
     def one(self):
@@ -414,7 +430,7 @@ class FieldSpec:
         if c == ops.zero:
             return self.zero()
         if self.kind == "rational":
-            return self._fe(((c,), (ops.one,)))
+            return self._fe((((0, c),), ((0, ops.one),)))
         return self._fe(((((), c),), ()))
 
     def gen(self):
@@ -425,14 +441,14 @@ class FieldSpec:
         g = ops.pad((0, 1))
         if self.kind == "finite":
             return self._fe(g)
-        return self._fe(((g,), (ops.one,)))
+        return self._fe((((0, g),), ((0, ops.one),)))
 
     def theta(self):
         ops = self._ops
         if self.kind == "finite":
             return self._fe(self.theta_payload)
         if self.kind == "rational":
-            return self._fe(((ops.zero, ops.one), (ops.one,)))
+            return self._fe((((1, ops.one),), ((0, ops.one),)))
         return self.symbol("th", 0)
 
     def symbol(self, name, idx):
@@ -501,7 +517,9 @@ class FieldElement:
     # -- structure ----------------------------------------------------------
 
     def is_zero(self):
-        return self == self.spec.zero()
+        if self.spec.kind == "finite":
+            return not any(self.payload)
+        return not self.payload[0]
 
     def __bool__(self):
         return not self.is_zero()
@@ -527,6 +545,8 @@ class FieldElement:
         if spec.kind == "rational":
             n1, d1 = self.payload
             n2, d2 = other.payload
+            if d1 == d2:
+                return spec._fe(_rat_normal(_rp_add(n1, n2, ops), d1, ops))
             num = _rp_add(_rp_mul(n1, d2, ops), _rp_mul(n2, d1, ops), ops)
             return spec._fe(_rat_normal(num, _rp_mul(d1, d2, ops), ops))
         n1, d1 = self.payload
@@ -644,37 +664,18 @@ class FieldElement:
         return spec._fe((num, _mono_shift(d, i)))
 
     def _twist_rational(self, i):
-        spec, ops = self.spec, self.spec._ops
+        """Coefficients in F_q are fixed by the q-th power, so twisting
+        scales every exponent by q^i; a negative twist needs each exponent
+        divisible by q^-i."""
         n, d = self.payload
-        q = spec.q
+        step = self.spec.q ** abs(i)
         if i > 0:
-            step = q ** i
-
-            def stretch(poly):
-                if not poly:
-                    return ()
-                out = [ops.zero] * ((len(poly) - 1) * step + 1)
-                for j, c in enumerate(poly):
-                    out[j * step] = c
-                return tuple(out)
-
-            return spec._fe((stretch(n), stretch(d)))
-        step = q ** (-i)
-
-        def contract(poly):
-            out = []
-            for j, c in enumerate(poly):
-                if c == ops.zero:
-                    continue
-                if j % step:
-                    raise NotAQthPower(
-                        f"element is not a q^{-i}-th power in F_q(th)")
-                while len(out) <= j // step:
-                    out.append(ops.zero)
-                out[j // step] = c
-            return tuple(out)
-
-        return spec._fe((contract(n), contract(d)))
+            return self.spec._fe((tuple((e * step, c) for e, c in n),
+                                  tuple((e * step, c) for e, c in d)))
+        if any(e % step for e, _c in n + d):
+            raise NotAQthPower(f"element is not a q^{-i}-th power in F_q(th)")
+        return self.spec._fe((tuple((e // step, c) for e, c in n),
+                              tuple((e // step, c) for e, c in d)))
 
     def negate_indices(self):
         """The automorphism of a formal-twist domain sending s[j] to s[-j]."""
@@ -733,9 +734,7 @@ def _render_gpoly(modulus):
 def _render_rp(poly, spec):
     ops = spec._ops
     parts = []
-    for j, c in enumerate(poly):
-        if c == ops.zero:
-            continue
+    for j, c in poly:
         cs = _render_ff(c, spec.p)
         if j == 0:
             parts.append(cs)
@@ -754,7 +753,7 @@ def _render_rational(payload, spec):
     num, den = payload
     ops = spec._ops
     ns = _render_rp(num, spec)
-    if den == (ops.one,):
+    if den == ((0, ops.one),):
         return ns
     ds = _render_rp(den, spec)
     if " + " in ns:

@@ -94,6 +94,21 @@ def test_out_to_missing_directory_exits_two(capsys, tmp_path):
 # The remaining structure commands.
 
 
+@pytest.mark.parametrize("n", [2, 5, 10 ** 9])
+def test_ext_with_a_huge_th_exponent(capsys, n):
+    """Regression pin: the exponents grow as 3n - 1, 9n and 252n, which
+    holds at small n; sparse F_q(th) coefficients keep n = 10^9 cheap."""
+    code, out, err = run(capsys, [
+        "ext", "--field", Q3, "--phi", f"th + th^{n}*tau^3",
+        "--psi", "th + tau^2"])
+    assert code == 0 and err == ""
+    assert out.endswith(
+        "Pi_t:\n"
+        "[[th, 0, 0],\n"
+        f" [0, th, ((1 + 2*th^2)/th^{3 * n - 1})*tau^2],\n"
+        f" [tau^2, (1/th^{9 * n})*tau^4, th + (1/th^{252 * n})*tau^6]]\n")
+
+
 def test_ext0_output(capsys):
     code, out, _ = run(capsys, [
         "ext0", "--field", Q3, "--phi", "th + tau^3", "--psi", "th + tau^2"])

@@ -142,6 +142,62 @@ def test_rational_twist_higher_base():
         (th ** 3).twist(-1)
 
 
+def test_rational_deep_twists_reindex_exponents():
+    th = Q3.theta()
+    deep = th.twist(40)
+    assert str(deep) == f"th^{3 ** 40}" == "th^12157665459056928801"
+    assert deep.twist(-40) == th
+    with pytest.raises(NotAQthPower):
+        (deep + th).twist(-1)
+    assert (1 / deep).twist(-40) == 1 / th
+    with pytest.raises(NotAQthPower):
+        (1 / (deep + th)).twist(-1)
+
+
+Q9TH = make_rational(3, 2)
+
+
+def _scalars(spec):
+    g = spec.gen() if spec.m > 1 else spec.zero()
+    return st.tuples(st.integers(0, 2), st.integers(0, 2)).map(
+        lambda ab: ab[0] + ab[1] * g)
+
+
+def rationals(spec):
+    """Small fractions with sparse numerators; denominators are single
+    terms c*th^k or general polynomials, so both gcd paths run."""
+    th = spec.theta()
+
+    def poly(terms):
+        return sum((c * th ** e for e, c in terms.items()), spec.zero())
+
+    polys = st.dictionaries(st.integers(0, 10), _scalars(spec), max_size=3)
+    single = st.tuples(st.integers(0, 4), _scalars(spec)).map(
+        lambda ec: ec[1] * th ** ec[0])
+    dens = st.one_of(single, polys.map(poly)).filter(bool)
+    return st.builds(lambda n, d: n / d, polys.map(poly), dens)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from((Q3, Q9TH)).flatmap(
+           lambda spec: st.tuples(*[rationals(spec)] * 3)),
+       st.sampled_from((1, 2, 3)))
+def test_rational_field_laws_twists_and_round_trip(abc, i):
+    a, b, c = abc
+    spec = a.spec
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a and a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert (a * b) * c == a * (b * c)
+    assert a + (-a) == spec.zero() and (a - a).is_zero()
+    if a:
+        assert a * a.inverse() == spec.one()
+    assert (a * b).twist(i) == a.twist(i) * b.twist(i)
+    assert (a + b).twist(i) == a.twist(i) + b.twist(i)
+    assert a.twist(i).twist(-i) == a
+    assert parse_element(spec, str(a)) == a
+
+
 # ---------------------------------------------------------------------------
 # Formal twist field.
 

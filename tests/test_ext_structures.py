@@ -31,6 +31,20 @@ def _drin(spec, text):
 # The rank-3 over rank-2 structure over GF(3)(th).
 
 
+def test_ladder_rung_16_corner_entry():
+    """Regression pin, not a proof: on the ladder th + th*tau + tau^n over
+    th + th*tau + tau^(n-1), the corner entry of Pi_t follows this formula
+    at every rung recorded in the benchmark's digests (n <= 12).  At n = 16
+    its coefficients are th^(3^14) and th^(3^15)."""
+    n = 16
+    S = ext_structure(_drin(Q3, f"th + th*tau + tau^{n}"),
+                      _drin(Q3, f"th + th*tau + tau^{n - 1}"))
+    assert str(S.pi.entry(n - 1, n - 1)) == (
+        f"th + (2*th^{3 ** (n - 2)})*tau^{n - 1} + "
+        f"(th + th^{3 ** (n - 1)})*tau^{n} + tau^{n * (n - 1)}")
+
+
+
 def test_structure_rank3_over_rank2():
     S = ext_structure(_drin(Q3, "th + tau^3"), _drin(Q3, "th + tau^2"))
     assert S.regime == "drinfeld-forward"
