@@ -11,6 +11,23 @@ Twisting an element by i means raising it to the q-th power i times
 (taking q-th roots for negative i).  All higher layers express their
 semilinear algebra through ``FieldElement.twist``.
 
+Every scalar of F_{p^m} (a finite element, a coefficient of F_q(th) or of
+a formal twist domain) is an int: the code sum(c_i * p^i) of its
+coefficient vector (c_0, ..., c_{m-1}) over F_p in the basis 1, g, ...,
+g^(m-1).  Codes stay private to this module; other layers read and build
+F_p coordinates through ``FieldElement.fp_coords`` and
+``FieldSpec.from_fp_coords``.  The arithmetic on codes is chosen once per
+field from m and q:
+
+* m = 1: residues mod p;
+* m >= 2 and q <= ZECH_LIMIT: exp/log tables of a primitive element, so
+  multiplication, inversion and the Frobenius are lookups, and addition
+  is one Zech-logarithm lookup (XOR when p = 2);
+* m >= 2 and q > ZECH_LIMIT: polynomial products reduced modulo the
+  modulus, on the codes' base-p digits.
+
+ZECH_LIMIT = 2^12 keeps a table build to about 10 ms at most.
+
 An element of F_{p^m}(th) is a reduced fraction whose numerator and monic
 denominator are sparse: tuples of (exponent, coefficient) pairs with
 nonzero coefficients only.  Twisting multiplies every exponent by q^i, so
@@ -21,8 +38,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import isqrt
 
@@ -132,65 +150,240 @@ def _is_prime(n):
 
 
 # ---------------------------------------------------------------------------
-# Arithmetic of F_{p^m} on fixed-length coefficient tuples.
+# Arithmetic of F_{p^m} on integer codes (see the module docstring).  Each
+# ops object offers add, sub, neg, mul, inv, frob(a, i) = a ** (p**i),
+# from_int, zero and one.
+
+# The largest q = p^m (m >= 2) served by log/Zech tables; building them
+# costs a few microseconds per element.
+ZECH_LIMIT = 2 ** 12
 
 
-class _FFOps:
-    """Field operations for F_{p^m} = F_p[g]/(modulus) on m-tuples."""
+def _digits(code, p, m):
+    """The m coefficients over F_p of a code, lowest degree first."""
+    out = []
+    for _ in range(m):
+        code, c = divmod(code, p)
+        out.append(c)
+    return out
 
-    __slots__ = ("p", "m", "mod", "zero", "one")
+
+def _encode(digits, p):
+    code = 0
+    for c in reversed(digits):
+        code = code * p + c
+    return code
+
+
+def _fp_pow(a, n, mod, p):
+    """a ** n in F_p[g]/(mod), on ascending coefficient tuples."""
+    result, base = (1,), a
+    while n:
+        if n & 1:
+            result = _poly_mod_fp(_poly_mul_fp(result, base, p), mod, p)
+        base = _poly_mod_fp(_poly_mul_fp(base, base, p), mod, p)
+        n >>= 1
+    return result
+
+
+def _prime_factors(n):
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + ([n] if n > 1 else [])
+
+
+class _PrimeOps:
+    """F_p: codes are residues mod p."""
+
+    zero, one = 0, 1
+
+    def __init__(self, p):
+        self.p = p
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
+
+    def neg(self, a):
+        return -a % self.p
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+    def inv(self, a):
+        if not a:
+            raise DivisionByZero("division by zero")
+        return pow(a, self.p - 2, self.p)
+
+    def frob(self, a, i):
+        return a
+
+    def from_int(self, n):
+        return n % self.p
+
+
+class _ExtOps(_PrimeOps):
+    """What both extension-field paths share: digitwise addition on codes
+    (XOR when p = 2)."""
 
     def __init__(self, p, modulus):
         self.p = p
-        self.mod = modulus
         self.m = len(modulus) - 1
-        self.zero = (0,) * self.m
-        self.one = (1,) + (0,) * (self.m - 1)
-
-    def pad(self, t):
-        return tuple(t) + (0,) * (self.m - len(t))
+        self.mod = modulus
+        if p == 2:
+            self.add = self.sub = operator.xor
+            self.neg = operator.pos
 
     def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
+        p, m = self.p, self.m
+        return _encode([(x + y) % p for x, y in zip(_digits(a, p, m),
+                                                     _digits(b, p, m))], p)
 
     def sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
+        return self.add(a, self.neg(b))
 
     def neg(self, a):
-        return tuple((-x) % self.p for x in a)
+        p = self.p
+        return _encode([-x % p for x in _digits(a, p, self.m)], p)
+
+
+class _PolyOps(_ExtOps):
+    """F_{p^m} with q above ZECH_LIMIT: polynomial products reduced modulo
+    the modulus, on the codes' base-p digits."""
 
     def mul(self, a, b):
-        return self.pad(_poly_mod_fp(_poly_mul_fp(a, b, self.p), self.mod, self.p))
+        p, m = self.p, self.m
+        return _encode(_poly_mod_fp(_poly_mul_fp(
+            _digits(a, p, m), _digits(b, p, m), p), self.mod, p), p)
 
     def pow(self, a, n):
-        result = self.one
-        base = a
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
+        p = self.p
+        return _encode(_fp_pow(_digits(a, p, self.m), n, self.mod, p), p)
 
     def inv(self, a):
-        if a == self.zero:
+        if not a:
             raise DivisionByZero("division by zero")
         return self.pow(a, self.p ** self.m - 2)
 
     def frob(self, a, i):
-        """a ** (p**i) with i taken modulo m (Frobenius has order m)."""
-        i %= self.m
-        if i == 0:
-            return a
-        return self.pow(a, self.p ** i)
+        return self.pow(a, self.p ** (i % self.m))
 
-    def from_int(self, n):
-        return (n % self.p,) + (0,) * (self.m - 1)
+
+class _ZechOps(_ExtOps):
+    """F_{p^m} with q <= ZECH_LIMIT, following FLINT's fq_zech: exp/log
+    tables of a primitive element alpha make mul, inv and frob lookups,
+    and Zech logarithms log(1 + alpha^k) make addition one.
+
+    exp is indexed up to 4n (n = q - 1) and log[0] = 2n, so a product
+    involving zero lands in exp's zero upper half without a test."""
+
+    def __init__(self, p, modulus):
+        super().__init__(p, modulus)
+        m, q = self.m, p ** self.m
+        n = q - 1
+        self.n = n
+        powers = _alpha_powers(p, modulus)
+        exp = powers + powers + [0] * (2 * n + 1)
+        log = [2 * n] * q
+        for k, code in enumerate(powers):
+            log[code] = k
+        self.exp, self.log = exp, log
+        self.p_powers = [p ** i % n for i in range(m)]
+        if p == 2:
+            return
+        # zech[k] = log(1 + alpha^k); 2n (exp's zero half) when that sum is
+        # 0.  Adding 1 to a code steps its constant digit modulo p.
+        self.zech = [log[c + 1 if c % p != p - 1 else c + 1 - p]
+                     for c in exp[:n]]
+        self.half = n // 2
+
+    def add(self, a, b):
+        if not a:
+            return b
+        if not b:
+            return a
+        la = self.log[a]
+        return self.exp[la + self.zech[self.log[b] - la]]
+
+    def neg(self, a):  # -1 = alpha^(n/2) for odd p
+        return self.exp[self.log[a] + self.half]
+
+    def mul(self, a, b):
+        log = self.log
+        return self.exp[log[a] + log[b]]
+
+    def inv(self, a):
+        if not a:
+            raise DivisionByZero("division by zero")
+        return self.exp[self.n - self.log[a]]
+
+    def frob(self, a, i):
+        if not a:
+            return 0
+        return self.exp[self.log[a] * self.p_powers[i % self.m] % self.n]
+
+
+def _alpha_powers(p, modulus):
+    """The codes of alpha^0, ..., alpha^(q-2) for the primitive element
+    alpha of _primitive_element."""
+    m = len(modulus) - 1
+    n = p ** m - 1
+    alpha = _primitive_element(p, modulus)
+    out = [1] * n
+    if p == 2:
+        # Horner in g on codes: shift one degree up, fold g^m back by XOR.
+        top, mod_code = 1 << m, _encode(modulus, 2)
+        x = 1
+        for k in range(1, n):
+            acc = 0
+            for a in reversed(alpha):
+                acc <<= 1
+                if acc & top:
+                    acc ^= mod_code
+                if a:
+                    acc ^= x
+            out[k] = x = acc
+        return out
+    # x -> x * alpha is F_p-linear: column j of its matrix holds the
+    # digits of g^j * alpha.
+    cols = [_poly_mod_fp(_poly_mul_fp((0,) * j + (1,), alpha, p), modulus, p)
+            for j in range(m)]
+    rows = list(zip(*(c + (0,) * (m - len(c)) for c in cols)))
+    place = [p ** i for i in range(m)]
+    x = [1] + [0] * (m - 1)
+    for k in range(1, n):
+        x = [sum(map(operator.mul, row, x)) % p for row in rows]
+        out[k] = sum(map(operator.mul, x, place))
+    return out
+
+
+def _primitive_element(p, modulus):
+    """The generator of F_{p^m}^* whose code is smallest, as digits
+    (trailing zeros trimmed)."""
+    m = len(modulus) - 1
+    n = p ** m - 1
+    cofactors = [n // r for r in _prime_factors(n)]
+    for code in range(2, p ** m):
+        a = _poly_trim(_digits(code, p, m))
+        if all(_fp_pow(a, e, modulus, p) != (1,) for e in cofactors):
+            return a
+    raise ParseError(f"GF({p}^{m}) has no primitive element")
 
 
 @lru_cache(maxsize=None)
 def _get_ops(p, modulus):
-    return _FFOps(p, modulus)
+    if len(modulus) == 2:
+        return _PrimeOps(p)
+    if p ** (len(modulus) - 1) <= ZECH_LIMIT:
+        return _ZechOps(p, modulus)
+    return _PolyOps(p, modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +454,26 @@ def _rp_divmod(a, b, ops):
     return tuple(reversed(quot)), tuple(sorted(rem.items()))
 
 
+def _rp_rem(a, b, ops):
+    """a mod b.  Long division walks the degree gap between a and b, so a
+    sparse a of much higher degree is reduced term by term instead, with
+    th^e mod b by binary powering: O(log e) products of degree < 2 deg b."""
+    da, db = a[-1][0], b[-1][0]
+    if da - db <= 2 * len(a) * db * da.bit_length():
+        return _rp_divmod(a, b, ops)[1]
+    th = _rp_divmod(((1, ops.one),), b, ops)[1]
+    out = ()
+    for e, c in a:
+        power, base = ((0, ops.one),), th
+        while e:
+            if e & 1:
+                power = _rp_divmod(_rp_mul(power, base, ops), b, ops)[1]
+            base = _rp_divmod(_rp_mul(base, base, ops), b, ops)[1]
+            e >>= 1
+        out = _rp_add(out, _rp_scale(power, c, ops), ops)
+    return out
+
+
 def _rp_gcd(a, b, ops):
     """The monic gcd of two polynomials, not both zero.  A single-term
     operand c*th^k shares exactly th^min(k, v) with a nonzero partner whose
@@ -269,7 +482,7 @@ def _rp_gcd(a, b, ops):
     while a and b:
         if len(a) == 1 or len(b) == 1:
             return ((min(a[0][0], b[0][0]), ops.one),)
-        a, b = b, _rp_divmod(a, b, ops)[1]
+        a, b = b, _rp_rem(a, b, ops)
     g = a or b
     return _rp_scale(g, ops.inv(g[-1][1]), ops)
 
@@ -378,27 +591,28 @@ class FieldSpec:
     kind is one of "finite", "rational", "formal".  p is the
     characteristic, m the extension degree of the scalar field F_{p^m},
     and modulus its defining polynomial over F_p (ascending coefficients,
-    monic).  theta_payload fixes the distinguished element theta for
-    finite fields; generators/invertibles only apply to formal domains.
+    monic).  theta_payload (an F_{p^m} code) fixes the distinguished
+    element theta for finite fields; generators/invertibles only apply to
+    formal domains.
     """
 
     kind: str
     p: int
     m: int
     modulus: tuple
-    theta_payload: tuple | None = None
+    theta_payload: int | None = None
     generators: tuple = ()
     invertibles: frozenset = frozenset()
+    _ops: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_ops", _get_ops(self.p, self.modulus))
 
     # -- basic data --------------------------------------------------------
 
     @property
     def q(self):
         return self.p if self.kind == "finite" else self.p ** self.m
-
-    @property
-    def _ops(self):
-        return _get_ops(self.p, self.modulus)
 
     def carrier_size(self):
         if self.kind != "finite":
@@ -437,11 +651,10 @@ class FieldSpec:
         if self.kind == "formal" or self.m < 2:
             raise ParseError("the name 'g' requires a finite scalar field of "
                              "extension degree at least 2")
-        ops = self._ops
-        g = ops.pad((0, 1))
+        g = self.p  # the code of g
         if self.kind == "finite":
             return self._fe(g)
-        return self._fe((((0, g),), ((0, ops.one),)))
+        return self._fe((((0, g),), ((0, self._ops.one),)))
 
     def theta(self):
         ops = self._ops
@@ -469,13 +682,24 @@ class FieldSpec:
             raise FiniteFieldRequired(
                 "element enumeration requires a finite coefficient field")
         for t in itertools.product(range(self.p), repeat=self.m):
-            yield self._fe(t)
+            yield self._fe(_encode(t, self.p))
 
     def random_element(self, rng):
         if self.kind != "finite":
             raise FiniteFieldRequired(
                 "random sampling requires a finite coefficient field")
-        return self._fe(tuple(rng.randrange(self.p) for _ in range(self.m)))
+        return self._fe(_encode([rng.randrange(self.p) for _ in range(self.m)],
+                                self.p))
+
+    # -- F_p coordinates ------------------------------------------------------
+
+    def from_fp_coords(self, coords):
+        """The element of F_{p^m} with coordinates coords (ascending in g)
+        over F_p; the inverse of FieldElement.fp_coords."""
+        if self.kind != "finite":
+            raise FiniteFieldRequired(
+                "F_p coordinates require a finite coefficient field")
+        return self._fe(_encode([c % self.p for c in coords], self.p))
 
     # -- rendering ----------------------------------------------------------
 
@@ -492,17 +716,16 @@ class FieldSpec:
         if self.m > 1:
             base += f"; mod={_render_gpoly(self.modulus)}"
         if self.kind == "finite" and self.theta_payload != _default_theta(
-                self.p, self.m, self.modulus):
-            base += f"; theta={_render_ff(self.theta_payload, self.p)}"
+                self.p, self.m):
+            base += f"; theta={_render_ff(self.theta_payload, self.p, self.m)}"
         base += ")"
         if self.kind == "rational":
             base += "(th)"
         return base
 
 
-def _default_theta(p, m, modulus):
-    ops = _get_ops(p, modulus)
-    return ops.pad((0, 1)) if m >= 2 else ops.one
+def _default_theta(p, m):
+    return p if m >= 2 else 1  # the codes of g and 1
 
 
 # ---------------------------------------------------------------------------
@@ -512,13 +735,13 @@ def _default_theta(p, m, modulus):
 @dataclass(frozen=True)
 class FieldElement:
     spec: FieldSpec
-    payload: tuple
+    payload: object
 
     # -- structure ----------------------------------------------------------
 
     def is_zero(self):
         if self.spec.kind == "finite":
-            return not any(self.payload)
+            return not self.payload
         return not self.payload[0]
 
     def __bool__(self):
@@ -526,7 +749,7 @@ class FieldElement:
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.spec != self.spec:
+            if other.spec is not self.spec and other.spec != self.spec:
                 raise MixedFields("elements of different coefficient domains")
             return other
         if isinstance(other, int):
@@ -656,7 +879,7 @@ class FieldElement:
         if i == 0:
             return self
         if spec.kind == "finite":
-            return spec._fe(ops.frob(self.payload, i % spec.m))
+            return spec._fe(ops.frob(self.payload, i))
         if spec.kind == "rational":
             return self._twist_rational(i)
         n, d = self.payload
@@ -677,6 +900,15 @@ class FieldElement:
         return self.spec._fe((tuple((e // step, c) for e, c in n),
                               tuple((e // step, c) for e, c in d)))
 
+    def fp_coords(self):
+        """The coordinates over F_p (ascending in g) of an element of
+        F_{p^m}."""
+        spec = self.spec
+        if spec.kind != "finite":
+            raise FiniteFieldRequired(
+                "F_p coordinates require a finite coefficient field")
+        return tuple(_digits(self.payload, spec.p, spec.m))
+
     def negate_indices(self):
         """The automorphism of a formal-twist domain sending s[j] to s[-j]."""
         spec = self.spec
@@ -693,7 +925,7 @@ class FieldElement:
     def __str__(self):
         spec = self.spec
         if spec.kind == "finite":
-            return _render_ff(self.payload, spec.p)
+            return _render_ff(self.payload, spec.p, spec.m)
         if spec.kind == "rational":
             return _render_rational(self.payload, spec)
         return _render_formal(self.payload, spec)
@@ -705,9 +937,9 @@ class FieldElement:
 # Rendering helpers (ascending degrees throughout).
 
 
-def _render_ff(payload, p):
+def _render_ff(code, p, m):
     parts = []
-    for j, c in enumerate(payload):
+    for j, c in enumerate(_digits(code, p, m)):
         if not c:
             continue
         if j == 0:
@@ -735,7 +967,7 @@ def _render_rp(poly, spec):
     ops = spec._ops
     parts = []
     for j, c in poly:
-        cs = _render_ff(c, spec.p)
+        cs = _render_ff(c, spec.p, spec.m)
         if j == 0:
             parts.append(cs)
             continue
@@ -775,7 +1007,7 @@ def _render_formal_terms(terms, spec):
     ops = spec._ops
     parts = []
     for mono, coeff in terms:
-        cs = _render_ff(coeff, spec.p)
+        cs = _render_ff(coeff, spec.p, spec.m)
         if not mono:
             parts.append(cs if " + " not in cs else f"({cs})")
             continue
@@ -809,7 +1041,7 @@ def _render_formal(payload, spec):
 def make_finite(p, m=1, modulus=None, theta=None):
     _check_pm(p, m)
     modulus = _resolve_modulus(p, m, modulus)
-    payload = theta if theta is not None else _default_theta(p, m, modulus)
+    payload = theta if theta is not None else _default_theta(p, m)
     return FieldSpec("finite", p, m, modulus, theta_payload=payload)
 
 
@@ -945,6 +1177,5 @@ def parse_field(text):
     if theta_s is None:
         return make_finite(p, m, modulus)
     resolved = _resolve_modulus(p, m, modulus)
-    ops = _get_ops(p, resolved)
-    theta = ops.pad(_poly_mod_fp(_parse_g_poly(theta_s, p), resolved, p))
+    theta = _encode(_poly_mod_fp(_parse_g_poly(theta_s, p), resolved, p), p)
     return make_finite(p, m, resolved, theta)

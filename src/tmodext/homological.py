@@ -69,9 +69,8 @@ def _fp_unknown_matrices(spec, var, nrows, ncols, bound):
         for j in range(ncols):
             for deg in range(bound + 1):
                 for comp in range(spec.m):
-                    payload = tuple(1 if t == comp else 0
-                                    for t in range(spec.m))
-                    c = spec._fe(payload)
+                    c = spec.from_fp_coords(
+                        [1 if t == comp else 0 for t in range(spec.m)])
                     mat = SkewMatrix.zeros(spec, var, nrows, ncols)
                     mat = mat.with_entry(
                         i, j, SkewPoly.term(spec, var, c, deg))
@@ -84,7 +83,7 @@ def _flatten(mat, keys):
     positions (i, j, deg, component)."""
     vec = []
     for (i, j, deg, comp) in keys:
-        vec.append(mat.entry(i, j).coefficient(deg).payload[comp])
+        vec.append(mat.entry(i, j).coefficient(deg).fp_coords()[comp])
     return vec
 
 
@@ -94,7 +93,7 @@ def _collect_keys(mats):
         for i in range(mat.nrows):
             for j in range(mat.ncols):
                 for deg, c in mat.entry(i, j).coeffs:
-                    for comp, val in enumerate(c.payload):
+                    for comp, val in enumerate(c.fp_coords()):
                         if val:
                             keys.add((i, j, deg, comp))
     return sorted(keys)

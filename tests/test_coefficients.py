@@ -1,10 +1,15 @@
 """Coefficient fields: finite, rational function, and formal twist."""
 
+import random
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tmodext import (
+    DivisionByZero,
     FieldElement,
+    FiniteFieldRequired,
     MixedFields,
     NonMonomialDenominator,
     NotAQthPower,
@@ -15,7 +20,12 @@ from tmodext import (
     parse_element,
     parse_field,
 )
-from tmodext.coefficients import default_modulus
+from tmodext.coefficients import (
+    ZECH_LIMIT,
+    _PolyOps,
+    _ZechOps,
+    default_modulus,
+)
 
 F4 = make_finite(2, 2)
 F8 = make_finite(2, 3)
@@ -114,6 +124,108 @@ def test_mixed_fields_rejected():
 
 
 # ---------------------------------------------------------------------------
+# The scalar layer: GF(p^m) elements are integer codes served by one of
+# three arithmetic paths (residues, log/Zech tables, polynomial products).
+
+
+def _just_over_limit(p):
+    m = 2
+    while p ** m <= ZECH_LIMIT:
+        m += 1
+    return make_finite(p, m)
+
+
+SCALAR_FIELDS = (
+    make_finite(7),
+    F16,
+    F9,
+    make_finite(5, 3),
+    parse_field("GF(3^2; mod=g^2+2*g+2)"),
+    _just_over_limit(2),
+    _just_over_limit(3),
+)
+
+
+def test_scalar_fields_cover_every_arithmetic_path():
+    kinds = [type(spec._ops).__name__ for spec in SCALAR_FIELDS]
+    assert kinds == ["_PrimeOps"] + ["_ZechOps"] * 4 + ["_PolyOps"] * 2
+
+
+def _field_elements(spec):
+    return st.lists(st.integers(0, spec.p - 1), min_size=spec.m,
+                    max_size=spec.m).map(spec.from_fp_coords)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SCALAR_FIELDS).flatmap(
+    lambda spec: st.tuples(*[_field_elements(spec)] * 3)))
+def test_scalar_field_laws_twists_and_round_trip(abc):
+    a, b, c = abc
+    spec = a.spec
+    assert (a + b) + c == a + (b + c) and a + b == b + a
+    assert (a * b) * c == a * (b * c) and a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a - b == a + (-b) and a + (-a) == spec.zero()
+    if a:
+        assert a * a.inverse() == spec.one()
+    if b:
+        assert (a / b) * b == a
+    for i in range(spec.m + 1):
+        assert a.twist(i) == a ** (spec.p ** i)
+    assert a.twist(spec.m) == a and a.twist(-1).twist(1) == a
+    assert parse_element(spec, str(a)) == a
+    assert spec.from_fp_coords(a.fp_coords()) == a
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([spec for spec in SCALAR_FIELDS
+                        if isinstance(spec._ops, _ZechOps)]).flatmap(
+    lambda spec: st.tuples(st.just(spec),
+                           st.integers(0, spec.carrier_size() - 1),
+                           st.integers(0, spec.carrier_size() - 1),
+                           st.integers(-3, 3))))
+def test_zech_tables_agree_with_polynomial_products(case):
+    spec, a, b, i = case
+    tables, poly = spec._ops, _PolyOps(spec.p, spec.modulus)
+    for op in ("add", "sub", "mul"):
+        assert getattr(tables, op)(a, b) == getattr(poly, op)(a, b)
+    assert tables.neg(a) == poly.neg(a)
+    assert tables.frob(a, i) == poly.frob(a, i)
+    if a:
+        assert tables.inv(a) == poly.inv(a)
+
+
+def test_scalar_zero_has_no_inverse():
+    for spec in SCALAR_FIELDS:
+        with pytest.raises(DivisionByZero):
+            spec.zero().inverse()
+    with pytest.raises(FiniteFieldRequired):
+        Q3.one().fp_coords()
+
+
+def test_enumeration_and_sampling_orders_are_pinned():
+    first = [str(x) for x in make_finite(3, 2).enumerate_elements()][:6]
+    assert first == ["0", "g", "2*g", "1", "1 + g", "1 + 2*g"]
+    rng = random.Random(7)
+    drawn = [str(F8.random_element(rng)) for _ in range(5)]
+    assert drawn == ["1 + g^2", "0", "1", "g^2", "1"]
+
+
+def test_large_field_builds_no_tables():
+    """GF(2^16) is above the table limit and multiplies polynomials; the
+    time bound fails a limit whose table build takes seconds."""
+    start = time.perf_counter()
+    spec = make_finite(2, 16)
+    assert isinstance(spec._ops, _PolyOps)
+    g = spec.gen()
+    x = spec.zero()
+    for _ in range(100):
+        x = x * g + g
+    assert x * x.inverse() == spec.one()
+    assert time.perf_counter() - start < 0.5
+
+
+# ---------------------------------------------------------------------------
 # Rational function field.
 
 
@@ -140,6 +252,13 @@ def test_rational_twist_higher_base():
     assert th.twist(1) == th ** 9
     with pytest.raises(NotAQthPower):
         (th ** 3).twist(-1)
+
+
+def test_rational_gcd_skips_a_huge_exponent_gap():
+    start = time.perf_counter()
+    e = parse_element(Q3, "(1 + th^1000000000)/(2 + th^2)")
+    assert time.perf_counter() - start < 1.0
+    assert str(e) == "(1 + th^1000000000)/(2 + th^2)"
 
 
 def test_rational_deep_twists_reindex_exponents():
