@@ -15,6 +15,7 @@ from .errors import (
     NotAQthPower,
     NotNilpotent,
     ParseError,
+    PolynomialTooLarge,
     RankZero,
     SingularLeading,
     TmodError,

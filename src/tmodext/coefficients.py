@@ -51,6 +51,7 @@ from .errors import (
     NonMonomialDenominator,
     NotAQthPower,
     ParseError,
+    PolynomialTooLarge,
 )
 
 # ---------------------------------------------------------------------------
@@ -393,6 +394,12 @@ def _get_ops(p, modulus):
 # re-indexes exponents and never allocates the gaps between them.
 
 
+# The most terms a quotient in th may hold.  An exact quotient by a gcd can
+# be dense where both operands are sparse: (1 + th^N)/(2 + th^2) over
+# GF(3)(th) divides out th + 1 and leaves about N terms.
+MAX_POLY_TERMS = 2 ** 16
+
+
 def _rp_collect(terms, ops):
     """The sparse polynomial summing the (exponent, coefficient) pairs."""
     acc = {}
@@ -423,7 +430,8 @@ def _rp_scale(a, s, ops):
 def _rp_divmod(a, b, ops):
     """Long division that steps only through the exponents the remainder
     holds: its terms sit in a dict, and a max-heap of their exponents (with
-    stale entries skipped) yields the leading one."""
+    stale entries skipped) yields the leading one.  A quotient of more than
+    MAX_POLY_TERMS terms raises PolynomialTooLarge before it is built."""
     if not b:
         raise DivisionByZero("polynomial division by zero")
     db, lead = b[-1]
@@ -437,6 +445,10 @@ def _rp_divmod(a, b, ops):
         c = rem.pop(e, None)
         if c is None:
             continue
+        if len(quot) == MAX_POLY_TERMS:
+            raise PolynomialTooLarge(
+                f"a quotient in th would hold more than {MAX_POLY_TERMS} "
+                f"terms (MAX_POLY_TERMS)")
         f = ops.mul(c, binv)
         quot.append((e - db, f))
         for eb, cb in b[:-1]:

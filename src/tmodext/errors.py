@@ -77,6 +77,10 @@ class CarrierTooLarge(TmodError):
     """An exhaustive enumeration would exceed the configured ceiling."""
 
 
+class PolynomialTooLarge(TmodError):
+    """A polynomial in th would hold more terms than MAX_POLY_TERMS."""
+
+
 class FiniteFieldRequired(TmodError):
     """This operation samples or enumerates elements and therefore needs a
     finite coefficient field."""

@@ -18,9 +18,11 @@ from .errors import (
     DimensionMismatch,
     InvalidModule,
     MixedFields,
+    NonMonomialDenominator,
     NotAMorphism,
     NotNilpotent,
     ParseError,
+    SingularLeading,
 )
 from .skewpoly import (
     TAU,
@@ -46,13 +48,7 @@ class TModule:
             raise MixedFields("module matrix over a different domain")
         if m.nrows != m.ncols:
             raise InvalidModule("the t-action matrix must be square")
-        theta = self.spec.theta()
-        const = m.coefficient_matrix(0)
-        nilp = tuple(
-            tuple(const[i][j] - theta if i == j else const[i][j]
-                  for j in range(m.ncols))
-            for i in range(m.nrows))
-        if not const_is_nilpotent(nilp):
+        if not const_is_nilpotent(self.nilpotent_part()):
             raise NotNilpotent(
                 "the constant part of the t-action must be theta*I plus a "
                 "nilpotent matrix")
@@ -96,9 +92,10 @@ class TModule:
             return False
         try:
             const_inverse(self.leading_matrix())
-            return True
-        except Exception:
+        except (SingularLeading, NonMonomialDenominator):
+            # Singular, or over a formal domain a pivot that is not a unit.
             return False
+        return True
 
     # -- structural shapes ---------------------------------------------------
 

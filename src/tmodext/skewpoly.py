@@ -438,13 +438,26 @@ class SkewMatrix:
 
 
 def const_mul(a, b):
+    """The product a*b of two FieldElement grids, skipping zeros: each row
+    of a lists its nonzero entries once, and entry (i, j) sums a[i][k] *
+    b[k][j] over those k where b[k][j] is nonzero too, in ascending k.  A
+    zero row of a costs no field operation, and a zero product is never
+    formed or added; an entry with no such k is the field's zero."""
     if len(a[0]) != len(b):
         raise DimensionMismatch("constant matrix shapes do not compose")
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(1, len(b))),
-                  a[i][0] * b[0][j])
-              for j in range(len(b[0])))
-        for i in range(len(a)))
+    spec = a[0][0].spec
+    width = len(b[0])
+    out = []
+    for row in a:
+        acc = [None] * width
+        for x, b_row in zip(row, b):
+            if x:
+                for j, y in enumerate(b_row):
+                    if y:
+                        s = acc[j]
+                        acc[j] = x * y if s is None else s + x * y
+        out.append(tuple([spec.zero() if s is None else s for s in acc]))
+    return tuple(out)
 
 
 def const_identity(spec, n):
@@ -480,11 +493,21 @@ def const_inverse(a):
 
 
 def const_is_nilpotent(a):
+    """Whether the square grid a is nilpotent, decided exactly by squaring.
+
+    The index of a nilpotent n x n matrix is at most n, so a is nilpotent
+    iff a^(2^k) = 0 for the least 2^k >= n.  The powers a, a^2, a^4, ...
+    are tested in turn: the first zero one proves nilpotence, and a nonzero
+    one whose exponent has reached n disproves it.  So a zero matrix costs
+    n^2 zero tests and no product, and any other at most ceil(log2 n)."""
     n = len(a)
-    power = a
-    for _ in range(n - 1):
-        power = const_mul(power, a)
-    return all(not c for row in power for c in row)
+    power, exponent = a, 1
+    while any(c for row in power for c in row):
+        if exponent >= n:
+            return False
+        power = const_mul(power, power)
+        exponent *= 2
+    return True
 
 
 # ---------------------------------------------------------------------------

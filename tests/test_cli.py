@@ -109,6 +109,16 @@ def test_ext_with_a_huge_th_exponent(capsys, n):
         f" [tau^2, (1/th^{9 * n})*tau^4, th + (1/th^{252 * n})*tau^6]]\n")
 
 
+def test_dense_coefficient_quotient_exits_one(capsys):
+    code, out, err = run(capsys, [
+        "ext", "--field", Q3,
+        "--phi", "th + ((1 + th^12157665459056928801)/(2 + th^2))*tau^3",
+        "--psi", "th + tau^2"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "MAX_POLY_TERMS" in err
+
+
 def test_ext0_output(capsys):
     code, out, _ = run(capsys, [
         "ext0", "--field", Q3, "--phi", "th + tau^3", "--psi", "th + tau^2"])

@@ -14,6 +14,7 @@ from tmodext import (
     NonMonomialDenominator,
     NotAQthPower,
     ParseError,
+    PolynomialTooLarge,
     make_finite,
     make_formal,
     make_rational,
@@ -21,6 +22,7 @@ from tmodext import (
     parse_field,
 )
 from tmodext.coefficients import (
+    MAX_POLY_TERMS,
     ZECH_LIMIT,
     _PolyOps,
     _ZechOps,
@@ -259,6 +261,29 @@ def test_rational_gcd_skips_a_huge_exponent_gap():
     e = parse_element(Q3, "(1 + th^1000000000)/(2 + th^2)")
     assert time.perf_counter() - start < 1.0
     assert str(e) == "(1 + th^1000000000)/(2 + th^2)"
+
+
+def test_dense_exact_quotient_is_refused_at_the_term_budget():
+    """(1 + th^N)/(2 + th^2) with odd N cancels th + 1 and leaves a dense
+    quotient of about N terms; at N = 3^40 building it exhausts memory."""
+    start = time.perf_counter()
+    with pytest.raises(PolynomialTooLarge, match=str(MAX_POLY_TERMS)):
+        parse_element(Q3, "(1 + th^12157665459056928801)/(2 + th^2)")
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(PolynomialTooLarge):
+        parse_element(Q3, f"(1 + th^{2 * MAX_POLY_TERMS + 1})/(2 + th^2)")
+    # within the budget: the quotient by th + 1 keeps all N terms
+    n = MAX_POLY_TERMS - 1
+    num, den = str(parse_element(Q3, f"(1 + th^{n})/(2 + th^2)")).split(")/(")
+    assert num.count(" + ") + 1 == n and den == "2 + th)"
+
+
+def test_sparse_exact_quotient_of_huge_degree_parses():
+    """The budget counts terms, not degree: (th^2N - 1)/(th^N - 1) is
+    th^N + 1."""
+    n = 10 ** 9
+    e = parse_element(Q3, f"(th^{2 * n} - 1)/(th^{n} - 1)")
+    assert str(e) == f"1 + th^{n}"
 
 
 def test_rational_deep_twists_reindex_exponents():

@@ -1,5 +1,7 @@
 """Tests for the t-module structure carried by spaces of extension classes."""
 
+import time
+
 import pytest
 
 from tmodext import (
@@ -17,6 +19,7 @@ from tmodext import (
     reduce_canonical,
     tmodule,
 )
+from tmodext.skewpoly import const_mul
 
 Q3 = parse_field("GF(3)(th)")
 FF = parse_field("FTF(3; gens=a,b,th; inv=a)")
@@ -130,6 +133,23 @@ def test_structure_carlitz_target_nilpotent(e):
                       start=Q3.zero()) for j in range(n)]
                  for i in range(n)]
     assert all(x.is_zero() for row in power for x in row)
+
+
+def test_rank_50_structure_validates_its_nilpotent_part_quickly():
+    """Validating Pi_t's constant part costs what N holds: squaring stops
+    at the first zero power, and zero entries are never multiplied (the
+    n - 1 dense products of N^50 took about a minute)."""
+    start = time.perf_counter()
+    S = ext_structure(_drin(Q3, "th + tau^10"), carlitz_power(Q3, 5))
+    assert time.perf_counter() - start < 2.0
+    assert S.rank == 50
+    N = S.nilpotent_part()
+    assert all(N[i][j].is_zero() for i in range(50) for j in range(i + 1))
+    power = N
+    for _ in range(3):
+        power = const_mul(power, N)
+    assert any(x for row in power for x in row)  # N^4 != 0
+    assert all(x.is_zero() for row in const_mul(power, N) for x in row)
 
 
 # ---------------------------------------------------------------------------

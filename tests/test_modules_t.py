@@ -2,10 +2,12 @@
 
 import pytest
 
+import tmodext.modules_t as modules_t
 from tmodext import (
     SIGMA,
     TAU,
     InvalidModule,
+    InvariantViolation,
     NotAMorphism,
     NotNilpotent,
     carlitz,
@@ -13,6 +15,7 @@ from tmodext import (
     check_morphism,
     drinfeld,
     make_finite,
+    make_formal,
     make_rational,
     morphism_residual,
     parse_apoly,
@@ -45,6 +48,28 @@ def test_tmodule_requires_nilpotent_offset():
         tmodule(Q3, parse_matrix(Q3, "[[th, 0], [0, th + 1]]"))
     with pytest.raises(NotNilpotent):
         tmodule(Q3, parse_matrix(Q3, "[[1 + tau]]"))
+
+
+def test_invertible_leading_catches_only_singular_or_non_unit_pivots():
+    assert tmodule(F9, parse_matrix(F9, "[[g + tau, 0], [0, g + tau]]")
+                   ).has_invertible_leading()
+    assert not tmodule(F9, parse_matrix(
+        F9, "[[g + tau, tau], [0, g]]")).has_invertible_leading()
+    FT = make_formal(3, generators=("a", "th"), invertibles=("a",))
+    assert tmodule(FT, parse_matrix(FT, "[[th + a*tau]]")
+                   ).has_invertible_leading()
+    assert not tmodule(FT, parse_matrix(FT, "[[th + (1 + a)*tau]]")
+                       ).has_invertible_leading()
+
+
+def test_invertible_leading_lets_a_bug_propagate(monkeypatch):
+    def broken(_grid):
+        raise InvariantViolation("injected")
+
+    M = tmodule(F9, parse_matrix(F9, "[[g + tau]]"))
+    monkeypatch.setattr(modules_t, "const_inverse", broken)
+    with pytest.raises(InvariantViolation, match="injected"):
+        M.has_invertible_leading()
 
 
 def test_basic_shape_queries():

@@ -1,8 +1,11 @@
 """Twisted polynomials and matrices over them."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tmodext.skewpoly as skewpoly
 from tmodext import (
     SIGMA,
     TAU,
@@ -19,8 +22,14 @@ from tmodext import (
     parse_matrix,
     parse_poly,
     parse_value,
+    tmodule,
 )
-from tmodext.skewpoly import const_inverse, const_is_nilpotent
+from tmodext.skewpoly import (
+    const_inverse,
+    const_is_nilpotent,
+    const_mul,
+    parse_element,
+)
 
 F9 = make_finite(3, 2)
 F8 = make_finite(2, 3)
@@ -170,6 +179,144 @@ def test_const_inverse_and_nilpotence():
     assert const_is_nilpotent(nil)
     assert not const_is_nilpotent(parse_matrix(F9, "[[1, 0], [0, 0]]")
                                   .coefficient_matrix(0))
+
+
+# ---------------------------------------------------------------------------
+# Constant grids: the zero-skipping product and nilpotence by squaring,
+# against the textbook triple sum and the n-th power it gives.
+
+
+F2 = make_finite(2)
+
+# Small F_3(th) entries, zero first, with denominators so that products
+# and sums exercise the gcd normalization.
+_Q3_POOL = tuple(parse_element(Q3, text) for text in (
+    "0", "1", "2", "th", "1 + th", "2 + th^2", "1/th", "(1 + th)/(2 + th^2)"))
+
+
+def _pool(spec):
+    return _Q3_POOL if spec is Q3 else tuple(spec.enumerate_elements())
+
+
+def _textbook_mul(a, b):
+    return tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(1, len(b))),
+                  a[i][0] * b[0][j])
+              for j in range(len(b[0])))
+        for i in range(len(a)))
+
+
+def _textbook_power_is_zero(a):
+    power = a
+    for _ in range(len(a) - 1):
+        power = _textbook_mul(power, a)
+    return all(c.is_zero() for row in power for c in row)
+
+
+def _shift(spec, n):
+    one, zero = spec.one(), spec.zero()
+    return tuple(tuple(one if j == i + 1 else zero for j in range(n))
+                 for i in range(n))
+
+
+@st.composite
+def _grids(draw, spec, nrows, ncols, shape="full"):
+    """An nrows x ncols grid; zero weighs half of every draw, and "strict"
+    keeps only the entries above the diagonal."""
+    pool = _pool(spec)
+    rows = []
+    for i in range(nrows):
+        row = []
+        for j in range(ncols):
+            if shape == "strict" and j <= i or draw(st.booleans()):
+                row.append(spec.zero())
+            else:
+                row.append(pool[draw(st.integers(0, len(pool) - 1))])
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@st.composite
+def _square_grids(draw):
+    """Random, strictly triangular (either side) or dense nilpotent
+    P*T*P^-1 grids, with P = L*U unit lower times invertible upper."""
+    spec = draw(st.sampled_from([F2, F9, Q3]))
+    n = draw(st.integers(1, 5 if spec is Q3 else 7))
+    kind = draw(st.sampled_from(["random", "upper", "lower", "conjugate"]))
+    if kind == "random":
+        return draw(_grids(spec, n, n))
+    t = draw(_grids(spec, n, n, "strict"))
+    if kind == "lower":
+        return tuple(zip(*t))
+    if kind == "upper":
+        return t
+    units = [x for x in _pool(spec) if x]
+    low = draw(_grids(spec, n, n, "strict"))  # transposed below
+    up = draw(_grids(spec, n, n, "strict"))
+    low = tuple(tuple(spec.one() if i == j else low[j][i] for j in range(n))
+                for i in range(n))
+    up = tuple(tuple(units[draw(st.integers(0, len(units) - 1))] if i == j
+                     else up[i][j] for j in range(n)) for i in range(n))
+    p = _textbook_mul(low, up)
+    return _textbook_mul(_textbook_mul(p, t), const_inverse(p))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_square_grids())
+def test_nilpotence_by_squaring_agrees_with_the_nth_power(a):
+    assert const_is_nilpotent(a) == _textbook_power_is_zero(a)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_single_jordan_shift_has_index_exactly_n(n):
+    """The shift of size n has index n, the largest possible, so squaring
+    must run until 2^k >= n; wrapped into a cyclic permutation it is never
+    nilpotent."""
+    for spec in (F2, F9, Q3):
+        shift = _shift(spec, n)
+        assert const_is_nilpotent(shift)
+        if n > 1:
+            power = shift
+            for _ in range(n - 2):
+                power = _textbook_mul(power, shift)
+            assert any(c for row in power for c in row)  # shift^(n-1) != 0
+        cycle = tuple(tuple(spec.one() if (i, j) == (n - 1, 0) else c
+                            for j, c in enumerate(row))
+                      for i, row in enumerate(shift))
+        assert not const_is_nilpotent(cycle)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_zero_skipping_product_matches_the_triple_sum(data):
+    spec = data.draw(st.sampled_from([F2, F9, Q3]))
+    r, k, c = (data.draw(st.integers(1, 5)) for _ in range(3))
+    a = data.draw(_grids(spec, r, k))
+    b = data.draw(_grids(spec, k, c))
+    assert const_mul(a, b) == _textbook_mul(a, b)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_module_validation_multiplies_at_most_log2_n_times(monkeypatch, n):
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return const_mul(a, b)
+
+    monkeypatch.setattr(skewpoly, "const_mul", counting)
+    theta = Q3.theta()
+
+    def validate(grid):
+        calls.clear()
+        tmodule(Q3, SkewMatrix.from_const(Q3, TAU, tuple(
+            tuple(c + theta if i == j else c for j, c in enumerate(row))
+            for i, row in enumerate(grid))))
+        return len(calls)
+
+    zero = tuple(tuple(Q3.zero() for _ in range(n)) for _ in range(n))
+    assert validate(zero) == 0  # theta*I: zero tests only
+    assert validate(_shift(Q3, n)) <= math.ceil(math.log2(n))
 
 
 def test_block_assembly():
