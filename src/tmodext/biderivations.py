@@ -33,6 +33,10 @@ from .modules_t import TModule
 from .skewpoly import (
     SkewMatrix,
     SkewPoly,
+    _add_into,
+    _from_map,
+    _matmul_into,
+    _mul_into,
     const_inverse,
     const_mul,
     const_twist,
@@ -261,44 +265,64 @@ def canonical_slots(source, target, regime=None):
 
 
 # ---------------------------------------------------------------------------
-# The two reduction loops.  Both work on mutable grids of SkewPoly: the
-# biderivation, which becomes the canonical form, and the witness.
+# The two reduction loops.  Both take mutable grids of SkewPoly, the
+# biderivation (which becomes the canonical form) and the witness, work on
+# them as accumulator maps {degree: coefficient}, and write them back.
 
 
-def _step(source, target, grid, witness, r, c, u):
-    """Add u to the witness at (r, c) and subtract delta^(u) from the grid.
-    For u alone at (r, c), u*Phi - Psi*u touches only row r and column c."""
+def _maps(grid):
+    return [[dict(e.coeffs) for e in row] for row in grid]
+
+
+def _write_back(spec, var, *pairs):
+    for maps, grid in pairs:
+        grid[:] = [[_from_map(spec, var, acc) for acc in row] for row in maps]
+
+
+def _degree(acc):
+    """The degree of an accumulator, dropping the zeros at its top."""
+    while acc:
+        d = max(acc)
+        if acc[d]:
+            return d
+        del acc[d]
+    return -1
+
+
+def _step(source, target, grid, witness, r, c, k, a, s):
+    """Add u = a*v^k to the witness at (r, c) and subtract delta^(u) =
+    u*Phi - Psi*u, which touches only row r and column c, from the grid."""
+    minus_u, u = ((k, -a),), ((k, a),)
     for l, p in enumerate(source.t_matrix.entries[c]):
-        if p:
-            grid[r][l] = grid[r][l] - u * p
+        _mul_into(grid[r][l], minus_u, p.coeffs, s)
     for w, psi_row in enumerate(target.t_matrix.entries):
-        if psi_row[r]:
-            grid[w][c] = grid[w][c] + psi_row[r] * u
-    witness[r][c] = witness[r][c] + u
+        _mul_into(grid[w][c], psi_row[r].coeffs, u, s)
+    _add_into(witness[r][c], u)
 
 
 def _reduce_layered(source, target, grid, witness):
-    spec, var = source.spec, source.var
-    sign = twist_sign(var)
+    spec, var, sign = source.spec, source.var, twist_sign(source.var)
     n = source.rank
     lead_inv = const_inverse(source.leading_matrix())
+    zero = spec.zero()
+    maps, wmaps = _maps(grid), _maps(witness)
     while True:
-        deg = max(e.degree for row in grid for e in row)
+        deg = max(_degree(acc) for row in maps for acc in row)
         if deg < n:
-            return
+            break
         k = deg - n
-        top = tuple(tuple(e.coefficient(deg) for e in row) for row in grid)
+        top = tuple(tuple(acc.get(deg, zero) for acc in row) for row in maps)
         coeffs = const_mul(top, const_twist(lead_inv, sign * k))
         for r, row in enumerate(coeffs):
             for c, a in enumerate(row):
                 if a:
-                    _step(source, target, grid, witness, r, c,
-                          SkewPoly.term(spec, var, a, k))
+                    _step(source, target, maps, wmaps, r, c, k, a, sign)
+    _write_back(spec, var, (maps, grid), (wmaps, witness))
 
 
 def _reduce_entrywise(source, target, entries, grid, witness):
-    spec, var = source.spec, source.var
-    sign = twist_sign(var)
+    spec, var, sign = source.spec, source.var, twist_sign(source.var)
+    maps, wmaps = _maps(grid), _maps(witness)
     for r, c in entries:
         bound = _entry_bound(source, target, r, c)
         src_diag = source.t_matrix.entry(c, c)
@@ -306,15 +330,30 @@ def _reduce_entrywise(source, target, entries, grid, witness):
         forward = src_diag.degree == bound
         lead = (src_diag if forward
                 else target.t_matrix.entry(r, r)).leading()[1]
-        while grid[r][c].degree >= bound:
-            deg, a = grid[r][c].leading()
+        acc = maps[r][c]
+        while (deg := _degree(acc)) >= bound:
+            a = acc[deg]
             k = deg - bound
             if forward:
                 a = a / lead.twist(sign * k)
             else:
                 a = ((-a) / lead).twist(-sign * bound)
-            _step(source, target, grid, witness, r, c,
-                  SkewPoly.term(spec, var, a, k))
+            _step(source, target, maps, wmaps, r, c, k, a, sign)
+    _write_back(spec, var, (maps, grid), (wmaps, witness))
+
+
+def _recombines(delta, witness, canonical):
+    """Whether delta - (W*Phi - Psi*W) == canonical for the witness grid W,
+    rebuilt with one accumulator per entry."""
+    source, target = delta.source, delta.target
+    spec, var, s = source.spec, source.var, twist_sign(source.var)
+    accs = _maps(delta.matrix.entries)
+    _matmul_into(accs, [[-e for e in row] for row in witness],
+                 source.t_matrix.entries, s)
+    _matmul_into(accs, target.t_matrix.entries, witness, s)
+    return all(_from_map(spec, var, acc) == want
+               for acc_row, want_row in zip(accs, canonical)
+               for acc, want in zip(acc_row, want_row))
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +382,11 @@ def reduce_canonical(delta, regime=None):
         _reduce_layered(source, target, grid, witness)
     else:
         _reduce_entrywise(source, target, entries, grid, witness)
-    canonical = SkewMatrix(spec, var, tuple(map(tuple, grid)))
-    witness = SkewMatrix(spec, var, tuple(map(tuple, witness)))
-    if delta.matrix - inner_matrix(source, target, witness) != canonical:
+    if not _recombines(delta, witness, grid):
         raise InvariantViolation("reduction self-check failed: the "
                                  "canonical form and witness do not "
                                  "recombine to the input")
+    canonical = SkewMatrix(spec, var, tuple(map(tuple, grid)))
+    witness = SkewMatrix(spec, var, tuple(map(tuple, witness)))
     return ReductionResult(Biderivation(source, target, canonical), witness,
                            regime)

@@ -635,7 +635,10 @@ class FieldSpec:
     # -- element constructors ----------------------------------------------
 
     def _fe(self, payload):
-        return FieldElement(self, payload)
+        e = _new(FieldElement)
+        _set_spec(e, self)
+        _set_payload(e, payload)
+        return e
 
     def zero(self):
         ops = self._ops
@@ -744,10 +747,52 @@ def _default_theta(p, m):
 # Elements.
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    spec: FieldSpec
-    payload: object
+def _power(one, base, n):
+    """base^n (n >= 0) by squaring, from the unit one."""
+    while n:
+        if n & 1:
+            one = one * base
+        n >>= 1
+        if n:
+            base = base * base
+    return one
+
+
+_new = object.__new__
+
+
+class SlottedValue:
+    """Immutable values compared and hashed by the tuple of their slots,
+    which hot constructors write through the slot descriptors."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = operator.attrgetter(*cls.__slots__)
+
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return type(self), self._fields(self)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == other._fields(other)
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class FieldElement(SlottedValue):
+    __slots__ = ("spec", "payload")
 
     # -- structure ----------------------------------------------------------
 
@@ -874,14 +919,7 @@ class FieldElement:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.spec.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self.spec.one(), self, n)
 
     # -- twisting ------------------------------------------------------------
 
@@ -943,6 +981,10 @@ class FieldElement:
         return _render_formal(self.payload, spec)
 
     __repr__ = __str__
+
+
+_set_spec = FieldElement.spec.__set__
+_set_payload = FieldElement.payload.__set__
 
 
 # ---------------------------------------------------------------------------

@@ -126,25 +126,8 @@ class TModule:
     def is_carlitz_power(self):
         """Whether the t-action is theta*I + (superdiagonal 1s) + E(d,1)*tau,
         the d-th tensor power of the Carlitz module (d >= 1)."""
-        d = self.dim
-        if self.var != TAU:
-            return False
-        spec = self.spec
-        theta = spec.theta()
-        one = spec.one()
-        for i in range(d):
-            for j in range(d):
-                e = self.t_matrix.entry(i, j)
-                expected = []
-                if i == j:
-                    expected.append((0, theta))
-                elif j == i + 1:
-                    expected.append((0, one))
-                if i == d - 1 and j == 0:
-                    expected.append((1, one))
-                if e != SkewPoly.from_pairs(spec, TAU, expected):
-                    return False
-        return True
+        return self.var == TAU and self.t_matrix == _carlitz_matrix(
+            self.spec, self.dim, TAU)
 
     # -- actions and morphisms ------------------------------------------------
 
@@ -158,9 +141,11 @@ class TModule:
                     f"coefficient {c} is not fixed by the twist")
         acc = SkewMatrix.zeros(spec, self.var, self.dim, self.dim)
         power = SkewMatrix.identity(spec, self.var, self.dim)
-        for c in apoly:
-            acc = acc + SkewPoly.const(spec, self.var, c) * power
-            power = power * self.t_matrix
+        for i, c in enumerate(apoly):
+            if i:
+                power = self.t_matrix if i == 1 else power * self.t_matrix
+            if c:
+                acc = acc + SkewPoly.const(spec, self.var, c) * power
         return acc
 
     def adjoint(self):
@@ -207,24 +192,23 @@ def carlitz(spec, var=TAU):
         spec, var, [[theta + SkewPoly.term(spec, var, 1, 1)]]))
 
 
+def _carlitz_matrix(spec, e, var):
+    """theta*I + (superdiagonal 1s) + E(e,1)*var."""
+    theta, one = spec.theta(), spec.one()
+
+    def entry(i, j):
+        pairs = [(0, theta)] if i == j else [(0, one)] if j == i + 1 else []
+        corner = [(1, one)] if (i, j) == (e - 1, 0) else []
+        return SkewPoly.from_pairs(spec, var, pairs + corner)
+
+    return SkewMatrix.from_rows(spec, var, [[entry(i, j) for j in range(e)]
+                                            for i in range(e)])
+
+
 def carlitz_power(spec, e, var=TAU):
     if e < 1:
         raise InvalidModule("the Carlitz power exponent must be positive")
-    theta = spec.theta()
-    rows = []
-    for i in range(e):
-        row = []
-        for j in range(e):
-            pairs = []
-            if i == j:
-                pairs.append((0, theta))
-            elif j == i + 1:
-                pairs.append((0, spec.one()))
-            if i == e - 1 and j == 0:
-                pairs.append((1, spec.one()))
-            row.append(SkewPoly.from_pairs(spec, var, pairs))
-        rows.append(row)
-    return TModule(spec, SkewMatrix.from_rows(spec, var, rows))
+    return TModule(spec, _carlitz_matrix(spec, e, var))
 
 
 def trivial(spec, s, var=TAU):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .coefficients import FieldElement, FieldSpec
+from .coefficients import FieldElement, FieldSpec, SlottedValue, _new, _power
 from .errors import (
     DimensionMismatch,
     DivisionByZero,
@@ -39,26 +39,57 @@ def _var_display(var):
 
 
 # ---------------------------------------------------------------------------
+# Accumulator kernels: products and sums add in place into maps {degree:
+# coefficient} that may hold zeros; _from_map builds their polynomials.
+
+
+def _add_into(acc, pairs):
+    """Add (degree, coefficient) pairs into the accumulator acc; return it."""
+    for d, c in pairs:
+        cur = acc.get(d)
+        acc[d] = c if cur is None else cur + c
+    return acc
+
+
+def _mul_into(acc, a, b, s):
+    """Add the product of the coefficient tuples a and b into acc, for the
+    twist sign s: (x v^i)(y v^j) = x y^(q^(s i)) v^(i+j); return acc."""
+    for i, x in a:
+        k = s * i
+        for j, y in b:
+            t = x * y.twist(k)
+            d = i + j
+            cur = acc.get(d)
+            acc[d] = t if cur is None else cur + t
+    return acc
+
+
+def _matmul_into(accs, a, b, s):
+    """Add the product of the SkewPoly grids a and b into the grid of
+    accumulators accs, one accumulator per output entry."""
+    for acc_row, a_row in zip(accs, a):
+        for j, acc in enumerate(acc_row):
+            for x, b_row in zip(a_row, b):
+                _mul_into(acc, x.coeffs, b_row[j].coeffs, s)
+
+
+# ---------------------------------------------------------------------------
 # Twisted polynomials.
 
 
-@dataclass(frozen=True)
-class SkewPoly:
-    spec: FieldSpec
-    var: str
-    coeffs: tuple  # ((degree, FieldElement), ...) ascending, nonzero coeffs
+class SkewPoly(SlottedValue):
+    # coeffs: ((degree, FieldElement), ...) ascending, nonzero coeffs
+    __slots__ = ("spec", "var", "coeffs")
 
     # -- construction --------------------------------------------------------
 
     @classmethod
     def zero(cls, spec, var):
-        return cls(spec, var, ())
+        return _from_map(spec, var, {})
 
     @classmethod
     def const(cls, spec, var, c):
-        if isinstance(c, int):
-            c = spec.from_int(c)
-        return cls.from_pairs(spec, var, [(0, c)])
+        return cls.term(spec, var, c, 0)
 
     @classmethod
     def term(cls, spec, var, c, deg):
@@ -70,15 +101,7 @@ class SkewPoly:
 
     @classmethod
     def from_pairs(cls, spec, var, pairs):
-        acc = {}
-        for deg, c in pairs:
-            cur = acc.get(deg)
-            cur = c if cur is None else cur + c
-            if cur:
-                acc[deg] = cur
-            else:
-                acc.pop(deg, None)
-        return cls(spec, var, tuple(sorted(acc.items())))
+        return _from_map(spec, var, _add_into({}, pairs))
 
     # -- structure ------------------------------------------------------------
 
@@ -134,8 +157,8 @@ class SkewPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return SkewPoly.from_pairs(self.spec, self.var,
-                                   self.coeffs + other.coeffs)
+        return _from_map(self.spec, self.var,
+                         _add_into(dict(self.coeffs), other.coeffs))
 
     __radd__ = __add__
 
@@ -161,12 +184,8 @@ class SkewPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        s = self.sign
-        pairs = []
-        for i, a in self.coeffs:
-            for j, b in other.coeffs:
-                pairs.append((i + j, a * b.twist(s * i)))
-        return SkewPoly.from_pairs(self.spec, self.var, pairs)
+        return _from_map(self.spec, self.var,
+                         _mul_into({}, self.coeffs, other.coeffs, self.sign))
 
     def __rmul__(self, other):
         other = self._coerce(other)
@@ -177,14 +196,7 @@ class SkewPoly:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        result = SkewPoly.const(self.spec, self.var, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(SkewPoly.const(self.spec, self.var, 1), self, n)
 
     # -- semilinear action ----------------------------------------------------
 
@@ -229,6 +241,20 @@ class SkewPoly:
 
     def to_json(self):
         return [[deg, str(c)] for deg, c in self.coeffs]
+
+
+_set_spec = SkewPoly.spec.__set__
+_set_var = SkewPoly.var.__set__
+_set_coeffs = SkewPoly.coeffs.__set__
+
+
+def _from_map(spec, var, acc):
+    """The polynomial of an accumulator: zeros dropped, degrees sorted."""
+    p = _new(SkewPoly)
+    _set_spec(p, spec)
+    _set_var(p, var)
+    _set_coeffs(p, tuple(sorted([(d, c) for d, c in acc.items() if c])))
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -384,17 +410,12 @@ class SkewMatrix:
             if self.ncols != other.nrows:
                 raise DimensionMismatch(
                     f"cannot multiply {self.shape} by {other.shape}")
-            zero = SkewPoly.zero(self.spec, self.var)
-            rows = []
-            for i in range(self.nrows):
-                row = []
-                for j in range(other.ncols):
-                    acc = zero
-                    for k in range(self.ncols):
-                        acc = acc + self.entries[i][k] * other.entries[k][j]
-                    row.append(acc)
-                rows.append(tuple(row))
-            return SkewMatrix(self.spec, self.var, tuple(rows))
+            spec, var = self.spec, self.var
+            accs = [[{} for _ in range(other.ncols)] for _ in self.entries]
+            _matmul_into(accs, self.entries, other.entries, twist_sign(var))
+            return SkewMatrix(spec, var, tuple(
+                tuple(_from_map(spec, var, acc) for acc in row)
+                for row in accs))
         if isinstance(other, (SkewPoly, FieldElement, int)):
             return self.map_entries(lambda e: e * other)
         return NotImplemented
@@ -409,14 +430,8 @@ class SkewMatrix:
             return NotImplemented
         if self.nrows != self.ncols:
             raise DimensionMismatch("only square matrices have powers")
-        result = SkewMatrix.identity(self.spec, self.var, self.nrows)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(SkewMatrix.identity(self.spec, self.var, self.nrows),
+                      self, n)
 
     # -- rendering ------------------------------------------------------------
 

@@ -274,6 +274,62 @@ def test_reduction_self_check_raises_invariant_violation(monkeypatch):
     assert done.stdout.split() == ["InvariantViolation", "1"]
 
 
+# The same check on the layered plan: a matrix-source pair whose loop is
+# wrapped to leave a wrong witness, or a canonical entry tampered with.
+_LAYERED_FAULTS = textwrap.dedent("""
+    import tmodext.biderivations as biderivations
+    from tmodext import (Biderivation, InvariantViolation, drinfeld,
+                         make_finite, parse_matrix, parse_poly, tmodule)
+
+    real = biderivations._reduce_layered
+
+
+    def wrong_witness(source, target, grid, witness):
+        real(source, target, grid, witness)
+        witness[0][1] = witness[0][1] + 1
+
+
+    def tampered_canonical(source, target, grid, witness):
+        real(source, target, grid, witness)
+        grid[0][0] = grid[0][0] + 1
+
+
+    F9 = make_finite(3, 2)
+    src = tmodule(F9, parse_matrix(
+        F9, "[[g, 1], [0, g]] + [[1, 0], [0, 1]]*tau^3"))
+    tgt = drinfeld(F9, parse_poly(F9, "g + tau^2"))
+    delta = Biderivation(src, tgt, parse_matrix(
+        F9, "[[g*tau^4 + 1, tau^5 + g*tau^3]]"))
+""")
+
+
+@pytest.mark.parametrize("fault", ["wrong_witness", "tampered_canonical"])
+def test_layered_self_check_raises_invariant_violation(monkeypatch, fault):
+    scope = {}
+    exec(_LAYERED_FAULTS, scope)
+    assert select_regime(scope["src"], scope["tgt"]) == "matrix-source"
+    assert reduce_canonical(scope["delta"]).witness.max_degree >= 1
+    monkeypatch.setattr(biderivations, "_reduce_layered", scope[fault])
+    with pytest.raises(InvariantViolation, match="self-check"):
+        reduce_canonical(scope["delta"])
+
+    script = _LAYERED_FAULTS + textwrap.dedent(f"""
+        import sys
+        biderivations._reduce_layered = {fault}
+        try:
+            biderivations.reduce_canonical(delta)
+        except InvariantViolation:
+            print("InvariantViolation", sys.flags.optimize)
+    """)
+    src_dir = os.path.dirname(os.path.dirname(tmodext.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["InvariantViolation", "1"]
+
+
 def test_reversed_regime_obstruction_over_rational():
     src = drinfeld(Q3, parse_poly(Q3, "th + tau"))
     tgt = drinfeld(Q3, parse_poly(Q3, "th + tau^2"))

@@ -10,6 +10,7 @@ from tmodext import (
     InvariantViolation,
     NotAMorphism,
     NotNilpotent,
+    SkewMatrix,
     carlitz,
     carlitz_power,
     check_morphism,
@@ -126,6 +127,32 @@ def test_act_is_multiplicative():
     assert a_sum == a2 + C.t_matrix * 2 + ident
 
 
+@pytest.mark.parametrize("text, products", [
+    ("0", 0), ("1", 0), ("t", 0), ("t^2 + t", 1), ("2*t^2", 1),
+    ("t^3 + 1", 2), ("t^5 + 2*t^2 + t", 4)])
+def test_act_multiplies_only_up_to_the_last_power(monkeypatch, text,
+                                                  products):
+    """a(t) of degree L >= 1 takes L - 1 matrix products: Phi_t^1 costs
+    none, and no power beyond t^L is formed."""
+    C = carlitz_power(F9, 2)
+    apoly = parse_apoly(F9, text)
+    expected = SkewMatrix.zeros(F9, TAU, 2, 2)
+    for i, c in enumerate(apoly):
+        expected = expected + C.t_matrix ** i * c
+    real = SkewMatrix.__mul__
+    calls = []
+
+    def counting(self, other):
+        calls.append(isinstance(other, SkewMatrix))
+        return real(self, other)
+
+    monkeypatch.setattr(SkewMatrix, "__mul__", counting)
+    assert C.act(apoly) == expected
+    assert sum(calls) == products
+
+
+# ---------------------------------------------------------------------------
+# Adjoint.
 # ---------------------------------------------------------------------------
 # Adjoint.
 

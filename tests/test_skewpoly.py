@@ -1,6 +1,8 @@
 """Twisted polynomials and matrices over them."""
 
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -317,6 +319,136 @@ def test_module_validation_multiplies_at_most_log2_n_times(monkeypatch, n):
     zero = tuple(tuple(Q3.zero() for _ in range(n)) for _ in range(n))
     assert validate(zero) == 0  # theta*I: zero tests only
     assert validate(_shift(Q3, n)) <= math.ceil(math.log2(n))
+
+
+# ---------------------------------------------------------------------------
+# The accumulator kernels behind + and * against the textbook formulas, on
+# three domain kinds and both twisted variables.
+
+
+# Under sigma a product twists the coefficients of its right factor by up
+# to -3 here, so the F_3(th) entries are taken as q^3-th powers.
+_FT_POOL = tuple(parse_element(FT, text) for text in (
+    "0", "1", "2", "a[0]", "b[1] + th[0]", "a[-1]*b[2]", "1/a[0]",
+    "(1 + b[0])/(a[1]*b[-1])"))
+_KERNEL_POOLS = {
+    (F9, TAU): tuple(F9.enumerate_elements()),
+    (F9, SIGMA): tuple(F9.enumerate_elements()),
+    (Q3, TAU): _Q3_POOL,
+    (Q3, SIGMA): tuple(c.twist(3) for c in _Q3_POOL),
+    (FT, TAU): _FT_POOL,
+    (FT, SIGMA): _FT_POOL,
+}
+
+
+@st.composite
+def _poly_grids(draw, spec, var, nrows, ncols):
+    """Entries from (degree, element) pairs, repeated degrees included."""
+    pool = _KERNEL_POOLS[spec, var]
+    pairs = st.lists(st.tuples(st.integers(0, 3),
+                               st.sampled_from(pool)), max_size=4)
+    return [[SkewPoly.from_pairs(spec, var, draw(pairs))
+             for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _textbook_poly_mul(f, g):
+    """Degree by degree: the coefficient of v^d in f*g is the sum of
+    x * y^(q^(s i)) over the terms x v^i of f and y v^j of g, i + j = d."""
+    s, zero = f.sign, f.spec.zero()
+    out = []
+    for d in range(f.degree + g.degree + 1):
+        c = zero
+        for i, x in f.coeffs:
+            for j, y in g.coeffs:
+                if i + j == d:
+                    c = c + x * y.twist(s * i)
+        if c:
+            out.append((d, c))
+    return tuple(out)
+
+
+def _textbook_poly_add(f, g):
+    return tuple((d, f.coefficient(d) + g.coefficient(d))
+                 for d in range(max(f.degree, g.degree) + 1)
+                 if f.coefficient(d) + g.coefficient(d))
+
+
+def _is_normal(f):
+    degrees = [d for d, _c in f.coeffs]
+    return (all(c for _d, c in f.coeffs)
+            and all(d1 < d2 for d1, d2 in zip(degrees, degrees[1:])))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_kernels_agree_with_the_textbook_formulas(data):
+    spec, var = data.draw(st.sampled_from(sorted(
+        _KERNEL_POOLS, key=lambda sv: (sv[0].kind, sv[1]))))
+    r, k, c = (data.draw(st.integers(1, 3)) for _ in range(3))
+    a = data.draw(_poly_grids(spec, var, r, k))
+    b = data.draw(_poly_grids(spec, var, k, c))
+    product = (SkewMatrix.from_rows(spec, var, a)
+               * SkewMatrix.from_rows(spec, var, b))
+    for i in range(r):
+        for j in range(c):
+            textbook = sum((a[i][m] * b[m][j] for m in range(1, k)),
+                           a[i][0] * b[0][j])
+            assert product.entry(i, j) == textbook
+            assert _is_normal(product.entry(i, j))
+    # Two more summands, a[i][0] * b[0][j] and a[i][0] * (-b[0][j]), cancel
+    # inside every sum.
+    a_pad = [row + row[:1] * 2 for row in a]
+    b_pad = b + [b[0], [-e for e in b[0]]]
+    padded = (SkewMatrix.from_rows(spec, var, a_pad)
+              * SkewMatrix.from_rows(spec, var, b_pad))
+    assert padded == product
+    entries = [e for row in a + b for e in row]
+    for f, g in zip(entries, entries[1:] + entries[:1]):
+        for result, textbook in ((f * g, _textbook_poly_mul(f, g)),
+                                 (f + g, _textbook_poly_add(f, g)),
+                                 ((f + g) * (g - f), _textbook_poly_mul(
+                                     f + g, g - f))):
+            assert result.coeffs == textbook
+            assert _is_normal(result)
+        assert (f + (-f)).coeffs == ()
+        assert (f * g + (-f) * g).coeffs == ()
+
+
+# ---------------------------------------------------------------------------
+# Field elements and twisted polynomials are immutable values.
+
+
+_VALUE_TEXTS = {
+    "finite": (F9, "g + 2", "g*tau^2 + 1"),
+    "rational": (Q3, "(1 + th)/(2 + th^2)", "th*tau^2 + 1/th"),
+    "formal": (FT, "a[1]/b[0] + th[0]", "a[0]*tau^2 + b[-1]"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_VALUE_TEXTS))
+def test_elements_and_polynomials_stay_values(kind):
+    spec, element_text, poly_text = _VALUE_TEXTS[kind]
+    for parse, text, fields in (
+            (parse_element, element_text, ("spec", "payload")),
+            (parse_poly, poly_text, ("spec", "var", "coeffs"))):
+        value, twin = parse(spec, text), parse(spec, text)
+        assert value is not twin
+        assert value == twin and hash(value) == hash(twin)
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(twin, name))
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert value == twin
+        for other in (0, 1, "1", text):
+            assert (value == other) is False and (value != other) is True
+        for copied in (copy.copy(value), copy.deepcopy(value),
+                       pickle.loads(pickle.dumps(value))):
+            assert type(copied) is type(value)
+            assert copied == value and hash(copied) == hash(value)
+            assert str(copied) == str(value)
 
 
 def test_block_assembly():
