@@ -37,6 +37,7 @@ from .skewpoly import (
     _from_map,
     _matmul_into,
     _mul_into,
+    _payload_grid,
     const_inverse,
     const_mul,
     const_twist,
@@ -62,8 +63,9 @@ class Biderivation:
     matrix: SkewMatrix
 
     def __post_init__(self):
-        if self.source.spec != self.target.spec or \
-                self.matrix.spec != self.source.spec:
+        spec = self.source.spec
+        if (self.target.spec is not spec and self.target.spec != spec) or \
+                (self.matrix.spec is not spec and self.matrix.spec != spec):
             raise MixedPairs("biderivation data over mixed domains")
         if self.source.var != self.target.var or \
                 self.matrix.var != self.source.var:
@@ -147,7 +149,7 @@ def assemble(delta):
 def select_regime(source, target):
     """Choose the reduction strategy for the module pair, or explain why
     none applies."""
-    if source.spec != target.spec:
+    if source.spec is not target.spec and source.spec != target.spec:
         raise MixedPairs("source and target over different domains")
     if source.var != target.var:
         raise MixedPairs("source and target over different twisted variables")
@@ -267,11 +269,12 @@ def canonical_slots(source, target, regime=None):
 # ---------------------------------------------------------------------------
 # The two reduction loops.  Both take mutable grids of SkewPoly, the
 # biderivation (which becomes the canonical form) and the witness, work on
-# them as accumulator maps {degree: coefficient}, and write them back.
+# them as accumulator maps {degree: payload} with the domain's ops object
+# arith, and write them back.
 
 
 def _maps(grid):
-    return [[dict(e.coeffs) for e in row] for row in grid]
+    return [[{d: c.payload for d, c in e.coeffs} for e in row] for row in grid]
 
 
 def _write_back(spec, var, *pairs):
@@ -279,49 +282,54 @@ def _write_back(spec, var, *pairs):
         grid[:] = [[_from_map(spec, var, acc) for acc in row] for row in maps]
 
 
-def _degree(acc):
+def _degree(acc, is_zero):
     """The degree of an accumulator, dropping the zeros at its top."""
     while acc:
         d = max(acc)
-        if acc[d]:
+        if not is_zero(acc[d]):
             return d
         del acc[d]
     return -1
 
 
-def _step(source, target, grid, witness, r, c, k, a, s):
+def _step(arith, phi, psi, grid, witness, r, c, k, a, s):
     """Add u = a*v^k to the witness at (r, c) and subtract delta^(u) =
-    u*Phi - Psi*u, which touches only row r and column c, from the grid."""
-    minus_u, u = ((k, -a),), ((k, a),)
-    for l, p in enumerate(source.t_matrix.entries[c]):
-        _mul_into(grid[r][l], minus_u, p.coeffs, s)
-    for w, psi_row in enumerate(target.t_matrix.entries):
-        _mul_into(grid[w][c], psi_row[r].coeffs, u, s)
-    _add_into(witness[r][c], u)
+    u*Phi - Psi*u, which touches only row r and column c, from the grid;
+    phi and psi are the payload grids of Phi_t and Psi_t."""
+    minus_u, u = ((k, arith.neg(a)),), ((k, a),)
+    for l, p in enumerate(phi[c]):
+        _mul_into(arith, grid[r][l], minus_u, p, s)
+    for w, psi_row in enumerate(psi):
+        _mul_into(arith, grid[w][c], psi_row[r], u, s)
+    _add_into(arith, witness[r][c], u)
 
 
 def _reduce_layered(source, target, grid, witness):
     spec, var, sign = source.spec, source.var, twist_sign(source.var)
-    n = source.rank
+    arith, n, zero = spec._arith, source.rank, spec.zero()
+    phi, psi = (_payload_grid(m.t_matrix.entries) for m in (source, target))
     lead_inv = const_inverse(source.leading_matrix())
-    zero = spec.zero()
     maps, wmaps = _maps(grid), _maps(witness)
     while True:
-        deg = max(_degree(acc) for row in maps for acc in row)
+        deg = max(_degree(acc, arith.is_zero) for row in maps for acc in row)
         if deg < n:
             break
         k = deg - n
-        top = tuple(tuple(acc.get(deg, zero) for acc in row) for row in maps)
+        top = tuple(tuple(spec._fe(acc[deg]) if deg in acc else zero
+                          for acc in row) for row in maps)
         coeffs = const_mul(top, const_twist(lead_inv, sign * k))
         for r, row in enumerate(coeffs):
             for c, a in enumerate(row):
                 if a:
-                    _step(source, target, maps, wmaps, r, c, k, a, sign)
+                    _step(arith, phi, psi, maps, wmaps, r, c, k, a.payload,
+                          sign)
     _write_back(spec, var, (maps, grid), (wmaps, witness))
 
 
 def _reduce_entrywise(source, target, entries, grid, witness):
     spec, var, sign = source.spec, source.var, twist_sign(source.var)
+    arith = spec._arith
+    phi, psi = (_payload_grid(m.t_matrix.entries) for m in (source, target))
     maps, wmaps = _maps(grid), _maps(witness)
     for r, c in entries:
         bound = _entry_bound(source, target, r, c)
@@ -329,16 +337,17 @@ def _reduce_entrywise(source, target, entries, grid, witness):
         # forward when the source's diagonal entry is the higher one
         forward = src_diag.degree == bound
         lead = (src_diag if forward
-                else target.t_matrix.entry(r, r)).leading()[1]
+                else target.t_matrix.entry(r, r)).leading()[1].payload
         acc = maps[r][c]
-        while (deg := _degree(acc)) >= bound:
+        while (deg := _degree(acc, arith.is_zero)) >= bound:
             a = acc[deg]
             k = deg - bound
-            if forward:
-                a = a / lead.twist(sign * k)
-            else:
-                a = ((-a) / lead).twist(-sign * bound)
-            _step(source, target, maps, wmaps, r, c, k, a, sign)
+            if forward:  # a / lead^(q^(sign k))
+                a = arith.mul(a, arith.inv(arith.twist(lead, sign * k)))
+            else:  # (-a / lead)^(q^(-sign bound))
+                a = arith.twist(arith.mul(arith.neg(a), arith.inv(lead)),
+                                -sign * bound)
+            _step(arith, phi, psi, maps, wmaps, r, c, k, a, sign)
     _write_back(spec, var, (maps, grid), (wmaps, witness))
 
 
@@ -347,10 +356,12 @@ def _recombines(delta, witness, canonical):
     rebuilt with one accumulator per entry."""
     source, target = delta.source, delta.target
     spec, var, s = source.spec, source.var, twist_sign(source.var)
+    arith, w = spec._arith, _payload_grid(witness)
     accs = _maps(delta.matrix.entries)
-    _matmul_into(accs, [[-e for e in row] for row in witness],
-                 source.t_matrix.entries, s)
-    _matmul_into(accs, target.t_matrix.entries, witness, s)
+    _matmul_into(arith, accs, [[[(d, arith.neg(c)) for d, c in e]
+                                for e in row] for row in w],
+                 _payload_grid(source.t_matrix.entries), s)
+    _matmul_into(arith, accs, _payload_grid(target.t_matrix.entries), w, s)
     return all(_from_map(spec, var, acc) == want
                for acc_row, want_row in zip(accs, canonical)
                for acc, want in zip(acc_row, want_row))

@@ -8,8 +8,13 @@ Three kinds of domain share one element interface:
   with q = p^m, where the i-th twist of a symbol s[j] is s[j+i].
 
 Twisting an element by i means raising it to the q-th power i times
-(taking q-th roots for negative i).  All higher layers express their
-semilinear algebra through ``FieldElement.twist``.
+(taking q-th roots for negative i).
+
+Each domain's arithmetic is one ops object on raw payloads, chosen once
+per ``FieldSpec``: zero, is_zero, add, neg, mul, inv and twist(a, i).
+``FieldElement`` wraps each of its calls in one element, and the
+twisted-polynomial kernels of ``skewpoly`` call it on payloads directly,
+so their inner loops build no element.
 
 Every scalar of F_{p^m} (a finite element, a coefficient of F_q(th) or of
 a formal twist domain) is an int: the code sum(c_i * p^i) of its
@@ -153,7 +158,8 @@ def _is_prime(n):
 # ---------------------------------------------------------------------------
 # Arithmetic of F_{p^m} on integer codes (see the module docstring).  Each
 # ops object offers add, sub, neg, mul, inv, frob(a, i) = a ** (p**i),
-# from_int, zero and one.
+# from_int, zero and one; with is_zero and twist = frob it is also the ops
+# object of the finite-field domain, whose q is p.
 
 # The largest q = p^m (m >= 2) served by log/Zech tables; building them
 # costs a few microseconds per element.
@@ -226,6 +232,11 @@ class _PrimeOps:
     def frob(self, a, i):
         return a
 
+    twist = frob
+
+    def is_zero(self, a):
+        return not a
+
     def from_int(self, n):
         return n % self.p
 
@@ -274,7 +285,10 @@ class _PolyOps(_ExtOps):
         return self.pow(a, self.p ** self.m - 2)
 
     def frob(self, a, i):
-        return self.pow(a, self.p ** (i % self.m))
+        i %= self.m
+        return self.pow(a, self.p ** i) if i else a
+
+    twist = frob
 
 
 class _ZechOps(_ExtOps):
@@ -329,6 +343,8 @@ class _ZechOps(_ExtOps):
         if not a:
             return 0
         return self.exp[self.log[a] * self.p_powers[i % self.m] % self.n]
+
+    twist = frob
 
 
 def _alpha_powers(p, modulus):
@@ -401,7 +417,8 @@ MAX_POLY_TERMS = 2 ** 16
 
 
 def _rp_collect(terms, ops):
-    """The sparse polynomial summing the (exponent, coefficient) pairs."""
+    """The sparse polynomial summing the (exponent, coefficient) pairs; any
+    sortable keys in place of exponents work too."""
     acc = {}
     for e, c in terms:
         cur = acc.get(e)
@@ -411,10 +428,6 @@ def _rp_collect(terms, ops):
 
 def _rp_add(a, b, ops):
     return _rp_collect(itertools.chain(a, b), ops)
-
-
-def _rp_neg(a, ops):
-    return tuple((e, ops.neg(c)) for e, c in a)
 
 
 def _rp_mul(a, b, ops):
@@ -540,16 +553,9 @@ def _mono_map_index(mono, fn):
 
 
 def _ftf_normal(num_terms, den_mono, ops):
-    terms = {}
-    for mono, coeff in num_terms:
-        if coeff == ops.zero:
-            continue
-        cur = terms.get(mono)
-        cur = coeff if cur is None else ops.add(cur, coeff)
-        if cur == ops.zero:
-            terms.pop(mono, None)
-        else:
-            terms[mono] = cur
+    """The fraction of (monomial, coefficient) terms, like terms summed, over
+    den_mono, with common symbol powers cancelled."""
+    terms = dict(_rp_collect(num_terms, ops))
     if not terms:
         return ((), ())
     den = dict(den_mono)
@@ -558,34 +564,116 @@ def _ftf_normal(num_terms, den_mono, ops):
         t = min(den[key], cmin)
         if t:
             den[key] -= t
-            new_terms = {}
-            for mono, coeff in terms.items():
-                md = dict(mono)
-                md[key] -= t
-                new_terms[tuple(sorted((k, e) for k, e in md.items() if e))] = coeff
-            terms = new_terms
+            terms = {_mono_mul(mono, ((key, -t),)): coeff
+                     for mono, coeff in terms.items()}
     den_out = tuple(sorted((k, e) for k, e in den.items() if e))
     num_out = tuple(sorted(terms.items()))
     return (num_out, den_out)
 
 
-def _ftf_add_raw(t1, t2, ops):
-    merged = {}
-    for mono, coeff in itertools.chain(t1, t2):
-        cur = merged.get(mono)
-        merged[mono] = coeff if cur is None else ops.add(cur, coeff)
-    return tuple(sorted((m, c) for m, c in merged.items() if c != ops.zero))
+# ---------------------------------------------------------------------------
+# The ops objects of the two fraction domains, on payloads (num, den) over
+# the F_{p^m} ops object ops.
 
 
-def _ftf_mul_raw(t1, t2, ops):
-    out = {}
-    for m1, c1 in t1:
-        for m2, c2 in t2:
-            mono = _mono_mul(m1, m2)
-            c = ops.mul(c1, c2)
-            cur = out.get(mono)
-            out[mono] = c if cur is None else ops.add(cur, c)
-    return tuple(sorted((m, c) for m, c in out.items() if c != ops.zero))
+class _FractionOps:
+    """What both fraction domains share: a numerator is a sorted tuple of
+    (key, coefficient) terms, empty exactly for zero."""
+
+    def __init__(self, ops, zero):
+        self.ops, self.zero = ops, zero
+
+    def is_zero(self, a):
+        return not a[0]
+
+    def neg(self, a):
+        neg = self.ops.neg
+        return (tuple((k, neg(c)) for k, c in a[0]), a[1])
+
+
+class _RationalOps(_FractionOps):
+    """F_{p^m}(th): num/den in lowest terms, den monic, both sparse."""
+
+    def __init__(self, ops, q):
+        super().__init__(ops, ((), ((0, ops.one),)))
+        self.q = q
+
+    def add(self, a, b):
+        ops, (n1, d1), (n2, d2) = self.ops, a, b
+        if d1 == d2:
+            return _rat_normal(_rp_add(n1, n2, ops), d1, ops)
+        num = _rp_add(_rp_mul(n1, d2, ops), _rp_mul(n2, d1, ops), ops)
+        return _rat_normal(num, _rp_mul(d1, d2, ops), ops)
+
+    def mul(self, a, b):
+        ops = self.ops
+        return _rat_normal(_rp_mul(a[0], b[0], ops), _rp_mul(a[1], b[1], ops),
+                           ops)
+
+    def inv(self, a):
+        if not a[0]:
+            raise DivisionByZero("division by zero")
+        return _rat_normal(a[1], a[0], self.ops)
+
+    def twist(self, a, i):
+        """Coefficients in F_q are fixed by the q-th power, so twisting
+        scales every exponent by q^i; a negative twist needs each exponent
+        divisible by q^-i."""
+        if not i:
+            return a
+        n, d = a
+        step = self.q ** abs(i)
+        if i > 0:
+            return (tuple((e * step, c) for e, c in n),
+                    tuple((e * step, c) for e, c in d))
+        if any(e % step for e, _c in n + d):
+            raise NotAQthPower(f"element is not a q^{-i}-th power in F_q(th)")
+        return (tuple((e // step, c) for e, c in n),
+                tuple((e // step, c) for e, c in d))
+
+
+class _FormalOps(_FractionOps):
+    """Formal twist domains: den is a monomial in invertible symbols, and
+    the i-th twist shifts every symbol index by i."""
+
+    def __init__(self, ops, invertibles):
+        super().__init__(ops, ((), ()))
+        self.invertibles = invertibles
+
+    def add(self, a, b):
+        (n1, d1), (n2, d2) = a, b
+        num = [(_mono_mul(m, d2), c) for m, c in n1]
+        num += [(_mono_mul(m, d1), c) for m, c in n2]
+        return _ftf_normal(num, _mono_mul(d1, d2), self.ops)
+
+    def mul(self, a, b):
+        mul = self.ops.mul
+        num = [(_mono_mul(m1, m2), mul(c1, c2))
+               for m1, c1 in a[0] for m2, c2 in b[0]]
+        return _ftf_normal(num, _mono_mul(a[1], b[1]), self.ops)
+
+    def inv(self, a):
+        n, d = a
+        if not n:
+            raise DivisionByZero("division by zero")
+        if len(n) != 1:
+            raise NonMonomialDenominator(
+                "can only divide by a single monomial term in a formal-twist "
+                "domain")
+        mono, coeff = n[0]
+        bad = [key for (key, _e) in mono if key[0] not in self.invertibles]
+        if bad:
+            sym, idx = bad[0]
+            raise NonMonomialDenominator(
+                f"symbol {sym}[{idx}] is not invertible in this domain")
+        return _ftf_normal(((d, self.ops.inv(coeff)),), mono, self.ops)
+
+    def twist(self, a, i):
+        if not i:
+            return a
+        n, d = a
+        num = tuple(sorted((_mono_shift(m, i), c) for m, c in n))
+        return (num, _mono_shift(d, i))
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +693,8 @@ class FieldSpec:
     and modulus its defining polynomial over F_p (ascending coefficients,
     monic).  theta_payload (an F_{p^m} code) fixes the distinguished
     element theta for finite fields; generators/invertibles only apply to
-    formal domains.
+    formal domains.  _ops is the F_{p^m} ops object and _arith the
+    domain's ops object on payloads.
     """
 
     kind: str
@@ -616,9 +705,15 @@ class FieldSpec:
     generators: tuple = ()
     invertibles: frozenset = frozenset()
     _ops: object = field(init=False, repr=False, compare=False)
+    _arith: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_ops", _get_ops(self.p, self.modulus))
+        ops = _get_ops(self.p, self.modulus)
+        object.__setattr__(self, "_ops", ops)
+        object.__setattr__(self, "_arith", (
+            ops if self.kind == "finite"
+            else _RationalOps(ops, self.q) if self.kind == "rational"
+            else _FormalOps(ops, self.invertibles)))
 
     # -- basic data --------------------------------------------------------
 
@@ -626,10 +721,12 @@ class FieldSpec:
     def q(self):
         return self.p if self.kind == "finite" else self.p ** self.m
 
-    def carrier_size(self):
+    def _require_finite(self, what):
         if self.kind != "finite":
-            raise FiniteFieldRequired(
-                "element enumeration requires a finite coefficient field")
+            raise FiniteFieldRequired(f"{what} a finite coefficient field")
+
+    def carrier_size(self):
+        self._require_finite("element enumeration requires")
         return self.p ** self.m
 
     # -- element constructors ----------------------------------------------
@@ -641,12 +738,7 @@ class FieldSpec:
         return e
 
     def zero(self):
-        ops = self._ops
-        if self.kind == "finite":
-            return self._fe(ops.zero)
-        if self.kind == "rational":
-            return self._fe(((), ((0, ops.one),)))
-        return self._fe(((), ()))
+        return self._fe(self._arith.zero)
 
     def one(self):
         return self.from_int(1)
@@ -693,16 +785,12 @@ class FieldSpec:
     # -- sampling / enumeration --------------------------------------------
 
     def enumerate_elements(self):
-        if self.kind != "finite":
-            raise FiniteFieldRequired(
-                "element enumeration requires a finite coefficient field")
+        self._require_finite("element enumeration requires")
         for t in itertools.product(range(self.p), repeat=self.m):
             yield self._fe(_encode(t, self.p))
 
     def random_element(self, rng):
-        if self.kind != "finite":
-            raise FiniteFieldRequired(
-                "random sampling requires a finite coefficient field")
+        self._require_finite("random sampling requires")
         return self._fe(_encode([rng.randrange(self.p) for _ in range(self.m)],
                                 self.p))
 
@@ -711,32 +799,23 @@ class FieldSpec:
     def from_fp_coords(self, coords):
         """The element of F_{p^m} with coordinates coords (ascending in g)
         over F_p; the inverse of FieldElement.fp_coords."""
-        if self.kind != "finite":
-            raise FiniteFieldRequired(
-                "F_p coordinates require a finite coefficient field")
+        self._require_finite("F_p coordinates require")
         return self._fe(_encode([c % self.p for c in coords], self.p))
 
     # -- rendering ----------------------------------------------------------
 
     def header(self):
+        base = ("FTF(" if self.kind == "formal" else "GF(") + str(self.p)
+        if self.m > 1:
+            base += f"^{self.m}; mod={_render_gpoly(self.modulus)}"
         if self.kind == "formal":
-            base = f"FTF({self.p}" + (f"^{self.m}" if self.m > 1 else "")
-            if self.m > 1:
-                base += f"; mod={_render_gpoly(self.modulus)}"
             base += f"; gens={','.join(self.generators)}"
             if self.invertibles:
                 base += f"; inv={','.join(sorted(self.invertibles))}"
-            return base + ")"
-        base = f"GF({self.p}" + (f"^{self.m}" if self.m > 1 else "")
-        if self.m > 1:
-            base += f"; mod={_render_gpoly(self.modulus)}"
-        if self.kind == "finite" and self.theta_payload != _default_theta(
+        elif self.kind == "finite" and self.theta_payload != _default_theta(
                 self.p, self.m):
             base += f"; theta={_render_ff(self.theta_payload, self.p, self.m)}"
-        base += ")"
-        if self.kind == "rational":
-            base += "(th)"
-        return base
+        return base + (")(th)" if self.kind == "rational" else ")")
 
 
 def _default_theta(p, m):
@@ -797,9 +876,7 @@ class FieldElement(SlottedValue):
     # -- structure ----------------------------------------------------------
 
     def is_zero(self):
-        if self.spec.kind == "finite":
-            return not self.payload
-        return not self.payload[0]
+        return self.spec._arith.is_zero(self.payload)
 
     def __bool__(self):
         return not self.is_zero()
@@ -819,34 +896,13 @@ class FieldElement(SlottedValue):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        spec, ops = self.spec, self.spec._ops
-        if spec.kind == "finite":
-            return spec._fe(ops.add(self.payload, other.payload))
-        if spec.kind == "rational":
-            n1, d1 = self.payload
-            n2, d2 = other.payload
-            if d1 == d2:
-                return spec._fe(_rat_normal(_rp_add(n1, n2, ops), d1, ops))
-            num = _rp_add(_rp_mul(n1, d2, ops), _rp_mul(n2, d1, ops), ops)
-            return spec._fe(_rat_normal(num, _rp_mul(d1, d2, ops), ops))
-        n1, d1 = self.payload
-        n2, d2 = other.payload
-        t1 = _ftf_mul_raw(n1, ((d2, ops.one),), ops)
-        t2 = _ftf_mul_raw(n2, ((d1, ops.one),), ops)
-        num = _ftf_add_raw(t1, t2, ops)
-        return spec._fe(_ftf_normal(num, _mono_mul(d1, d2), ops))
+        spec = self.spec
+        return spec._fe(spec._arith.add(self.payload, other.payload))
 
     __radd__ = __add__
 
     def __neg__(self):
-        spec, ops = self.spec, self.spec._ops
-        if spec.kind == "finite":
-            return spec._fe(ops.neg(self.payload))
-        if spec.kind == "rational":
-            n, d = self.payload
-            return spec._fe((_rp_neg(n, ops), d))
-        n, d = self.payload
-        return spec._fe((tuple((m, ops.neg(c)) for m, c in n), d))
+        return self.spec._fe(self.spec._arith.neg(self.payload))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -864,43 +920,13 @@ class FieldElement(SlottedValue):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        spec, ops = self.spec, self.spec._ops
-        if spec.kind == "finite":
-            return spec._fe(ops.mul(self.payload, other.payload))
-        if spec.kind == "rational":
-            n1, d1 = self.payload
-            n2, d2 = other.payload
-            return spec._fe(_rat_normal(_rp_mul(n1, n2, ops),
-                                        _rp_mul(d1, d2, ops), ops))
-        n1, d1 = self.payload
-        n2, d2 = other.payload
-        return spec._fe(_ftf_normal(_ftf_mul_raw(n1, n2, ops),
-                                    _mono_mul(d1, d2), ops))
+        spec = self.spec
+        return spec._fe(spec._arith.mul(self.payload, other.payload))
 
     __rmul__ = __mul__
 
     def inverse(self):
-        spec, ops = self.spec, self.spec._ops
-        if self.is_zero():
-            raise DivisionByZero("division by zero")
-        if spec.kind == "finite":
-            return spec._fe(ops.inv(self.payload))
-        if spec.kind == "rational":
-            n, d = self.payload
-            return spec._fe(_rat_normal(d, n, ops))
-        n, d = self.payload
-        if len(n) != 1:
-            raise NonMonomialDenominator(
-                "can only divide by a single monomial term in a formal-twist "
-                "domain")
-        mono, coeff = n[0]
-        bad = [key for (key, _e) in mono if key[0] not in spec.invertibles]
-        if bad:
-            sym, idx = bad[0]
-            raise NonMonomialDenominator(
-                f"symbol {sym}[{idx}] is not invertible in this domain")
-        new_num = ((d, ops.inv(coeff)),)
-        return spec._fe(_ftf_normal(new_num, mono, ops))
+        return self.spec._fe(self.spec._arith.inv(self.payload))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -925,38 +951,16 @@ class FieldElement(SlottedValue):
 
     def twist(self, i):
         """The q^i-th power of the element (q-th roots for negative i)."""
-        spec, ops = self.spec, self.spec._ops
         if i == 0:
             return self
-        if spec.kind == "finite":
-            return spec._fe(ops.frob(self.payload, i))
-        if spec.kind == "rational":
-            return self._twist_rational(i)
-        n, d = self.payload
-        num = tuple(sorted((_mono_shift(m, i), c) for m, c in n))
-        return spec._fe((num, _mono_shift(d, i)))
-
-    def _twist_rational(self, i):
-        """Coefficients in F_q are fixed by the q-th power, so twisting
-        scales every exponent by q^i; a negative twist needs each exponent
-        divisible by q^-i."""
-        n, d = self.payload
-        step = self.spec.q ** abs(i)
-        if i > 0:
-            return self.spec._fe((tuple((e * step, c) for e, c in n),
-                                  tuple((e * step, c) for e, c in d)))
-        if any(e % step for e, _c in n + d):
-            raise NotAQthPower(f"element is not a q^{-i}-th power in F_q(th)")
-        return self.spec._fe((tuple((e // step, c) for e, c in n),
-                              tuple((e // step, c) for e, c in d)))
+        spec = self.spec
+        return spec._fe(spec._arith.twist(self.payload, i))
 
     def fp_coords(self):
         """The coordinates over F_p (ascending in g) of an element of
         F_{p^m}."""
         spec = self.spec
-        if spec.kind != "finite":
-            raise FiniteFieldRequired(
-                "F_p coordinates require a finite coefficient field")
+        spec._require_finite("F_p coordinates require")
         return tuple(_digits(self.payload, spec.p, spec.m))
 
     def negate_indices(self):
@@ -991,30 +995,21 @@ _set_payload = FieldElement.payload.__set__
 # Rendering helpers (ascending degrees throughout).
 
 
+def _render_gpoly(coeffs, sep="+"):
+    parts = []
+    for j, c in enumerate(coeffs):
+        if not c:
+            continue
+        if j == 0:
+            parts.append(str(c))
+        else:
+            base = "g" if j == 1 else f"g^{j}"
+            parts.append(base if c == 1 else f"{c}*{base}")
+    return sep.join(parts) if parts else "0"
+
+
 def _render_ff(code, p, m):
-    parts = []
-    for j, c in enumerate(_digits(code, p, m)):
-        if not c:
-            continue
-        if j == 0:
-            parts.append(str(c))
-        else:
-            base = "g" if j == 1 else f"g^{j}"
-            parts.append(base if c == 1 else f"{c}*{base}")
-    return " + ".join(parts) if parts else "0"
-
-
-def _render_gpoly(modulus):
-    parts = []
-    for j, c in enumerate(modulus):
-        if not c:
-            continue
-        if j == 0:
-            parts.append(str(c))
-        else:
-            base = "g" if j == 1 else f"g^{j}"
-            parts.append(base if c == 1 else f"{c}*{base}")
-    return "+".join(parts) if parts else "0"
+    return _render_gpoly(_digits(code, p, m), " + ")
 
 
 def _render_rp(poly, spec):

@@ -39,38 +39,51 @@ def _var_display(var):
 
 
 # ---------------------------------------------------------------------------
-# Accumulator kernels: products and sums add in place into maps {degree:
-# coefficient} that may hold zeros; _from_map builds their polynomials.
+# Accumulator kernels on payloads: products and sums add in place into maps
+# {degree: payload} that may hold zeros, with the domain's ops object arith
+# (FieldSpec._arith), and read polynomials as (degree, payload) pairs.
+# _from_map builds the polynomial of such a map, one element per nonzero
+# coefficient; the kernels build none.
 
 
-def _add_into(acc, pairs):
-    """Add (degree, coefficient) pairs into the accumulator acc; return it."""
+def _payloads(poly):
+    return [(d, c.payload) for d, c in poly.coeffs]
+
+
+def _payload_grid(entries):
+    return [[_payloads(e) for e in row] for row in entries]
+
+
+def _add_into(arith, acc, pairs):
+    """Add (degree, payload) pairs into the accumulator acc; return it."""
+    add = arith.add
     for d, c in pairs:
         cur = acc.get(d)
-        acc[d] = c if cur is None else cur + c
+        acc[d] = c if cur is None else add(cur, c)
     return acc
 
 
-def _mul_into(acc, a, b, s):
-    """Add the product of the coefficient tuples a and b into acc, for the
-    twist sign s: (x v^i)(y v^j) = x y^(q^(s i)) v^(i+j); return acc."""
+def _mul_into(arith, acc, a, b, s):
+    """Add the product of the payload pairs a and b into acc, for the twist
+    sign s: (x v^i)(y v^j) = x y^(q^(s i)) v^(i+j); return acc."""
+    add, mul, twist = arith.add, arith.mul, arith.twist
     for i, x in a:
         k = s * i
         for j, y in b:
-            t = x * y.twist(k)
+            t = mul(x, twist(y, k))
             d = i + j
             cur = acc.get(d)
-            acc[d] = t if cur is None else cur + t
+            acc[d] = t if cur is None else add(cur, t)
     return acc
 
 
-def _matmul_into(accs, a, b, s):
-    """Add the product of the SkewPoly grids a and b into the grid of
-    accumulators accs, one accumulator per output entry."""
+def _matmul_into(arith, accs, a, b, s):
+    """Add the product of the payload grids a and b (see _payload_grid) into
+    the grid of accumulators accs, one accumulator per output entry."""
     for acc_row, a_row in zip(accs, a):
         for j, acc in enumerate(acc_row):
             for x, b_row in zip(a_row, b):
-                _mul_into(acc, x.coeffs, b_row[j].coeffs, s)
+                _mul_into(arith, acc, x, b_row[j], s)
 
 
 # ---------------------------------------------------------------------------
@@ -97,11 +110,12 @@ class SkewPoly(SlottedValue):
             c = spec.from_int(c)
         if deg < 0:
             raise ParseError("negative twisted-polynomial degree")
-        return cls.from_pairs(spec, var, [(deg, c)])
+        return cls(spec, var, ((deg, c),) if c else ())
 
     @classmethod
     def from_pairs(cls, spec, var, pairs):
-        return _from_map(spec, var, _add_into({}, pairs))
+        return _from_map(spec, var, _add_into(
+            spec._arith, {}, [(d, c.payload) for d, c in pairs]))
 
     # -- structure ------------------------------------------------------------
 
@@ -134,7 +148,7 @@ class SkewPoly(SlottedValue):
         return self.degree <= 0
 
     def _check_compatible(self, other):
-        if self.spec != other.spec:
+        if self.spec is not other.spec and self.spec != other.spec:
             raise MixedFields("twisted polynomials over different domains")
         if self.var != other.var:
             raise MixedFields(
@@ -157,8 +171,8 @@ class SkewPoly(SlottedValue):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return _from_map(self.spec, self.var,
-                         _add_into(dict(self.coeffs), other.coeffs))
+        return _from_map(self.spec, self.var, _add_into(
+            self.spec._arith, dict(_payloads(self)), _payloads(other)))
 
     __radd__ = __add__
 
@@ -184,8 +198,9 @@ class SkewPoly(SlottedValue):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return _from_map(self.spec, self.var,
-                         _mul_into({}, self.coeffs, other.coeffs, self.sign))
+        return _from_map(self.spec, self.var, _mul_into(
+            self.spec._arith, {}, _payloads(self), _payloads(other),
+            self.sign))
 
     def __rmul__(self, other):
         other = self._coerce(other)
@@ -202,11 +217,14 @@ class SkewPoly(SlottedValue):
 
     def eval_linear(self, c):
         """Apply the polynomial to a coefficient as a twisting operator."""
-        s = self.sign
-        out = self.spec.zero()
+        spec, s = self.spec, self.sign
+        if c.spec is not spec and c.spec != spec:
+            raise MixedFields("elements of different coefficient domains")
+        arith, x = spec._arith, c.payload
+        out = arith.zero
         for i, a in self.coeffs:
-            out = out + a * c.twist(s * i)
-        return out
+            out = arith.add(out, arith.mul(a.payload, arith.twist(x, s * i)))
+        return spec._fe(out)
 
     def adjoint(self):
         """The image under the anti-automorphism swapping tau and sigma."""
@@ -250,10 +268,12 @@ _set_coeffs = SkewPoly.coeffs.__set__
 
 def _from_map(spec, var, acc):
     """The polynomial of an accumulator: zeros dropped, degrees sorted."""
+    is_zero, fe = spec._arith.is_zero, spec._fe
     p = _new(SkewPoly)
     _set_spec(p, spec)
     _set_var(p, var)
-    _set_coeffs(p, tuple(sorted([(d, c) for d, c in acc.items() if c])))
+    _set_coeffs(p, tuple([(d, fe(c)) for d, c in sorted(acc.items())
+                          if not is_zero(c)]))
     return p
 
 
@@ -282,7 +302,7 @@ class SkewMatrix:
                 if not isinstance(e, SkewPoly):
                     raise DimensionMismatch("matrix entries must be twisted "
                                             "polynomials")
-                if e.spec != spec or e.var != var:
+                if (e.spec is not spec and e.spec != spec) or e.var != var:
                     raise MixedFields("matrix entries over mixed domains or "
                                       "variables")
         return cls(spec, var, rows)
@@ -380,7 +400,7 @@ class SkewMatrix:
     # -- arithmetic -----------------------------------------------------------
 
     def _check_compatible(self, other):
-        if self.spec != other.spec:
+        if self.spec is not other.spec and self.spec != other.spec:
             raise MixedFields("matrices over different domains")
         if self.var != other.var:
             raise MixedFields("matrices over different twisted variables")
@@ -412,7 +432,8 @@ class SkewMatrix:
                     f"cannot multiply {self.shape} by {other.shape}")
             spec, var = self.spec, self.var
             accs = [[{} for _ in range(other.ncols)] for _ in self.entries]
-            _matmul_into(accs, self.entries, other.entries, twist_sign(var))
+            _matmul_into(spec._arith, accs, _payload_grid(self.entries),
+                         _payload_grid(other.entries), twist_sign(var))
             return SkewMatrix(spec, var, tuple(
                 tuple(_from_map(spec, var, acc) for acc in row)
                 for row in accs))
@@ -453,26 +474,22 @@ class SkewMatrix:
 
 
 def const_mul(a, b):
-    """The product a*b of two FieldElement grids, skipping zeros: each row
-    of a lists its nonzero entries once, and entry (i, j) sums a[i][k] *
-    b[k][j] over those k where b[k][j] is nonzero too, in ascending k.  A
-    zero row of a costs no field operation, and a zero product is never
-    formed or added; an entry with no such k is the field's zero."""
+    """The product a*b of two FieldElement grids, skipping zeros: the
+    accumulator kernel runs on their nonzero entries as constant
+    polynomials, so entry (i, j) sums a[i][k] * b[k][j] over those k where
+    both are nonzero, in ascending k.  A zero row of a costs no field
+    operation, and a zero product is never formed or added; an entry with
+    no such k is the field's zero."""
     if len(a[0]) != len(b):
         raise DimensionMismatch("constant matrix shapes do not compose")
     spec = a[0][0].spec
-    width = len(b[0])
-    out = []
-    for row in a:
-        acc = [None] * width
-        for x, b_row in zip(row, b):
-            if x:
-                for j, y in enumerate(b_row):
-                    if y:
-                        s = acc[j]
-                        acc[j] = x * y if s is None else s + x * y
-        out.append(tuple([spec.zero() if s is None else s for s in acc]))
-    return tuple(out)
+    arith = spec._arith
+    a, b = ([[[] if arith.is_zero(x.payload) else [(0, x.payload)]
+              for x in row] for row in grid] for grid in (a, b))
+    accs = [[{} for _ in b[0]] for _ in a]
+    _matmul_into(arith, accs, a, b, 1)
+    return tuple(tuple(spec._fe(acc.get(0, arith.zero)) for acc in row)
+                 for row in accs)
 
 
 def const_identity(spec, n):

@@ -16,8 +16,10 @@ from tmodext import (
     Biderivation,
     InvariantViolation,
     MixedFields,
+    MixedPairs,
     NotAQthPower,
     SkewMatrix,
+    SkewPoly,
     UnsupportedRegime,
     assemble,
     canonical_slots,
@@ -29,6 +31,9 @@ from tmodext import (
     make_finite,
     make_formal,
     make_rational,
+    morphism_residual,
+    parse_element,
+    parse_field,
     parse_matrix,
     parse_poly,
     reduce_canonical,
@@ -141,11 +146,56 @@ def test_canonical_slot_orders():
 
 
 def test_mixed_fields_rejected_in_biderivation():
-    from tmodext import MixedPairs
     src = drinfeld(F9, parse_poly(F9, "g + tau^2"))
     tgt = drinfeld(F4, parse_poly(F4, "g + tau"))
     with pytest.raises(MixedPairs):
         Biderivation(src, tgt, parse_matrix(F9, "[[tau]]"))
+
+
+def test_equal_but_distinct_specs_combine():
+    """Two parses of one header give distinct, equal specs: everything built
+    over one combines with everything built over the other.  Unequal specs
+    still raise at every site that compares them."""
+    one, two = parse_field("GF(3^2)"), parse_field("GF(3^2)")
+    assert one is not two and one == two
+    assert parse_element(one, "g") * parse_element(two, "g + 1") == \
+        parse_element(one, "g^2 + g")
+    assert parse_poly(one, "g*tau") * parse_poly(two, "tau + 1") == \
+        parse_poly(one, "g*tau + g*tau^2")
+    m1, m2 = parse_matrix(one, "[[g, tau]]"), parse_matrix(two, "[[1], [g]]")
+    assert m1 * m2 == parse_matrix(one, "[[g + g^3*tau]]")
+    assert SkewMatrix.from_rows(one, TAU, [[parse_poly(two, "tau")]]) == \
+        parse_matrix(one, "[[tau]]")
+    src = drinfeld(one, parse_poly(one, "g + tau^3"))
+    tgt = drinfeld(two, parse_poly(two, "g + tau^2"))
+    assert tmodule(one, parse_matrix(two, "[[g + tau]]")).dim == 1
+    assert select_regime(src, tgt) == "drinfeld-forward"
+    assert morphism_residual(parse_matrix(two, "[[0]]"), src, tgt).is_zero()
+    delta = Biderivation(src, tgt, parse_matrix(two, "[[tau^4]]"))
+    assert reduce_canonical(delta).canonical.matrix.max_degree < 3
+
+    other = parse_field("GF(3^2; mod=g^2+2*g+2)")
+    assert other != one
+    for combine in (
+            lambda: parse_element(one, "g") * parse_element(other, "g"),
+            lambda: parse_poly(one, "tau") * parse_poly(other, "tau"),
+            lambda: parse_matrix(one, "[[tau]]") * parse_matrix(
+                other, "[[tau]]"),
+            lambda: SkewMatrix.from_rows(one, TAU, [[parse_poly(
+                other, "tau")]]),
+            lambda: tmodule(one, parse_matrix(other, "[[g + tau]]")),
+            lambda: morphism_residual(parse_matrix(one, "[[0]]"), src,
+                                      drinfeld(other, parse_poly(
+                                          other, "g + tau^2")))):
+        with pytest.raises(MixedFields):
+            combine()
+    far = drinfeld(other, parse_poly(other, "g + tau^2"))
+    with pytest.raises(MixedPairs, match="different domains"):
+        select_regime(src, far)
+    with pytest.raises(MixedPairs, match="mixed domains"):
+        Biderivation(src, far, parse_matrix(one, "[[tau]]"))
+    with pytest.raises(MixedPairs, match="mixed domains"):
+        Biderivation(src, tgt, parse_matrix(other, "[[tau]]"))
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +276,97 @@ def test_scalar_action_reduction_golden():
     assert f.coefficient(1) == _c(2) * (th - th.twist(1))
     assert f.coefficient(2) == th * _c() + _c(6)
     assert f.degree == 2
+
+
+# Seeded reductions over each domain kind, on the entrywise plans (forward
+# and reversed) and the layered matrix-source plan, pinned to the canonical
+# forms and witnesses printed before the kernels moved to payloads.
+FCI = make_formal(3, generators=("c",), invertibles=("c",))
+_PINNED_DOMAINS = {
+    "finite": (F9, "g", ("0", "1", "2", "g", "2*g + 1", "g + 2")),
+    "rational": (Q3, "th", ("0", "1", "2", "th", "1/th",
+                            "(1 + th)/(2 + th^2)")),
+    "formal": (FCI, "th[0]", ("0", "1", "2", "c[0]", "th[1] + c[-1]",
+                              "1/c[2]")),
+}
+_PINNED_SOURCES = {
+    "drinfeld-forward": "{th} + tau^3",
+    "drinfeld-reversed": "{th} + tau^2",
+    "matrix-source": "[[{th}, 1], [0, {th}]] + [[1, 0], [0, 1]]*tau^3",
+}
+_PINNED_TARGETS = {"drinfeld-reversed": "{th} + tau^3"}
+_PINNED = {
+    ("finite", "drinfeld-forward"): (
+        "[[g*tau + (2 + g)*tau^4 + 2*tau^5]]",
+        "[[tau + (1 + g)*tau^2]]",
+        "[[1 + g + (1 + g)*tau + 2*tau^2]]"),
+    ("finite", "drinfeld-reversed"): (
+        "[[g*tau + (2 + g)*tau^4 + 2*tau^5]]",
+        "[[(1 + 2*g)*tau + (1 + g)*tau^2]]",
+        "[[2 + 2*g + (2 + g)*tau + tau^2]]"),
+    ("finite", "matrix-source"): (
+        "[[g*tau + (2 + g)*tau^4 + 2*tau^5, g + (2 + g)*tau + tau^2 + g*tau^3"
+        " + tau^4 + 2*tau^5]]",
+        "[[tau + (1 + g)*tau^2, 2 + tau + (2 + g)*tau^2]]",
+        "[[1 + g + (1 + g)*tau + 2*tau^2, g + 2*tau^2]]"),
+    ("rational", "drinfeld-forward"): (
+        "[[th*tau + (1/(2 + th))*tau^4 + 2*tau^5]]",
+        "[[(2*th + 2*th^2 + th^3)*tau + ((2 + th + 2*th^9 + 2*th^81 + 2*th^82"
+        " + th^90)/(2 + th^81))*tau^2]]",
+        "[[(2 + 2*th^9)/(2 + th^9) + ((2 + 2*th)/(2 + th))*tau + 2*tau^2]]"),
+    ("rational", "matrix-source"): (
+        "[[th*tau + (1/(2 + th))*tau^4 + 2*tau^5, th + (1/(2 + th))*tau"
+        " + tau^2 + th*tau^3 + tau^4 + 2*tau^5]]",
+        "[[(2*th + 2*th^2 + th^3)*tau + ((2 + th + 2*th^9 + 2*th^81 + 2*th^82"
+        " + th^90)/(2 + th^81))*tau^2, (1 + 2*th + th^9 + th^10)/(2 + th^9)"
+        " + tau + (2 + 2*th + 2*th^9)*tau^2]]",
+        "[[(2 + 2*th^9)/(2 + th^9) + ((2 + 2*th)/(2 + th))*tau + 2*tau^2, th"
+        " + 2*tau^2]]"),
+    ("formal", "drinfeld-forward"): (
+        "[[c[0]*tau + (1/c[2])*tau^4 + 2*tau^5]]",
+        "[[((c[0]*c[2] + 2*c[2]*th[0] + c[2]*th[1] + th[0]"
+        " + 2*th[1])/c[2])*tau + ((1 + 2*c[6] + 2*c[6]*th[0]"
+        " + c[6]*th[2])/c[6])*tau^2]]",
+        "[[(1 + 2*c[4])/c[4] + ((1 + 2*c[2])/c[2])*tau + 2*tau^2]]"),
+    ("formal", "drinfeld-reversed"): (
+        "[[c[0]*tau + (1/c[2])*tau^4 + 2*tau^5]]",
+        "[[((c[-1]*c[0] + c[-1]*th[0] + 2*c[-1]*th[1] + 2*th[0]"
+        " + th[1])/c[-1])*tau + ((1 + 2*c[-4] + c[-4]*th[0]"
+        " + 2*c[-4]*th[2])/c[-4])*tau^2]]",
+        "[[(2 + c[-4])/c[-4] + ((2 + c[-1])/c[-1])*tau + tau^2]]"),
+    ("formal", "matrix-source"): (
+        "[[c[0]*tau + (1/c[2])*tau^4 + 2*tau^5, c[0] + (1/c[2])*tau + tau^2"
+        " + c[0]*tau^3 + tau^4 + 2*tau^5]]",
+        "[[((c[0]*c[2] + 2*c[2]*th[0] + c[2]*th[1] + th[0]"
+        " + 2*th[1])/c[2])*tau + ((1 + 2*c[6] + 2*c[6]*th[0]"
+        " + c[6]*th[2])/c[6])*tau^2, (2 + c[0]*c[4] + c[4])/c[4] + tau + (2"
+        " + c[2] + 2*th[0] + th[2])*tau^2]]",
+        "[[(1 + 2*c[4])/c[4] + ((1 + 2*c[2])/c[2])*tau + 2*tau^2, c[0]"
+        " + 2*tau^2]]"),
+}
+
+
+def _pinned_delta(kind, regime):
+    spec, th, texts = _PINNED_DOMAINS[kind]
+    rng = random.Random(2027)
+    pool = [parse_element(spec, text) for text in texts]
+    src = tmodule(spec, parse_matrix(
+        spec, _PINNED_SOURCES[regime].format(th=th)))
+    tgt = drinfeld(spec, parse_poly(
+        spec, _PINNED_TARGETS.get(regime, "{th} + tau^2").format(th=th)))
+    return Biderivation(src, tgt, SkewMatrix.from_rows(spec, TAU, [[
+        SkewPoly.from_pairs(spec, TAU, [(d, rng.choice(pool))
+                                        for d in range(6)])
+        for _ in range(src.dim)]]))
+
+
+@pytest.mark.parametrize("kind, regime", sorted(_PINNED))
+def test_reduction_pinned_over_every_domain_kind(kind, regime):
+    delta = _pinned_delta(kind, regime)
+    result = reduce_canonical(delta)
+    assert result.regime == regime
+    assert (str(delta.matrix), str(result.canonical.matrix),
+            str(result.witness)) == _PINNED[kind, regime]
 
 
 # The self-check must survive ``python -O``, which strips assert statements.

@@ -12,6 +12,7 @@ from tmodext import (
     SIGMA,
     TAU,
     DimensionMismatch,
+    FieldSpec,
     NotAQthPower,
     ParseError,
     SingularLeading,
@@ -37,6 +38,8 @@ F9 = make_finite(3, 2)
 F8 = make_finite(2, 3)
 Q3 = make_rational(3)
 FT = make_formal(3, generators=("a", "b"), invertibles=("a", "b"))
+F7 = make_finite(7)
+F2_13 = make_finite(2, 13)  # above ZECH_LIMIT: polynomial products
 
 
 def _nth_elt(spec, n):
@@ -331,9 +334,15 @@ def test_module_validation_multiplies_at_most_log2_n_times(monkeypatch, n):
 _FT_POOL = tuple(parse_element(FT, text) for text in (
     "0", "1", "2", "a[0]", "b[1] + th[0]", "a[-1]*b[2]", "1/a[0]",
     "(1 + b[0])/(a[1]*b[-1])"))
+_F2_13_POOL = tuple(F2_13.from_fp_coords([(x >> i) & 1 for i in range(13)])
+                    for x in (0, 1, 2, 0x123, 0x1abc, 0x1fff))
 _KERNEL_POOLS = {
     (F9, TAU): tuple(F9.enumerate_elements()),
     (F9, SIGMA): tuple(F9.enumerate_elements()),
+    (F7, TAU): tuple(F7.enumerate_elements()),
+    (F7, SIGMA): tuple(F7.enumerate_elements()),
+    (F2_13, TAU): _F2_13_POOL,
+    (F2_13, SIGMA): _F2_13_POOL,
     (Q3, TAU): _Q3_POOL,
     (Q3, SIGMA): tuple(c.twist(3) for c in _Q3_POOL),
     (FT, TAU): _FT_POOL,
@@ -412,6 +421,56 @@ def test_kernels_agree_with_the_textbook_formulas(data):
             assert _is_normal(result)
         assert (f + (-f)).coeffs == ()
         assert (f * g + (-f) * g).coeffs == ()
+
+
+def _elements_built(run):
+    """run() and the number of elements FieldSpec._fe built meanwhile."""
+    built = []
+    real = FieldSpec._fe
+
+    def counting(spec, payload):
+        built.append(payload)
+        return real(spec, payload)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FieldSpec, "_fe", counting)
+        result = run()
+    return result, len(built)
+
+
+def _size(value):
+    """The number of coefficients of a polynomial or matrix."""
+    if isinstance(value, SkewPoly):
+        return len(value.coeffs)
+    return sum(len(e.coeffs) for row in value.entries for e in row)
+
+
+def _textbook_eval(f, c):
+    return sum((a * c.twist(f.sign * i) for i, a in f.coeffs), f.spec.zero())
+
+
+# The kernels work on payloads: a product builds one element per coefficient
+# of its result and none per term product, twist or partial sum.
+_KERNEL_KEYS = sorted(_KERNEL_POOLS,
+                      key=lambda sv: (sv[0].kind, sv[0].p, sv[1]))
+
+
+@pytest.mark.parametrize("spec, var", _KERNEL_KEYS, ids=[
+    f"{spec.header()}-{var}" for spec, var in _KERNEL_KEYS])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_products_build_one_element_per_result_coefficient(spec, var, data):
+    a = data.draw(_poly_grids(spec, var, 2, 2))
+    b = data.draw(_poly_grids(spec, var, 2, 2))
+    f, g = a[0][0], b[0][0]
+    for run in (lambda: f * g, lambda: f + g,
+                lambda: SkewMatrix.from_rows(spec, var, a)
+                * SkewMatrix.from_rows(spec, var, b)):
+        result, built = _elements_built(run)
+        assert built <= _size(result)
+    c = data.draw(st.sampled_from(_KERNEL_POOLS[spec, var]))
+    value, built = _elements_built(lambda: f.eval_linear(c))
+    assert built == 1 and value == _textbook_eval(f, c)
 
 
 # ---------------------------------------------------------------------------
