@@ -63,9 +63,8 @@ class Biderivation:
     matrix: SkewMatrix
 
     def __post_init__(self):
-        spec = self.source.spec
-        if (self.target.spec is not spec and self.target.spec != spec) or \
-                (self.matrix.spec is not spec and self.matrix.spec != spec):
+        if self.source.spec != self.target.spec or \
+                self.matrix.spec != self.source.spec:
             raise MixedPairs("biderivation data over mixed domains")
         if self.source.var != self.target.var or \
                 self.matrix.var != self.source.var:
@@ -149,7 +148,7 @@ def assemble(delta):
 def select_regime(source, target):
     """Choose the reduction strategy for the module pair, or explain why
     none applies."""
-    if source.spec is not target.spec and source.spec != target.spec:
+    if source.spec != target.spec:
         raise MixedPairs("source and target over different domains")
     if source.var != target.var:
         raise MixedPairs("source and target over different twisted variables")

@@ -45,7 +45,7 @@ import heapq
 import itertools
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from math import isqrt
 
@@ -715,6 +715,12 @@ class FieldSpec:
             else _RationalOps(ops, self.q) if self.kind == "rational"
             else _FormalOps(ops, self.invertibles)))
 
+    def __eq__(self, other):
+        # Identity first (FieldElement._coerce, run once per operation, also
+        # inlines it); the dataclass keeps this and hashes the same fields.
+        return self is other or (other.__class__ is self.__class__
+                                 and self._key(self) == self._key(other))
+
     # -- basic data --------------------------------------------------------
 
     @property
@@ -816,6 +822,10 @@ class FieldSpec:
                 self.p, self.m):
             base += f"; theta={_render_ff(self.theta_payload, self.p, self.m)}"
         return base + (")(th)" if self.kind == "rational" else ")")
+
+
+FieldSpec._key = operator.attrgetter(
+    *(f.name for f in fields(FieldSpec) if f.compare))
 
 
 def _default_theta(p, m):

@@ -39,11 +39,10 @@ def _var_display(var):
 
 
 # ---------------------------------------------------------------------------
-# Accumulator kernels on payloads: products and sums add in place into maps
-# {degree: payload} that may hold zeros, with the domain's ops object arith
-# (FieldSpec._arith), and read polynomials as (degree, payload) pairs.
-# _from_map builds the polynomial of such a map, one element per nonzero
-# coefficient; the kernels build none.
+# Accumulator kernels on payloads, with the domain's ops object arith
+# (FieldSpec._arith): products and sums add (degree, payload) pairs in place
+# into maps {degree: payload} that may hold zeros, and build no element;
+# _from_map wraps the nonzero coefficients of such a map once each.
 
 
 def _payloads(poly):
@@ -79,11 +78,13 @@ def _mul_into(arith, acc, a, b, s):
 
 def _matmul_into(arith, accs, a, b, s):
     """Add the product of the payload grids a and b (see _payload_grid) into
-    the grid of accumulators accs, one accumulator per output entry."""
+    the grid of accumulators accs, one per output entry, in ascending k."""
     for acc_row, a_row in zip(accs, a):
-        for j, acc in enumerate(acc_row):
-            for x, b_row in zip(a_row, b):
-                _mul_into(arith, acc, x, b_row[j], s)
+        for x, b_row in zip(a_row, b):
+            if x:
+                for acc, y in zip(acc_row, b_row):
+                    if y:
+                        _mul_into(arith, acc, x, y, s)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +149,7 @@ class SkewPoly(SlottedValue):
         return self.degree <= 0
 
     def _check_compatible(self, other):
-        if self.spec is not other.spec and self.spec != other.spec:
+        if self.spec != other.spec:
             raise MixedFields("twisted polynomials over different domains")
         if self.var != other.var:
             raise MixedFields(
@@ -159,9 +160,9 @@ class SkewPoly(SlottedValue):
         if isinstance(other, SkewPoly):
             self._check_compatible(other)
             return other
-        if isinstance(other, FieldElement):
-            return SkewPoly.const(self.spec, self.var, other)
-        if isinstance(other, int):
+        if isinstance(other, FieldElement) and other.spec != self.spec:
+            raise MixedFields("elements of different coefficient domains")
+        if isinstance(other, (FieldElement, int)):
             return SkewPoly.const(self.spec, self.var, other)
         return None
 
@@ -218,7 +219,7 @@ class SkewPoly(SlottedValue):
     def eval_linear(self, c):
         """Apply the polynomial to a coefficient as a twisting operator."""
         spec, s = self.spec, self.sign
-        if c.spec is not spec and c.spec != spec:
+        if c.spec != spec:
             raise MixedFields("elements of different coefficient domains")
         arith, x = spec._arith, c.payload
         out = arith.zero
@@ -302,7 +303,7 @@ class SkewMatrix:
                 if not isinstance(e, SkewPoly):
                     raise DimensionMismatch("matrix entries must be twisted "
                                             "polynomials")
-                if (e.spec is not spec and e.spec != spec) or e.var != var:
+                if e.spec != spec or e.var != var:
                     raise MixedFields("matrix entries over mixed domains or "
                                       "variables")
         return cls(spec, var, rows)
@@ -400,7 +401,7 @@ class SkewMatrix:
     # -- arithmetic -----------------------------------------------------------
 
     def _check_compatible(self, other):
-        if self.spec is not other.spec and self.spec != other.spec:
+        if self.spec != other.spec:
             raise MixedFields("matrices over different domains")
         if self.var != other.var:
             raise MixedFields("matrices over different twisted variables")
@@ -474,12 +475,9 @@ class SkewMatrix:
 
 
 def const_mul(a, b):
-    """The product a*b of two FieldElement grids, skipping zeros: the
-    accumulator kernel runs on their nonzero entries as constant
-    polynomials, so entry (i, j) sums a[i][k] * b[k][j] over those k where
-    both are nonzero, in ascending k.  A zero row of a costs no field
-    operation, and a zero product is never formed or added; an entry with
-    no such k is the field's zero."""
+    """The product a*b of two FieldElement grids, skipping zeros: entry
+    (i, j) sums a[i][k] * b[k][j] over the k where both are nonzero, in
+    ascending k, and is the field's zero if there is no such k."""
     if len(a[0]) != len(b):
         raise DimensionMismatch("constant matrix shapes do not compose")
     spec = a[0][0].spec

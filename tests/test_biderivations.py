@@ -157,13 +157,19 @@ def test_equal_but_distinct_specs_combine():
     over one combines with everything built over the other.  Unequal specs
     still raise at every site that compares them."""
     one, two = parse_field("GF(3^2)"), parse_field("GF(3^2)")
-    assert one is not two and one == two
+    assert one is not two and one == two and hash(one) == hash(two)
+    assert len({one, two, parse_field("GF(3^2; mod=g^2+2*g+2)")}) == 2
+    assert one != "GF(3^2)"
     assert parse_element(one, "g") * parse_element(two, "g + 1") == \
         parse_element(one, "g^2 + g")
     assert parse_poly(one, "g*tau") * parse_poly(two, "tau + 1") == \
         parse_poly(one, "g*tau + g*tau^2")
+    assert parse_poly(one, "tau") * parse_element(two, "g") == \
+        parse_element(two, "g") * parse_poly(one, "g^2*tau")
     m1, m2 = parse_matrix(one, "[[g, tau]]"), parse_matrix(two, "[[1], [g]]")
     assert m1 * m2 == parse_matrix(one, "[[g + g^3*tau]]")
+    assert m1 * parse_element(two, "g") == parse_element(two, "g") * \
+        parse_matrix(one, "[[g, g^2*tau]]")
     assert SkewMatrix.from_rows(one, TAU, [[parse_poly(two, "tau")]]) == \
         parse_matrix(one, "[[tau]]")
     src = drinfeld(one, parse_poly(one, "g + tau^3"))
@@ -179,6 +185,15 @@ def test_equal_but_distinct_specs_combine():
     for combine in (
             lambda: parse_element(one, "g") * parse_element(other, "g"),
             lambda: parse_poly(one, "tau") * parse_poly(other, "tau"),
+            lambda: parse_poly(one, "tau") * parse_element(other, "g"),
+            lambda: parse_element(other, "g") * parse_poly(one, "tau"),
+            lambda: parse_poly(one, "tau") + parse_element(other, "g"),
+            lambda: parse_poly(one, "tau") * parse_element(
+                parse_field("GF(3)(th)"), "th"),
+            lambda: parse_matrix(one, "[[tau, 0]]") * parse_element(
+                other, "g"),
+            lambda: parse_element(other, "g") * parse_matrix(
+                one, "[[tau, 0]]"),
             lambda: parse_matrix(one, "[[tau]]") * parse_matrix(
                 other, "[[tau]]"),
             lambda: SkewMatrix.from_rows(one, TAU, [[parse_poly(

@@ -301,6 +301,31 @@ def test_zero_skipping_product_matches_the_triple_sum(data):
     assert const_mul(a, b) == _textbook_mul(a, b)
 
 
+def test_product_kernel_runs_once_per_pair_of_nonzero_factors(monkeypatch):
+    """A zero factor costs no kernel call, so the product of two sparse
+    grids makes one call per nonzero pair, not one per (i, k, j)."""
+    calls = []
+    kernel = skewpoly._mul_into
+
+    def counting(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(skewpoly, "_mul_into", counting)
+    for n in (1, 5, 12):
+        N = _shift(Q3, n)
+        pairs = sum(1 for i in range(n) for k in range(n) for j in range(n)
+                    if N[i][k] and N[k][j])
+        calls.clear()
+        assert const_mul(N, N) == _textbook_mul(N, N)
+        assert len(calls) == pairs == max(n - 2, 0)
+        M, square = (SkewMatrix.from_const(Q3, TAU, g)
+                     for g in (N, const_mul(N, N)))
+        calls.clear()
+        assert M * M == square
+        assert len(calls) == pairs
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_module_validation_multiplies_at_most_log2_n_times(monkeypatch, n):
     calls = []
