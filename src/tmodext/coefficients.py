@@ -580,8 +580,8 @@ class _FractionOps:
     """What both fraction domains share: a numerator is a sorted tuple of
     (key, coefficient) terms, empty exactly for zero."""
 
-    def __init__(self, ops, zero):
-        self.ops, self.zero = ops, zero
+    def __init__(self, ops, zero, one):
+        self.ops, self.zero, self.one = ops, zero, one
 
     def is_zero(self, a):
         return not a[0]
@@ -595,7 +595,8 @@ class _RationalOps(_FractionOps):
     """F_{p^m}(th): num/den in lowest terms, den monic, both sparse."""
 
     def __init__(self, ops, q):
-        super().__init__(ops, ((), ((0, ops.one),)))
+        unit = ((0, ops.one),)
+        super().__init__(ops, ((), unit), (unit, unit))
         self.q = q
 
     def add(self, a, b):
@@ -637,7 +638,7 @@ class _FormalOps(_FractionOps):
     the i-th twist shifts every symbol index by i."""
 
     def __init__(self, ops, invertibles):
-        super().__init__(ops, ((), ()))
+        super().__init__(ops, ((), ()), ((((), ops.one),), ()))
         self.invertibles = invertibles
 
     def add(self, a, b):
@@ -747,7 +748,7 @@ class FieldSpec:
         return self._fe(self._arith.zero)
 
     def one(self):
-        return self.from_int(1)
+        return self._fe(self._arith.one)
 
     def from_int(self, n):
         ops = self._ops

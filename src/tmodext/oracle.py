@@ -85,13 +85,7 @@ def random_biderivation(source, target, rng, max_deg=None):
 def apply_matrix(mat, vec):
     """Apply a twisted-polynomial matrix to a coefficient vector, entries
     acting as twisting operators."""
-    out = []
-    for i in range(mat.nrows):
-        acc = mat.spec.zero()
-        for j in range(mat.ncols):
-            acc = acc + mat.entry(i, j).eval_linear(vec[j])
-        out.append(acc)
-    return tuple(out)
+    return mat.eval_linear(vec)
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,15 @@ def _mul_into(arith, acc, a, b, s):
     return acc
 
 
+def _apply_into(arith, acc, coeffs, x, s):
+    """acc plus the image of the payload x under the polynomial with the
+    (degree, FieldElement) pairs coeffs, acting as a twisting operator."""
+    add, mul, twist = arith.add, arith.mul, arith.twist
+    for i, a in coeffs:
+        acc = add(acc, mul(a.payload, twist(x, s * i)))
+    return acc
+
+
 def _matmul_into(arith, accs, a, b, s):
     """Add the product of the payload grids a and b (see _payload_grid) into
     the grid of accumulators accs, one per output entry, in ascending k."""
@@ -218,14 +227,12 @@ class SkewPoly(SlottedValue):
 
     def eval_linear(self, c):
         """Apply the polynomial to a coefficient as a twisting operator."""
-        spec, s = self.spec, self.sign
+        spec = self.spec
         if c.spec != spec:
             raise MixedFields("elements of different coefficient domains")
-        arith, x = spec._arith, c.payload
-        out = arith.zero
-        for i, a in self.coeffs:
-            out = arith.add(out, arith.mul(a.payload, arith.twist(x, s * i)))
-        return spec._fe(out)
+        arith = spec._arith
+        return spec._fe(_apply_into(arith, arith.zero, self.coeffs, c.payload,
+                                    self.sign))
 
     def adjoint(self):
         """The image under the anti-automorphism swapping tau and sigma."""
@@ -454,6 +461,28 @@ class SkewMatrix:
             raise DimensionMismatch("only square matrices have powers")
         return _power(SkewMatrix.identity(self.spec, self.var, self.nrows),
                       self, n)
+
+    # -- semilinear action ----------------------------------------------------
+
+    def eval_linear(self, vec):
+        """Apply the matrix to a coefficient vector, entries acting as
+        twisting operators: out[i] = sum_j entry(i, j).eval_linear(vec[j]),
+        summed on payloads and wrapped once per coordinate."""
+        spec, s = self.spec, twist_sign(self.var)
+        if len(vec) != self.ncols:
+            raise DimensionMismatch(
+                f"cannot apply a {self.shape} matrix to a vector of length "
+                f"{len(vec)}")
+        if any(c.spec != spec for c in vec):
+            raise MixedFields("elements of different coefficient domains")
+        arith, xs = spec._arith, [c.payload for c in vec]
+        out = []
+        for row in self.entries:
+            acc = arith.zero
+            for e, x in zip(row, xs):
+                acc = _apply_into(arith, acc, e.coeffs, x, s)
+            out.append(spec._fe(acc))
+        return tuple(out)
 
     # -- rendering ------------------------------------------------------------
 

@@ -342,6 +342,66 @@ def test_rational_field_laws_twists_and_round_trip(abc, i):
     assert parse_element(spec, str(a)) == a
 
 
+FT9 = make_formal(3, 2, generators=("a", "b"), invertibles=("a", "b"))
+
+
+def _formal_texts(spec):
+    """Expressions in the symbols of a formal domain: sums of scaled
+    monomials with negative indices and repeated symbols, over a monomial
+    in the invertible symbols (so parsing never divides by a sum)."""
+    def power(names):
+        return st.builds(
+            lambda s, i, e: f"{s}[{i}]" + (f"^{e}" if e > 1 else ""),
+            st.sampled_from(names), st.integers(-4, 4), st.integers(1, 3))
+
+    term = st.builds(
+        lambda c, ps: "*".join([c] + ps), st.sampled_from(["1", "2"]),
+        st.lists(power(spec.generators), max_size=3))
+    num = st.lists(term, min_size=1, max_size=3).map(" + ".join)
+    den = st.lists(power(sorted(spec.invertibles)), max_size=2).map(
+        lambda ps: f"/({'*'.join(ps)})" if ps else "")
+    return st.builds(lambda n, d: f"({n}){d}", num, den)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from((FT, FT9)).flatmap(
+           lambda spec: st.tuples(*[_formal_texts(spec)] * 2).map(
+               lambda texts: [parse_element(spec, t) for t in texts])),
+       st.integers(-3, 3), st.integers(-3, 3))
+def test_formal_round_trip_and_payload_twist_laws(ab, i, j):
+    """parse -> render -> parse is the identity on formal elements, and the
+    ops object obeys the laws the tracked reduction works by: twists
+    compose and are ring maps, negation is an additive inverse that
+    commutes with twisting, and one is the unit payload."""
+    a, b = ab
+    spec, arith = a.spec, a.spec._arith
+    for x in (a, b, a / spec.symbol("a", i), a.negate_indices()):
+        text = str(x)
+        again = parse_element(spec, text)
+        assert again == x and str(again) == text
+    x, y, one = a.payload, b.payload, arith.one
+    twist, neg = arith.twist, arith.neg
+    assert twist(twist(x, i), j) == twist(x, i + j)
+    assert twist(arith.mul(x, y), i) == arith.mul(twist(x, i), twist(y, i))
+    assert twist(arith.add(x, y), i) == arith.add(twist(x, i), twist(y, i))
+    assert arith.is_zero(arith.add(x, neg(x))) and neg(neg(x)) == x
+    assert neg(twist(x, i)) == twist(neg(x), i)
+    assert one == spec.from_int(1).payload and twist(one, i) == one
+    assert arith.mul(x, one) == x and arith.mul(one, y) == y
+
+
+@pytest.mark.parametrize("spec", [F9, F16, Q3, Q9TH, FT], ids=str)
+def test_unit_payload_of_every_ops_object(spec):
+    arith = spec._arith
+    assert arith.one == spec.from_int(1).payload == spec.one().payload
+    assert not arith.is_zero(arith.one)
+    pool = list(spec.enumerate_elements()) if spec.kind == "finite" else [
+        spec.theta(), spec.theta() ** 3 + spec.one(), -spec.theta()]
+    for x in pool:
+        assert arith.mul(x.payload, arith.one) == x.payload
+        assert arith.twist(arith.one, 2) == arith.one
+
+
 # ---------------------------------------------------------------------------
 # Formal twist field.
 

@@ -5,6 +5,8 @@ import time
 import pytest
 
 from tmodext import (
+    FieldSpec,
+    InvariantViolation,
     UnsupportedRegime,
     carlitz,
     carlitz_power,
@@ -19,6 +21,7 @@ from tmodext import (
     reduce_canonical,
     tmodule,
 )
+from tmodext import ext_structures
 from tmodext.skewpoly import const_mul
 
 Q3 = parse_field("GF(3)(th)")
@@ -110,6 +113,139 @@ def test_structure_triangular_source():
         " [0, 0, 2*tau, tau, th + tau^2]]")
 
 
+def test_structure_triangular_source_formal():
+    X = tmodule(FF, parse_matrix(
+        FF, "[[th[0] + a[0]*tau^2, 0], [1 + b[0]*tau, th[0] + tau^3]]"))
+    S = ext_structure(X, carlitz(FF))
+    assert S.regime == "triangular-source"
+    assert S.basis == ((0, 1, 0), (0, 1, 1), (0, 1, 2), (0, 0, 0), (0, 0, 1))
+    assert str(S.pi) == (
+        "[[th[0], 0, 0, 0, 0],\n"
+        " [tau, th[0], tau^2, 0, 0],\n"
+        " [0, tau, th[0], 0, 0],\n"
+        " [0, 0, 2*tau, th[0], 0],\n"
+        " [0, 0, (2*b[0])*tau, tau, th[0] + (1/a[1])*tau^2]]")
+
+
+# ---------------------------------------------------------------------------
+# Matrix sources: the layered reduction.
+
+MATRIX_SOURCE_Q3 = "[[th, 1], [tau, th]] + [[1, th], [0, 1]]*tau^3"
+MATRIX_SOURCE_FF = ("[[th[0] + a[0]*tau^3, tau], "
+                    "[b[0]*tau^2, th[0] + a[0]*tau^3]]")
+
+
+def test_structure_matrix_source():
+    S = ext_structure(tmodule(Q3, parse_matrix(Q3, MATRIX_SOURCE_Q3)),
+                      _drin(Q3, "th + tau^2"))
+    assert S.regime == "matrix-source"
+    assert S.basis == ((0, 0, 0), (0, 0, 1), (0, 0, 2),
+                       (0, 1, 0), (0, 1, 1), (0, 1, 2))
+    assert str(S.pi) == (
+        "[[th, 0, 0, 0, 0, 0],\n"
+        " [0, th + th*tau^2, (th + 2*th^3)*tau^2 + (th + th^27)*tau^4, 0,"
+        " 2*tau^2, 2*tau^4],\n"
+        " [tau^2, tau^4, th + th^3*tau^2 + tau^6, 0, 0, 2*tau^2],\n"
+        " [0, 2*tau^2, 2*tau^4, th, 0, 0],\n"
+        " [0, 0, (2 + 2*th^4 + th^6)*tau^2, 0, th,"
+        " (th + 2*th^3)*tau^2],\n"
+        " [0, (2*th^9)*tau^4, (2*th^9 + 2*th^243)*tau^6, tau^2, tau^4,"
+        " th + tau^6]]")
+
+
+def test_structure_matrix_source_formal():
+    S = ext_structure(tmodule(FF, parse_matrix(FF, MATRIX_SOURCE_FF)),
+                      _drin(FF, "th[0] + b[0]*tau^2"))
+    assert S.regime == "matrix-source"
+    assert str(S.pi) == (
+        "[[th[0], 0, 0, 0, 0, 0],\n"
+        " [0, th[0], ((b[0]*th[0] + 2*b[0]*th[1])/a[1])*tau^2, 0, 0, 0],\n"
+        " [b[0]*tau^2, (b[0]*b[2]/a[2])*tau^4,"
+        " th[0] + (b[0]*b[2]*b[4]/(a[2]*a[5]))*tau^6, 0,"
+        " (2*b[0]^2/a[0])*tau^2,"
+        " ((2*a[0]*b[0]*b[2]*b[3] + 2*a[2]*b[0]^2*b[2])/(a[0]*a[2]*a[3]))"
+        "*tau^4],\n"
+        " [0, 0, 0, th[0], 0, 0],\n"
+        " [0, (2*b[0]/a[0])*tau^2, (2*b[0]*b[2]/(a[0]*a[3]))*tau^4, 0, th[0],"
+        " ((a[0]*b[0]*th[0] + 2*a[0]*b[0]*th[1] + b[0]*b[1])/(a[0]*a[1]))"
+        "*tau^2],\n"
+        " [0, 0, (2*b[0]/a[1])*tau^2, b[0]*tau^2, (b[0]*b[2]/a[2])*tau^4,"
+        " th[0] + (b[0]*b[2]*b[4]/(a[2]*a[5]))*tau^6]]")
+
+
+# ---------------------------------------------------------------------------
+# The tracked loops compute on payloads.
+
+
+def _count_built(monkeypatch, names):
+    """Wrap the named functions of ext_structures so that each call records
+    the number of elements FieldSpec._fe builds inside it."""
+    counts = {name: [] for name in names}
+    real_fe = FieldSpec._fe
+    live = []
+
+    def counting_fe(spec, payload):
+        for tally in live:
+            tally[0] += 1
+        return real_fe(spec, payload)
+
+    def wrap(name, real):
+        def counted(*args):
+            tally = [0]
+            live.append(tally)
+            try:
+                return real(*args)
+            finally:
+                live.remove(tally)
+                counts[name].append(tally[0])
+        return counted
+
+    monkeypatch.setattr(FieldSpec, "_fe", counting_fe)
+    for name in names:
+        monkeypatch.setattr(ext_structures, name,
+                            wrap(name, getattr(ext_structures, name)))
+    return counts
+
+
+def test_tracked_reduction_builds_no_element_per_weight(monkeypatch):
+    source = tmodule(Q3, parse_matrix(Q3, MATRIX_SOURCE_Q3))
+    inverse = _count_built(monkeypatch, ("const_inverse",))
+    ext_structures.const_inverse(source.leading_matrix())
+    monkeypatch.undo()
+
+    counts = _count_built(monkeypatch, ("_t_reduce_entrywise",
+                                        "_t_reduce_layered", "const_twist"))
+    ext_structure(_drin(Q3, "th + th*tau + tau^8"),
+                  _drin(Q3, "th + th*tau + tau^7"))
+    assert counts["_t_reduce_entrywise"] == [0]
+
+    # beyond the inverse leading matrix, formed once, a layer builds at
+    # most its twist: d^2 elements
+    ext_structure(source, _drin(Q3, "th + tau^2"))
+    layers = len(counts["const_twist"])
+    assert layers >= 2
+    assert counts["_t_reduce_layered"][0] <= (
+        inverse["const_inverse"][0] + source.dim ** 2 * layers)
+
+
+def test_tracked_reduction_checks_what_it_reads_back(monkeypatch):
+    real = ext_structures._t_reduce_entrywise
+
+    def untwisted(source, target, entries, tracked):
+        real(source, target, entries, tracked)
+        for entry in tracked[0]:
+            for deg, form in entry.items():
+                entry[deg] = {(slot, -1 - i): w
+                              for (slot, i), w in form.items()}
+
+    pair = (_drin(Q3, "th + tau^3"), _drin(Q3, "th + tau^2"))
+    for loop, why in ((lambda *args: None, "outside the canonical slots"),
+                      (untwisted, "negative twist index")):
+        monkeypatch.setattr(ext_structures, "_t_reduce_entrywise", loop)
+        with pytest.raises(InvariantViolation, match=why):
+            ext_structure(*pair)
+
+
 # ---------------------------------------------------------------------------
 # Carlitz tensor powers as targets.
 
@@ -133,6 +269,19 @@ def test_structure_carlitz_target_nilpotent(e):
                       start=Q3.zero()) for j in range(n)]
                  for i in range(n)]
     assert all(x.is_zero() for row in power for x in row)
+
+
+def test_structure_carlitz_square_target():
+    S = ext_structure(_drin(Q3, "th + tau^3"), carlitz_power(Q3, 2))
+    assert S.basis == ((0, 0, 0), (0, 0, 1), (0, 0, 2),
+                       (1, 0, 0), (1, 0, 1), (1, 0, 2))
+    assert str(S.pi) == (
+        "[[th, 0, tau, 1, 0, 0],\n"
+        " [0, th, 0, 0, 1, 0],\n"
+        " [0, 0, th, 0, 0, 1],\n"
+        " [0, 0, 0, th, 0, 0],\n"
+        " [tau, 0, 0, 0, th, 0],\n"
+        " [0, tau, 0, 0, 0, th]]")
 
 
 def test_rank_50_structure_validates_its_nilpotent_part_quickly():

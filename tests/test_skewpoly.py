@@ -13,6 +13,7 @@ from tmodext import (
     TAU,
     DimensionMismatch,
     FieldSpec,
+    MixedFields,
     NotAQthPower,
     ParseError,
     SingularLeading,
@@ -496,6 +497,32 @@ def test_products_build_one_element_per_result_coefficient(spec, var, data):
     c = data.draw(st.sampled_from(_KERNEL_POOLS[spec, var]))
     value, built = _elements_built(lambda: f.eval_linear(c))
     assert built == 1 and value == _textbook_eval(f, c)
+
+
+@pytest.mark.parametrize("spec, var", _KERNEL_KEYS, ids=[
+    f"{spec.header()}-{var}" for spec, var in _KERNEL_KEYS])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_matrix_action_builds_one_element_per_coordinate(spec, var, data):
+    rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    mat = SkewMatrix.from_rows(spec, var,
+                               data.draw(_poly_grids(spec, var, rows, cols)))
+    vec = tuple(data.draw(st.lists(st.sampled_from(_KERNEL_POOLS[spec, var]),
+                                   min_size=cols, max_size=cols)))
+    value, built = _elements_built(lambda: mat.eval_linear(vec))
+    assert built == rows
+    assert value == tuple(
+        sum((_textbook_eval(mat.entry(i, j), vec[j]) for j in range(cols)),
+            spec.zero())
+        for i in range(rows))
+
+
+def test_matrix_action_rejects_foreign_and_misshapen_vectors():
+    mat = parse_matrix(F9, "[[g*tau + 1, tau^2]]")
+    with pytest.raises(MixedFields):
+        mat.eval_linear((F9.one(), F8.one()))
+    with pytest.raises(DimensionMismatch):
+        mat.eval_linear((F9.one(),))
 
 
 # ---------------------------------------------------------------------------
