@@ -38,6 +38,7 @@ from .skewpoly import (
     _matmul_into,
     _mul_into,
     _payload_grid,
+    _payloads,
     const_inverse,
     const_mul,
     const_twist,
@@ -352,16 +353,18 @@ def _reduce_entrywise(source, target, entries, grid, witness):
 
 def _recombines(delta, witness, canonical):
     """Whether delta - (W*Phi - Psi*W) == canonical for the witness grid W,
-    rebuilt with one accumulator per entry."""
+    rebuilt with one accumulator per entry and compared by payloads, as
+    FieldElement equality is."""
     source, target = delta.source, delta.target
-    spec, var, s = source.spec, source.var, twist_sign(source.var)
-    arith, w = spec._arith, _payload_grid(witness)
+    arith, s = source.spec._arith, twist_sign(source.var)
+    w = _payload_grid(witness)
     accs = _maps(delta.matrix.entries)
     _matmul_into(arith, accs, [[[(d, arith.neg(c)) for d, c in e]
                                 for e in row] for row in w],
                  _payload_grid(source.t_matrix.entries), s)
     _matmul_into(arith, accs, _payload_grid(target.t_matrix.entries), w, s)
-    return all(_from_map(spec, var, acc) == want
+    return all({d: c for d, c in acc.items() if not arith.is_zero(c)}
+               == dict(_payloads(want))
                for acc_row, want_row in zip(accs, canonical)
                for acc, want in zip(acc_row, want_row))
 

@@ -8,6 +8,7 @@ compare equal as values.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .biderivations import (
@@ -18,6 +19,7 @@ from .biderivations import (
     select_regime,
 )
 from .errors import (
+    CarrierTooLarge,
     InvariantViolation,
     NotAQthPower,
     UnboundedSearch,
@@ -58,106 +60,79 @@ def pushout(delta, f, fmod):
 
 
 # ---------------------------------------------------------------------------
-# F_p-linear solving for bounded searches over finite coefficient fields.
+# Kernel and solutions of the inner map U -> U*Phi_t - Psi_t*U on matrices U
+# with entry degrees up to a bound, F_p-linear over GF(p^m): bounded Hom
+# spaces and split witnesses, by one elimination mod p on sparse vectors
+# {key: value} that hold nonzero F_p coordinates only.
+
+# The most F_p unknowns (entries * (bound + 1) * m) a bounded search solves.
+MAX_FP_UNKNOWNS = 2 ** 12
 
 
-def _fp_unknown_matrices(spec, var, nrows, ncols, bound):
-    """Basis of the F_p-space of nrows x ncols matrices with entry degrees
-    at most bound, one SkewMatrix per F_p-basis vector."""
-    out = []
-    for i in range(nrows):
-        for j in range(ncols):
-            for deg in range(bound + 1):
-                for comp in range(spec.m):
-                    c = spec.from_fp_coords(
-                        [1 if t == comp else 0 for t in range(spec.m)])
-                    mat = SkewMatrix.zeros(spec, var, nrows, ncols)
-                    mat = mat.with_entry(
-                        i, j, SkewPoly.term(spec, var, c, deg))
-                    out.append(mat)
-    return out
+def _fp_vector(mat):
+    """The nonzero F_p coordinates {(row, col, deg, comp): value} of a
+    matrix over GF(p^m)."""
+    return {(r, c, d, k): v for r, row in enumerate(mat.entries)
+            for c, e in enumerate(row) for d, x in e.coeffs
+            for k, v in enumerate(x.fp_coords()) if v}
 
 
-def _flatten(mat, keys):
-    """Flatten a SkewMatrix into an F_p vector on the given coefficient
-    positions (i, j, deg, component)."""
-    vec = []
-    for (i, j, deg, comp) in keys:
-        vec.append(mat.entry(i, j).coefficient(deg).fp_coords()[comp])
-    return vec
+def _inner_columns(source, target, bound):
+    """The unit matrices U of the F_p-basis, one per (i, j, deg, comp) in
+    that order, and their images under the inner map as sparse vectors."""
+    spec, var = source.spec, source.var
+    count = target.dim * source.dim * (bound + 1) * spec.m
+    if count > MAX_FP_UNKNOWNS:
+        raise CarrierTooLarge(f"{count} F_p unknowns exceed MAX_FP_UNKNOWNS "
+                              f"= {MAX_FP_UNKNOWNS} (degree bound {bound})")
+    basis = [spec.from_fp_coords([int(t == k) for t in range(spec.m)])
+             for k in range(spec.m)]
+    zero = SkewMatrix.zeros(spec, var, target.dim, source.dim)
+    units = [zero.with_entry(i, j, SkewPoly.term(spec, var, c, deg))
+             for i, j, deg, c in itertools.product(
+                 range(target.dim), range(source.dim), range(bound + 1),
+                 basis)]
+    return units, [_fp_vector(inner_matrix(source, target, u))
+                   for u in units]
 
 
-def _collect_keys(mats):
-    keys = set()
-    for mat in mats:
-        for i in range(mat.nrows):
-            for j in range(mat.ncols):
-                for deg, c in mat.entry(i, j).coeffs:
-                    for comp, val in enumerate(c.fp_coords()):
-                        if val:
-                            keys.add((i, j, deg, comp))
-    return sorted(keys)
+def _fp_eliminate(columns, p, rhs=None):
+    """Gaussian elimination mod p on sparse vectors, column by column in
+    the given order, each reduced against the pivots before it.
 
-
-def _fp_gauss(columns, rhs, p):
-    """Solve sum_k x_k * columns[k] = rhs over F_p.
-
-    Returns (particular solution or None, nullspace basis), each solution a
-    list of ints of length len(columns).
+    Returns (kernel, solution), combinations {column index: coefficient}: a
+    kernel vector per column that reduces to zero, with 1 there and the
+    rest on earlier pivot columns; and the combination of pivot columns
+    summing to rhs, or None if rhs is None or does not reduce to zero.
     """
-    ncols = len(columns)
-    nrows = len(rhs) if rhs is not None else (len(columns[0]) if columns
-                                              else 0)
-    if columns:
-        nrows = len(columns[0])
-    rows = [[columns[k][r] % p for k in range(ncols)] for r in range(nrows)]
-    b = [(rhs[r] % p) if rhs is not None else 0 for r in range(nrows)]
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        sel = next((r for r in range(row, nrows) if rows[r][col]), None)
-        if sel is None:
+    pivots = []  # (key, 1 / its value there, vector, its combination)
+
+    def reduce(vec, combo):
+        # keeps vec == (rhs or 0) + sum of combo[k] * columns[k]
+        for key, inv, pvec, pcombo in pivots:
+            f = vec.get(key, 0) * inv % p
+            if f:
+                for acc, other in ((vec, pvec), (combo, pcombo)):
+                    for k, v in other.items():
+                        x = (acc.get(k, 0) - f * v) % p
+                        if x:
+                            acc[k] = x
+                        else:
+                            del acc[k]
+        return vec, combo
+
+    kernel = []
+    for index, column in enumerate(columns):
+        vec, combo = reduce(dict(column), {index: 1})
+        if not vec:
+            kernel.append(combo)
             continue
-        rows[row], rows[sel] = rows[sel], rows[row]
-        b[row], b[sel] = b[sel], b[row]
-        inv = pow(rows[row][col], p - 2, p)
-        rows[row] = [(x * inv) % p for x in rows[row]]
-        b[row] = (b[row] * inv) % p
-        for r in range(nrows):
-            if r != row and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [(x - f * y) % p for x, y in zip(rows[r],
-                                                           rows[row])]
-                b[r] = (b[r] - f * b[row]) % p
-        pivots.append(col)
-        row += 1
-    # consistency
-    particular = None
-    consistent = all(b[r] == 0 for r in range(row, nrows))
-    if consistent:
-        particular = [0] * ncols
-        for r, col in enumerate(pivots):
-            particular[col] = b[r]
-    free = [c for c in range(ncols) if c not in set(pivots)]
-    null_basis = []
-    for fcol in free:
-        vec = [0] * ncols
-        vec[fcol] = 1
-        for r, col in enumerate(pivots):
-            vec[col] = (-rows[r][fcol]) % p
-        null_basis.append(vec)
-    return particular, null_basis
-
-
-def _combine(unknowns, coeffs, zero):
-    """The sum of x*mat over the nonzero coeffs, or the caller's zero of the
-    result shape when there are none (also when there are no unknowns)."""
-    acc = None
-    for mat, x in zip(unknowns, coeffs):
-        if x:
-            term = mat * x
-            acc = term if acc is None else acc + term
-    return zero if acc is None else acc
+        key = next(iter(vec))
+        pivots.append((key, pow(vec[key], -1, p), vec, combo))
+    if rhs is None:
+        return kernel, None
+    vec, combo = reduce(dict(rhs), {})
+    return kernel, (None if vec else {k: -v % p for k, v in combo.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +178,9 @@ class Inconclusive:
 def is_split(delta, bound=None):
     """Decide whether delta presents a split extension.
 
-    With a reduction regime the answer is exact.  Without one (equal ranks),
-    finite coefficient fields get a bounded witness search; elsewhere the
-    test is inconclusive.
+    With a reduction regime the answer is exact.  Without one (equal ranks)
+    over a finite field, a witness is a solution U, entry degrees up to
+    bound, of delta = U*Phi_t - Psi_t*U; elsewhere the test is inconclusive.
     """
     source, target = delta.source, delta.target
     try:
@@ -225,17 +200,13 @@ def is_split(delta, bound=None):
         return Inconclusive(0)
     if bound is None:
         bound = 2 * max(source.dim, target.dim)
-    spec, var = source.spec, source.var
-    unknowns = _fp_unknown_matrices(spec, var, target.dim, source.dim, bound)
-    images = [inner_matrix(source, target, u) for u in unknowns]
-    keys = _collect_keys(images + [delta.matrix])
-    columns = [_flatten(img, keys) for img in images]
-    rhs = _flatten(delta.matrix, keys)
-    particular, _ = _fp_gauss(columns, rhs, spec.p)
-    if particular is None:
+    units, columns = _inner_columns(source, target, bound)
+    _, solution = _fp_eliminate(columns, source.spec.p,
+                                _fp_vector(delta.matrix))
+    if solution is None:
         return Inconclusive(bound)
-    witness = _combine(unknowns, particular, SkewMatrix.zeros(
-        spec, var, target.dim, source.dim))
+    witness = sum((units[k] * x for k, x in solution.items()),
+                  Biderivation.zero(source, target).matrix)
     if inner_matrix(source, target, witness) != delta.matrix:
         raise InvariantViolation("the solved split witness does not "
                                  "reproduce the biderivation")
@@ -284,9 +255,10 @@ def _rank_certificate(source, target):
 def hom_space(source, target, bound=None):
     """Compute morphisms source -> target.
 
-    A rank argument can certify the zero space exactly; otherwise a finite
-    coefficient field gets a bounded-degree linear solve, and infinite
-    domains raise UnboundedSearch.
+    A rank argument can certify the zero space exactly.  Otherwise, over a
+    finite field, the morphisms with entry degrees up to bound are the
+    kernel of the inner map U -> U*Phi_t - Psi_t*U; infinite domains raise
+    UnboundedSearch.
     """
     if _rank_certificate(source, target):
         return HomSpace(source, target, (), True, None)
@@ -297,14 +269,11 @@ def hom_space(source, target, bound=None):
             "supported")
     if bound is None:
         bound = 2 * max(source.dim, target.dim)
-    spec, var = source.spec, source.var
-    unknowns = _fp_unknown_matrices(spec, var, target.dim, source.dim, bound)
-    residuals = [f * source.t_matrix - target.t_matrix * f for f in unknowns]
-    keys = _collect_keys(residuals)
-    columns = [_flatten(r, keys) for r in residuals]
-    _, null_basis = _fp_gauss(columns, None, spec.p)
-    zero = SkewMatrix.zeros(spec, var, target.dim, source.dim)
-    basis = tuple(_combine(unknowns, vec, zero) for vec in null_basis)
+    units, columns = _inner_columns(source, target, bound)
+    kernel, _ = _fp_eliminate(columns, source.spec.p)
+    zero = Biderivation.zero(source, target).matrix
+    basis = tuple(sum((units[k] * x for k, x in vec.items()), zero)
+                  for vec in kernel)
     for f in basis:
         check_morphism(f, source, target)
     return HomSpace(source, target, basis, False, bound)

@@ -279,6 +279,18 @@ def test_hom_output(capsys):
     assert "[[g + tau]]" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["hom", "--field", F4, "--phi", "g + tau", "--psi", "g + tau"],
+    ["split", "--field", F9, "--phi", "g + tau^2", "--psi", "g + tau^2",
+     "--delta", "[[1]]"],
+], ids=["hom", "split"])
+def test_huge_search_bound_is_refused_before_solving(capsys, argv):
+    code, out, err = run(capsys, [*argv, "--bound", "100000"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "MAX_FP_UNKNOWNS" in err
+
+
 def test_sixterm_golden(capsys):
     code, out, _ = run(capsys, [
         "sixterm", "--field", Q3, "--phi", "th + tau^2",
@@ -460,7 +472,7 @@ _INTS = ["-5", "-1", "0", "1", "2", "x"]
 _MODULE_FLAGS = {"phi", "psi", "gmod", "fmod", "g/partner", "g/sixterm",
                  "phi/optional"}
 _POOLS = {
-    "e": _INTS, "bound": _INTS, "samples": _INTS, "seed": _INTS,
+    "e": _INTS, "bound": [*_INTS, "100000"], "samples": _INTS, "seed": _INTS,
     "a": ["t", "t^2 + 1", "0", "t +", ""],
     "var": ["tau", "tau", "sigma", "rho"],
     "what": ["structure", "duality", "ga", "sixterm", "all"],

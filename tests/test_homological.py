@@ -2,9 +2,11 @@
 sequence of a short exact sequence."""
 
 import dataclasses
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tmodext import biderivations, ext_structures, homological
 from tmodext import (
@@ -137,6 +139,53 @@ def test_pullback_along_independent_morphism():
     sq = src.t_matrix * src.t_matrix
     assert class_of(pullback(d, sq, src)) \
         == class_of(t_action(parse_apoly(F9, "t^2"), d))
+
+
+# ---------------------------------------------------------------------------
+# The elimination mod p behind the bounded split and Hom searches, checked
+# against brute force on its own.
+
+
+@st.composite
+def _fp_systems(draw):
+    """p, columns as dense lists over F_p, and a right-hand side."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    nvars, ncoords = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.integers(0, p - 1)
+    columns = [[draw(entry) for _ in range(ncoords)] for _ in range(nvars)]
+    return p, columns, [draw(entry) for _ in range(ncoords)]
+
+
+def _sparse(vec):
+    return {r: v for r, v in enumerate(vec) if v}
+
+
+@settings(max_examples=80, deadline=None)
+@given(_fp_systems())
+def test_fp_elimination_agrees_with_brute_force(system):
+    p, columns, rhs = system
+    zero = [0] * len(rhs)
+
+    def image(combo):
+        return [sum(x * columns[k][r] for k, x in combo.items()) % p
+                for r in range(len(rhs))]
+
+    kernel, solution = homological._fp_eliminate(
+        [_sparse(c) for c in columns], p, _sparse(rhs))
+    assert all(image(vec) == zero for vec in kernel)
+    # independent: only the trivial combination of kernel vectors vanishes
+    for coeffs in itertools.product(range(p), repeat=len(kernel)):
+        combo = {}
+        for a, vec in zip(coeffs, kernel):
+            for k, x in vec.items():
+                combo[k] = (combo.get(k, 0) + a * x) % p
+        assert any(combo.values()) == any(coeffs)
+    images = [image(dict(enumerate(x)))
+              for x in itertools.product(range(p), repeat=len(columns))]
+    assert p ** len(kernel) == images.count(zero)
+    assert (solution is not None) == (rhs in images)
+    if solution is not None:
+        assert image(solution) == rhs
 
 
 # ---------------------------------------------------------------------------
