@@ -19,9 +19,16 @@ matrix.  An entrywise plan reduces one entry at a time, killing its leading
 coefficient against the higher of the two diagonal entries that meet there:
 forward against the source's, reversed against the target's.  A step at
 (row, col) changes only that row and that column, and the entry order puts
-every such change on an entry not yet reduced.  The plan fixes the
-canonical slots, the concrete reduction here and the tracked one in
-``ext_structures``.
+every such change on an entry not yet reduced.
+
+The plan fixes the canonical slots and drives one reduction, run over two
+coefficient domains: the domain's own scalars for ``reduce_canonical``,
+and linear forms in the canonical coordinates for the t-action on Ext
+(``ext_structures``).  An entry left with a coefficient outside the slots
+is an InvariantViolation, and ``reduce_canonical`` checks by products that
+the canonical form and witness recombine to the input; with the
+uniqueness of the canonical form, a fault in the loops raises instead of
+returning a wrong representative.
 """
 
 from __future__ import annotations
@@ -32,7 +39,6 @@ from .errors import InvariantViolation, MixedPairs, UnsupportedRegime
 from .modules_t import TModule
 from .skewpoly import (
     SkewMatrix,
-    SkewPoly,
     _add_into,
     _from_map,
     _matmul_into,
@@ -40,7 +46,6 @@ from .skewpoly import (
     _payload_grid,
     _payloads,
     const_inverse,
-    const_mul,
     const_twist,
     twist_sign,
 )
@@ -267,19 +272,21 @@ def canonical_slots(source, target, regime=None):
 
 
 # ---------------------------------------------------------------------------
-# The two reduction loops.  Both take mutable grids of SkewPoly, the
-# biderivation (which becomes the canonical form) and the witness, work on
-# them as accumulator maps {degree: payload} with the domain's ops object
-# arith, and write them back.
+# The two reduction loops.  Both work in place on a grid of accumulator maps
+# {degree: payload} (the biderivation, which becomes the canonical form) and
+# on the witness maps, with an ops object arith: the domain's own for
+# canonical forms, or ext_structures' form domain for Pi_t.  The loops add,
+# negate and twist payloads and multiply them only by scalars (of Phi_t,
+# Psi_t and the inverted leading coefficients), so one loop serves both.
 
 
 def _maps(grid):
     return [[{d: c.payload for d, c in e.coeffs} for e in row] for row in grid]
 
 
-def _write_back(spec, var, *pairs):
-    for maps, grid in pairs:
-        grid[:] = [[_from_map(spec, var, acc) for acc in row] for row in maps]
+def _matrix(spec, var, maps):
+    return SkewMatrix(spec, var, tuple(
+        tuple(_from_map(spec, var, acc) for acc in row) for row in maps))
 
 
 def _degree(acc, is_zero):
@@ -304,33 +311,32 @@ def _step(arith, phi, psi, grid, witness, r, c, k, a, s):
     _add_into(arith, witness[r][c], u)
 
 
-def _reduce_layered(source, target, grid, witness):
-    spec, var, sign = source.spec, source.var, twist_sign(source.var)
-    arith, n, zero = spec._arith, source.rank, spec.zero()
+def _reduce_layered(arith, source, target, grid, witness):
+    sign, n = twist_sign(source.var), source.rank
     phi, psi = (_payload_grid(m.t_matrix.entries) for m in (source, target))
     lead_inv = const_inverse(source.leading_matrix())
-    maps, wmaps = _maps(grid), _maps(witness)
     while True:
-        deg = max(_degree(acc, arith.is_zero) for row in maps for acc in row)
+        deg = max(_degree(acc, arith.is_zero) for row in grid for acc in row)
         if deg < n:
-            break
+            return
         k = deg - n
-        top = tuple(tuple(spec._fe(acc[deg]) if deg in acc else zero
-                          for acc in row) for row in maps)
-        coeffs = const_mul(top, const_twist(lead_inv, sign * k))
+        # the top layer times the twisted inverse leading matrix, on payloads
+        top = [[[(0, acc[deg])] if deg in acc else [] for acc in row]
+               for row in grid]
+        ainv = [[[(0, e.payload)] if e else [] for e in row]
+                for row in const_twist(lead_inv, sign * k)]
+        coeffs = [[{} for _ in range(source.dim)] for _ in grid]
+        _matmul_into(arith, coeffs, top, ainv, sign)
         for r, row in enumerate(coeffs):
-            for c, a in enumerate(row):
-                if a:
-                    _step(arith, phi, psi, maps, wmaps, r, c, k, a.payload,
+            for c, acc in enumerate(row):
+                if 0 in acc and not arith.is_zero(acc[0]):
+                    _step(arith, phi, psi, grid, witness, r, c, k, acc[0],
                           sign)
-    _write_back(spec, var, (maps, grid), (wmaps, witness))
 
 
-def _reduce_entrywise(source, target, entries, grid, witness):
-    spec, var, sign = source.spec, source.var, twist_sign(source.var)
-    arith = spec._arith
+def _reduce_entrywise(arith, source, target, entries, grid, witness):
+    sign = twist_sign(source.var)
     phi, psi = (_payload_grid(m.t_matrix.entries) for m in (source, target))
-    maps, wmaps = _maps(grid), _maps(witness)
     for r, c in entries:
         bound = _entry_bound(source, target, r, c)
         src_diag = source.t_matrix.entry(c, c)
@@ -338,7 +344,7 @@ def _reduce_entrywise(source, target, entries, grid, witness):
         forward = src_diag.degree == bound
         lead = (src_diag if forward
                 else target.t_matrix.entry(r, r)).leading()[1].payload
-        acc = maps[r][c]
+        acc = grid[r][c]
         while (deg := _degree(acc, arith.is_zero)) >= bound:
             a = acc[deg]
             k = deg - bound
@@ -347,8 +353,27 @@ def _reduce_entrywise(source, target, entries, grid, witness):
             else:  # (-a / lead)^(q^(-sign bound))
                 a = arith.twist(arith.mul(arith.neg(a), arith.inv(lead)),
                                 -sign * bound)
-            _step(arith, phi, psi, maps, wmaps, r, c, k, a, sign)
-    _write_back(spec, var, (maps, grid), (wmaps, witness))
+            _step(arith, phi, psi, grid, witness, r, c, k, a, sign)
+
+
+def _reduce_maps(arith, source, target, regime, grid):
+    """Reduce the accumulator grid of a biderivation in place by the plan
+    of regime; return the witness maps.  Raises InvariantViolation when an
+    entry keeps a coefficient outside the canonical slots."""
+    layered, entries = reduction_plan(source, target, regime)
+    witness = [[{} for _ in range(source.dim)] for _ in range(target.dim)]
+    if layered:
+        _reduce_layered(arith, source, target, grid, witness)
+    else:
+        _reduce_entrywise(arith, source, target, entries, grid, witness)
+    for r, c in entries:
+        bound = (source.rank if layered
+                 else _entry_bound(source, target, r, c))
+        if (deg := _degree(grid[r][c], arith.is_zero)) >= bound:
+            raise InvariantViolation(
+                f"reduction left a coefficient outside the canonical slots "
+                f"at {(r, c, deg)}")
+    return witness
 
 
 def _recombines(delta, witness, canonical):
@@ -386,20 +411,13 @@ def reduce_canonical(delta, regime=None):
     source, target = delta.source, delta.target
     if regime is None:
         regime = select_regime(source, target)
-    layered, entries = reduction_plan(source, target, regime)
     spec, var = source.spec, source.var
-    grid = [list(row) for row in delta.matrix.entries]
-    witness = [[SkewPoly.zero(spec, var)] * source.dim
-               for _ in range(target.dim)]
-    if layered:
-        _reduce_layered(source, target, grid, witness)
-    else:
-        _reduce_entrywise(source, target, entries, grid, witness)
-    if not _recombines(delta, witness, grid):
+    grid = _maps(delta.matrix.entries)
+    witness = _reduce_maps(spec._arith, source, target, regime, grid)
+    canonical, witness = _matrix(spec, var, grid), _matrix(spec, var, witness)
+    if not _recombines(delta, witness.entries, canonical.entries):
         raise InvariantViolation("reduction self-check failed: the "
                                  "canonical form and witness do not "
                                  "recombine to the input")
-    canonical = SkewMatrix(spec, var, tuple(map(tuple, grid)))
-    witness = SkewMatrix(spec, var, tuple(map(tuple, witness)))
     return ReductionResult(Biderivation(source, target, canonical), witness,
                            regime)

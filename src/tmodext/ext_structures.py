@@ -8,15 +8,16 @@ twisted polynomials: acting on a class with coordinates (c_1, ..., c_r)
 yields coordinates ``new[i] = sum_j Pi_t[i][j](c_j)``, each entry applied as
 a twisting operator.
 
-Pi_t is computed exactly by re-running the reduction with symbolic
-coordinates: every matrix coefficient is carried as a semilinear form
-``sum w * c_slot.twist(eps*i)`` in the coordinates c_slot, held as a flat
-accumulator ``{(slot, i): w}`` of payloads.  Forward reduction steps only
-scale forms, shift their twist indices up and twist their weights, never
-invert the twist, so the reduced forms read back as twisted polynomials:
-the weights at (slot, i) are the coefficients of var^i in one entry of
-Pi_t.  The loops compute on payloads with the domain's ops object and build
-no field element; each coefficient of Pi_t is wrapped once, at the end.
+Pi_t comes from the reduction that gives canonical forms, run over a
+second coefficient domain: Psi_t times the generic canonical form is
+reduced with every matrix coefficient a semilinear form
+``sum w * c_slot.twist(eps*i)`` in the coordinates c_slot, held as a map
+``{(slot, i): w}`` of payloads (``_FormOps``).  Forward reduction steps
+only add forms, scale them by scalars and twist them, shifting their twist
+indices up; they never invert a form, so the reduced forms read back as
+twisted polynomials: the weights at (slot, i) are the coefficients of var^i
+in one entry of Pi_t.  No field element is built per weight; each
+coefficient of Pi_t is wrapped once, at the end.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from .biderivations import (
     DIAGONAL_PAIRS,
     FORWARD_REGIMES,
     Biderivation,
+    _reduce_maps,
     canonical_slots,
     reduce_canonical,
-    reduction_plan,
     select_regime,
 )
 from .errors import InvariantViolation, UnsupportedRegime
@@ -37,115 +38,66 @@ from .modules_t import TModule, tmodule
 from .skewpoly import (
     SkewMatrix,
     SkewPoly,
-    _add_into,
     _from_map,
+    _matmul_into,
     _payload_grid,
-    const_inverse,
-    const_twist,
     twist_sign,
 )
 
 
 # ---------------------------------------------------------------------------
-# Tracked reduction: the two loops of the reduction plans, for forward
-# regimes only, so that every solve only scales forms.  A tracked entry is a
-# map {degree: form}, and a form is an accumulator {(slot, i): w} of
-# payloads (FieldSpec._arith) that stands for the semilinear map
-# c -> sum w * c_slot.twist(sign*i); like the concrete reducer's maps, it
-# may hold zeros.  phi and psi are the payload grids of Phi_t and Psi_t.
+# The form domain: Pi_t is the shared reduction run over linear forms.
 
 
-def _scale_into(arith, acc, form, e):
-    """Add the form scaled by the payload e into the form acc; return it."""
-    if e == arith.one:  # monic pivots and leading coefficients
-        return _add_into(arith, acc, form.items())
-    mul = arith.mul
-    return _add_into(arith, acc, [(key, mul(w, e)) for key, w in form.items()])
+class _FormOps:
+    """An ops object for the reduction loops whose payloads are linear
+    forms next to the scalars of the domain's ops object arith.  A form is
+    a map {(slot, i): w} with no zero weight, standing for the semilinear
+    map c -> sum w * c_slot.twist(sign*i) of the canonical coordinates.
+    Forward reduction only adds forms, negates and twists them, and
+    multiplies a form by a scalar; it inverts scalars only."""
 
+    def __init__(self, arith, sign):
+        self.arith, self.sign, self.inv = arith, sign, arith.inv
 
-def _top(entry, is_zero):
-    """The degree of a tracked entry, dropping the top forms whose weights
-    have all cancelled and the zero weights of the form left on top."""
-    while entry:
-        deg = max(entry)
-        form = {key: w for key, w in entry[deg].items() if not is_zero(w)}
-        if form:
-            entry[deg] = form
-            return deg
-        del entry[deg]
-    return -1
+    def is_zero(self, form):
+        return not form
 
+    def add(self, a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        add, is_zero, out = self.arith.add, self.arith.is_zero, dict(a)
+        for key, w in b.items():
+            cur = out.get(key)
+            if cur is None:
+                out[key] = w
+            elif is_zero(w := add(cur, w)):
+                del out[key]
+            else:
+                out[key] = w
+        return out
 
-def _psi_into(arith, psi, tracked, r, c, k, form, s):
-    """Add Psi*u into column c for u = form*v^k alone at (r, c): the term
-    a*v^j sends w*c_slot.twist(s*i) v^k to a*w.twist(s*j) *
-    c_slot.twist(s*(i + j)) v^(k + j)."""
-    twist, shifted = arith.twist, {}
-    for w, psi_row in enumerate(psi):
-        for j, a in psi_row[r]:
-            if j not in shifted:
-                shifted[j] = {(slot, i + j): twist(x, s * j)
-                              for (slot, i), x in form.items()}
-            _scale_into(arith, tracked[w][c].setdefault(k + j, {}),
-                        shifted[j], a)
+    def neg(self, form):
+        neg = self.arith.neg
+        return {key: neg(w) for key, w in form.items()}
 
+    def twist(self, a, j):
+        """A scalar's twist, or a form's: w * c.twist(sign*i) goes to
+        w.twist(j) * c.twist(sign*i + j)."""
+        twist = self.arith.twist
+        if not isinstance(a, dict):
+            return twist(a, j)
+        shift = self.sign * j
+        return {(slot, i + shift): twist(w, j) for (slot, i), w in a.items()}
 
-def _t_step(arith, phi, psi, tracked, r, c, k, form, s):
-    """Subtract delta^(u) = u*Phi - Psi*u for u = form*v^k alone at (r, c),
-    in place: (-u)*Phi goes into row r and Psi*u into column c, term by
-    term.  The form is negated once.  On sparse F_q(th) adding term by term
-    costs no memory over summing each entry's share first: the peak RSS of
-    one structure on the ladder th + th*tau + tau^n over
-    th + th*tau + tau^(n-1) stays within 0.2 MB of the summed-share
-    loop's (17.6 against 17.5 MB at n = 20, 19.0 against 18.8 at n = 40)."""
-    neg, twist = arith.neg, arith.twist
-    minus = {key: neg(w) for key, w in form.items()}
-    for l, p in enumerate(phi[c]):
-        for j, b in p:
-            _scale_into(arith, tracked[r][l].setdefault(k + j, {}), minus,
-                        twist(b, s * k))
-    _psi_into(arith, psi, tracked, r, c, k, form, s)
-
-
-def _t_reduce_layered(source, target, tracked):
-    sign, arith = twist_sign(source.var), source.spec._arith
-    is_zero, n = arith.is_zero, source.rank
-    phi, psi = (_payload_grid(m.t_matrix.entries) for m in (source, target))
-    lead_inv = const_inverse(source.leading_matrix())
-    while True:
-        deg = max(_top(entry, is_zero) for row in tracked for entry in row)
-        if deg < n:
-            return
-        k = deg - n
-        ainv = [[e.payload for e in row]
-                for row in const_twist(lead_inv, sign * k)]
-        steps = []
-        for w, row in enumerate(tracked):
-            tops = [entry.get(deg, {}) for entry in row]
-            for j in range(source.dim):
-                acc = {}
-                for top, ainv_row in zip(tops, ainv):
-                    if top and not is_zero(ainv_row[j]):
-                        _scale_into(arith, acc, top, ainv_row[j])
-                form = {key: x for key, x in acc.items() if not is_zero(x)}
-                if form:
-                    steps.append((w, j, form))
-        for w, j, form in steps:
-            _t_step(arith, phi, psi, tracked, w, j, k, form, sign)
-
-
-def _t_reduce_entrywise(source, target, entries, tracked):
-    sign, arith = twist_sign(source.var), source.spec._arith
-    is_zero = arith.is_zero
-    phi, psi = (_payload_grid(m.t_matrix.entries) for m in (source, target))
-    for r, c in entries:
-        n, lead = phi[c][c][-1]
-        entry = tracked[r][c]
-        while (deg := _top(entry, is_zero)) >= n:
-            k = deg - n
-            pivot = arith.inv(arith.twist(lead, sign * k))
-            _t_step(arith, phi, psi, tracked, r, c, k,
-                    _scale_into(arith, {}, entry[deg], pivot), sign)
+    def mul(self, a, b):
+        """The product of a form and a scalar, in either order.  The loops
+        multiply only by nonzero scalars, so no weight becomes zero."""
+        form, e = (a, b) if isinstance(a, dict) else (b, a)
+        if e == self.arith.one:  # monic pivots and leading coefficients
+            return form
+        mul = self.arith.mul
+        return {key: mul(w, e) for key, w in form.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -239,37 +191,30 @@ def ext_structure(source, target, regime=None):
             f"a split test, and their structure is available on the adjoint "
             f"side")
     spec, var = source.spec, source.var
-    arith, sign = spec._arith, twist_sign(var)
+    sign = twist_sign(var)
     basis = canonical_slots(source, target, regime)
     index = {slot: a for a, slot in enumerate(basis)}
     # Psi_t times the generic canonical form, each slot's coordinate as a
     # unit form; reduced in place
-    acted = [[{} for _ in range(source.dim)] for _ in range(target.dim)]
-    psi = _payload_grid(target.t_matrix.entries)
+    generic = [[[] for _ in range(source.dim)] for _ in range(target.dim)]
     for slot in basis:
         r, c, k = slot
-        _psi_into(arith, psi, acted, r, c, k, {(slot, 0): arith.one}, sign)
-    layered, entries = reduction_plan(source, target, regime)
-    if layered:
-        _t_reduce_layered(source, target, acted)
-    else:
-        _t_reduce_entrywise(source, target, entries, acted)
+        generic[r][c].append((k, {(slot, 0): spec._arith.one}))
+    forms = _FormOps(spec._arith, sign)
+    acted = [[{} for _ in range(source.dim)] for _ in range(target.dim)]
+    _matmul_into(forms, acted, _payload_grid(target.t_matrix.entries),
+                 generic, sign)
+    _reduce_maps(forms, source, target, regime, acted)
 
     grid = [[{} for _ in basis] for _ in basis]
     for r, row in enumerate(acted):
         for c, entry in enumerate(row):
             for deg, form in entry.items():
                 for (slot, i), w in form.items():
-                    if arith.is_zero(w):
-                        continue
-                    if (r, c, deg) not in index:
-                        raise InvariantViolation(
-                            f"tracked reduction left a coefficient outside "
-                            f"the canonical slots at {(r, c, deg)}")
                     if i < 0:
                         raise InvariantViolation(
-                            "tracked reduction produced a negative twist "
-                            "index in a forward regime")
+                            "reduction produced a negative twist index in "
+                            "a forward regime")
                     grid[index[r, c, deg]][index[slot]][i] = w
     pi = SkewMatrix.from_rows(spec, var, [
         [_from_map(spec, var, acc) for acc in row] for row in grid])

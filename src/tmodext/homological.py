@@ -81,6 +81,7 @@ def _inner_columns(source, target, bound):
     """The unit matrices U of the F_p-basis, one per (i, j, deg, comp) in
     that order, and their images under the inner map as sparse vectors."""
     spec, var = source.spec, source.var
+    spec._require_finite("a bounded search of the inner map requires")
     count = target.dim * source.dim * (bound + 1) * spec.m
     if count > MAX_FP_UNKNOWNS:
         raise CarrierTooLarge(f"{count} F_p unknowns exceed MAX_FP_UNKNOWNS "
@@ -178,9 +179,10 @@ class Inconclusive:
 def is_split(delta, bound=None):
     """Decide whether delta presents a split extension.
 
-    With a reduction regime the answer is exact.  Without one (equal ranks)
-    over a finite field, a witness is a solution U, entry degrees up to
-    bound, of delta = U*Phi_t - Psi_t*U; elsewhere the test is inconclusive.
+    With a reduction regime the answer is exact.  Without one (equal ranks),
+    a witness is a solution U, entry degrees up to bound, of delta =
+    U*Phi_t - Psi_t*U; the search needs a finite field (FiniteFieldRequired
+    otherwise) and is inconclusive when no such U exists.
     """
     source, target = delta.source, delta.target
     try:
@@ -196,8 +198,6 @@ def is_split(delta, bound=None):
         if reduced.canonical.is_zero():
             return SplitWitness(reduced.witness)
         return NotSplit(reduced.canonical, "nonzero canonical form")
-    if source.spec.kind != "finite":
-        return Inconclusive(0)
     if bound is None:
         bound = 2 * max(source.dim, target.dim)
     units, columns = _inner_columns(source, target, bound)

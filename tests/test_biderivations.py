@@ -389,13 +389,14 @@ _WRONG_WITNESS = textwrap.dedent("""
     import tmodext.biderivations as biderivations
     from tmodext import (Biderivation, InvariantViolation, drinfeld,
                          make_finite, parse_matrix, parse_poly)
+    from tmodext.skewpoly import _add_into
 
     real = biderivations._reduce_entrywise
 
 
-    def wrong_witness(source, target, entries, grid, witness):
-        real(source, target, entries, grid, witness)
-        witness[0][0] = witness[0][0] + 1
+    def wrong_witness(arith, source, target, entries, grid, witness):
+        real(arith, source, target, entries, grid, witness)
+        _add_into(arith, witness[0][0], [(0, arith.one)])
 
 
     F9 = make_finite(3, 2)
@@ -436,18 +437,19 @@ _LAYERED_FAULTS = textwrap.dedent("""
     import tmodext.biderivations as biderivations
     from tmodext import (Biderivation, InvariantViolation, drinfeld,
                          make_finite, parse_matrix, parse_poly, tmodule)
+    from tmodext.skewpoly import _add_into
 
     real = biderivations._reduce_layered
 
 
-    def wrong_witness(source, target, grid, witness):
-        real(source, target, grid, witness)
-        witness[0][1] = witness[0][1] + 1
+    def wrong_witness(arith, source, target, grid, witness):
+        real(arith, source, target, grid, witness)
+        _add_into(arith, witness[0][1], [(0, arith.one)])
 
 
-    def tampered_canonical(source, target, grid, witness):
-        real(source, target, grid, witness)
-        grid[0][0] = grid[0][0] + 1
+    def tampered_canonical(arith, source, target, grid, witness):
+        real(arith, source, target, grid, witness)
+        _add_into(arith, grid[0][0], [(0, arith.one)])
 
 
     F9 = make_finite(3, 2)
@@ -484,6 +486,19 @@ def test_layered_self_check_raises_invariant_violation(monkeypatch, fault):
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["InvariantViolation", "1"]
+
+
+# A loop that leaves a coefficient at or above its bound fails the slot
+# check, though delta - 0 == delta passes the self-check.
+@pytest.mark.parametrize("loop", ["_reduce_entrywise", "_reduce_layered"])
+def test_unreduced_coefficient_raises_invariant_violation(monkeypatch, loop):
+    scope = {}
+    exec(_LAYERED_FAULTS if loop == "_reduce_layered" else _WRONG_WITNESS,
+         scope)
+    monkeypatch.setattr(biderivations, loop, lambda *args: None)
+    with pytest.raises(InvariantViolation,
+                       match="outside the canonical slots"):
+        reduce_canonical(scope["delta"])
 
 
 def test_reversed_regime_obstruction_over_rational():

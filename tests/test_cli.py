@@ -270,6 +270,15 @@ def test_split_inconclusive_bound(capsys):
     assert payload["bound"] == 1
 
 
+def test_split_search_over_infinite_domain_exits_one(capsys):
+    code, out, err = run(capsys, [
+        "split", "--field", Q3, "--phi", "th + tau^2", "--psi", "th + tau^2",
+        "--delta", "[[1]]", "--bound", "5"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "finite coefficient field" in err
+
+
 def test_hom_output(capsys):
     code, out, _ = run(capsys, [
         "hom", "--field", F4, "--phi", "g + tau", "--psi", "g + tau",

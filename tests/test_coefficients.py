@@ -370,8 +370,8 @@ def _formal_texts(spec):
        st.integers(-3, 3), st.integers(-3, 3))
 def test_formal_round_trip_and_payload_twist_laws(ab, i, j):
     """parse -> render -> parse is the identity on formal elements, and the
-    ops object obeys the laws the tracked reduction works by: twists
-    compose and are ring maps, negation is an additive inverse that
+    ops object obeys the laws the reduction over linear forms works by:
+    twists compose and are ring maps, negation is an additive inverse that
     commutes with twisting, and one is the unit payload."""
     a, b = ab
     spec, arith = a.spec, a.spec._arith

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from tmodext import (
+    Biderivation,
     FieldSpec,
     InvariantViolation,
     UnsupportedRegime,
@@ -18,10 +19,9 @@ from tmodext import (
     parse_field,
     parse_matrix,
     parse_poly,
-    reduce_canonical,
     tmodule,
 )
-from tmodext import ext_structures
+from tmodext import biderivations
 from tmodext.skewpoly import const_mul
 
 Q3 = parse_field("GF(3)(th)")
@@ -174,12 +174,12 @@ def test_structure_matrix_source_formal():
 
 
 # ---------------------------------------------------------------------------
-# The tracked loops compute on payloads.
+# Over linear forms, the shared reduction loops compute on payloads.
 
 
-def _count_built(monkeypatch, names):
-    """Wrap the named functions of ext_structures so that each call records
-    the number of elements FieldSpec._fe builds inside it."""
+def _count_built(monkeypatch, module, names):
+    """Wrap the named functions of module so that each call records the
+    number of elements FieldSpec._fe builds inside it."""
     counts = {name: [] for name in names}
     real_fe = FieldSpec._fe
     live = []
@@ -202,38 +202,37 @@ def _count_built(monkeypatch, names):
 
     monkeypatch.setattr(FieldSpec, "_fe", counting_fe)
     for name in names:
-        monkeypatch.setattr(ext_structures, name,
-                            wrap(name, getattr(ext_structures, name)))
+        monkeypatch.setattr(module, name, wrap(name, getattr(module, name)))
     return counts
 
 
 def test_tracked_reduction_builds_no_element_per_weight(monkeypatch):
     source = tmodule(Q3, parse_matrix(Q3, MATRIX_SOURCE_Q3))
-    inverse = _count_built(monkeypatch, ("const_inverse",))
-    ext_structures.const_inverse(source.leading_matrix())
+    inverse = _count_built(monkeypatch, biderivations, ("const_inverse",))
+    biderivations.const_inverse(source.leading_matrix())
     monkeypatch.undo()
 
-    counts = _count_built(monkeypatch, ("_t_reduce_entrywise",
-                                        "_t_reduce_layered", "const_twist"))
+    counts = _count_built(monkeypatch, biderivations, (
+        "_reduce_entrywise", "_reduce_layered", "const_twist"))
     ext_structure(_drin(Q3, "th + th*tau + tau^8"),
                   _drin(Q3, "th + th*tau + tau^7"))
-    assert counts["_t_reduce_entrywise"] == [0]
+    assert counts["_reduce_entrywise"] == [0]
 
     # beyond the inverse leading matrix, formed once, a layer builds at
     # most its twist: d^2 elements
     ext_structure(source, _drin(Q3, "th + tau^2"))
     layers = len(counts["const_twist"])
     assert layers >= 2
-    assert counts["_t_reduce_layered"][0] <= (
+    assert counts["_reduce_layered"][0] <= (
         inverse["const_inverse"][0] + source.dim ** 2 * layers)
 
 
 def test_tracked_reduction_checks_what_it_reads_back(monkeypatch):
-    real = ext_structures._t_reduce_entrywise
+    real = biderivations._reduce_entrywise
 
-    def untwisted(source, target, entries, tracked):
-        real(source, target, entries, tracked)
-        for entry in tracked[0]:
+    def untwisted(arith, source, target, entries, grid, witness):
+        real(arith, source, target, entries, grid, witness)
+        for entry in grid[0]:
             for deg, form in entry.items():
                 entry[deg] = {(slot, -1 - i): w
                               for (slot, i), w in form.items()}
@@ -241,7 +240,7 @@ def test_tracked_reduction_checks_what_it_reads_back(monkeypatch):
     pair = (_drin(Q3, "th + tau^3"), _drin(Q3, "th + tau^2"))
     for loop, why in ((lambda *args: None, "outside the canonical slots"),
                       (untwisted, "negative twist index")):
-        monkeypatch.setattr(ext_structures, "_t_reduce_entrywise", loop)
+        monkeypatch.setattr(biderivations, "_reduce_entrywise", loop)
         with pytest.raises(InvariantViolation, match=why):
             ext_structure(*pair)
 
@@ -315,13 +314,53 @@ def test_coordinates_round_trip():
         assert S.from_coords(coords).matrix == d.matrix
 
 
-def test_act_coords_matches_reduction():
-    S = ext_structure(_drin(Q3, "th + tau^3"), _drin(Q3, "th + tau^2"))
-    d = S.basis_delta(1)
-    acted = S.act_coords(S.coords_of(d))
-    shifted = reduce_canonical(
-        d.__class__(S.source, S.target, S.target.t_matrix * d.matrix))
-    assert list(acted) == list(S.coords_of(shifted.canonical))
+# Per domain: a rank-3 over rank-2 Drinfeld pair, a matrix source and a
+# lower triangular source (diagonal ranks 3 and 4, singular leading matrix).
+_FORWARD_PAIRS = {
+    "q3": (Q3, "th + tau^3", "th + tau^2", MATRIX_SOURCE_Q3,
+           "[[th + tau^3, 0], [tau, th + tau^4]]"),
+    "ftf": (FF, "th[0] + a[0]*tau^3", "th[0] + b[0]*tau^2", MATRIX_SOURCE_FF,
+            "[[th[0] + a[0]*tau^3, 0], [tau, th[0] + a[0]*tau^4]]"),
+    "f9": (F9, "g + tau^3", "g + tau^2",
+           "[[g, 1], [0, g]] + [[1, 0], [0, 1]]*tau^3",
+           "[[g + tau^3, 0], [tau, g + tau^4]]"),
+}
+
+
+def _forward_pair(domain, regime):
+    spec, phi, psi, matrix, triangular = _FORWARD_PAIRS[domain]
+    return spec, {
+        "drinfeld-forward": lambda: (_drin(spec, phi), _drin(spec, psi)),
+        "matrix-source": lambda: (tmodule(spec, parse_matrix(spec, matrix)),
+                                  _drin(spec, psi)),
+        "triangular-source": lambda: (
+            tmodule(spec, parse_matrix(spec, triangular)), _drin(spec, psi)),
+        "carlitz-target": lambda: (_drin(spec, phi), carlitz_power(spec, 2)),
+    }[regime]()
+
+
+# Pi_t is read off the reduction over linear forms; coords_of reduces
+# concrete scalars.  Both must agree at every basis index, on coordinates
+# that the twists move.
+@pytest.mark.parametrize("domain", sorted(_FORWARD_PAIRS))
+@pytest.mark.parametrize("regime", ["drinfeld-forward", "matrix-source",
+                                    "triangular-source", "carlitz-target"])
+def test_act_coords_matches_reduction(domain, regime):
+    spec, (source, target) = _forward_pair(domain, regime)
+    S = ext_structure(source, target)
+    assert S.regime == regime
+    theta = spec.theta()
+    values = [theta, spec.one() + theta * theta]
+    if spec.kind == "formal":
+        values.append(spec.symbol("b", 0))
+    for index in range(S.rank):
+        for value in values:
+            coords = [spec.zero()] * S.rank
+            coords[index] = value
+            d = S.from_coords(coords)
+            pushed = Biderivation(S.source, S.target,
+                                  S.target.t_matrix * d.matrix)
+            assert list(S.act_coords(coords)) == list(S.coords_of(pushed))
 
 
 # ---------------------------------------------------------------------------

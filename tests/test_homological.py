@@ -422,8 +422,8 @@ def test_connecting_block_certified_without_reduction(monkeypatch):
 
     for module in (biderivations, ext_structures, homological):
         monkeypatch.setattr(module, "reduce_canonical", no_reduction)
-    for name in ("_t_reduce_layered", "_t_reduce_entrywise"):
-        monkeypatch.setattr(ext_structures, name, no_reduction)
+    for name in ("_reduce_layered", "_reduce_entrywise"):
+        monkeypatch.setattr(biderivations, name, no_reduction)
     X, C, S = built[(Q3.header(), BUNDLES[0])]
     with pytest.raises(_ReducerCalled):
         class_of(S.basis_delta(0))
