@@ -21,6 +21,12 @@ forward against the source's, reversed against the target's.  A step at
 (row, col) changes only that row and that column, and the entry order puts
 every such change on an entry not yet reduced.
 
+``reduction_plan`` builds a ``ReductionPlan`` once per (source, target,
+regime) and keeps it in a small memo keyed by the identity of the modules,
+with the a(t)-actions of ``homological.t_action``, so class operations
+between one pair select the regime once.  The memo holds at most MAX_MEMO
+values and clears when full.
+
 The plan fixes the canonical slots and drives one reduction, run over two
 coefficient domains: the domain's own scalars for ``reduce_canonical``,
 and linear forms in the canonical coordinates for the t-action on Ext
@@ -35,7 +41,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvariantViolation, MixedPairs, UnsupportedRegime
+from .errors import (
+    CarrierTooLarge,
+    InvariantViolation,
+    MixedPairs,
+    UnsupportedRegime,
+)
 from .modules_t import TModule
 from .skewpoly import (
     SkewMatrix,
@@ -69,17 +80,18 @@ class Biderivation:
     matrix: SkewMatrix
 
     def __post_init__(self):
+        src, tgt, mat = self.source.t_matrix, self.target.t_matrix, self.matrix
         if self.source.spec != self.target.spec or \
-                self.matrix.spec != self.source.spec:
+                mat.spec != self.source.spec:
             raise MixedPairs("biderivation data over mixed domains")
-        if self.source.var != self.target.var or \
-                self.matrix.var != self.source.var:
+        if src.var != tgt.var or mat.var != src.var:
             raise MixedPairs("biderivation data over mixed twisted variables")
-        if self.matrix.shape != (self.target.dim, self.source.dim):
+        shape = (len(mat.entries), len(mat.entries[0]))
+        want = (len(tgt.entries), len(src.entries))
+        if shape != want:
             raise MixedPairs(
-                f"a biderivation here is a {self.target.dim}x"
-                f"{self.source.dim} matrix, got {self.matrix.nrows}x"
-                f"{self.matrix.ncols}")
+                f"a biderivation here is a {want[0]}x{want[1]} matrix, got "
+                f"{shape[0]}x{shape[1]}")
 
     @classmethod
     def zero(cls, source, target):
@@ -216,59 +228,104 @@ def select_regime(source, target):
 
 
 # ---------------------------------------------------------------------------
-# Reduction plans: how each regime reaches its canonical form.
-
-
-def _row_zero_leftward(source, target):
-    return tuple((0, j) for j in reversed(range(source.dim)))
-
-
-def _row_major(source, target):
-    return tuple((r, c) for r in range(target.dim) for c in range(source.dim))
-
-
-def _column_major(source, target):
-    return tuple((w, i) for i in range(source.dim) for w in range(target.dim))
+# Reduction plans: how each regime reaches its canonical form, and a memo.
 
 
 # regime -> (layered?, order of the (row, col) entries).  On a one-column
 # matrix, column-major order runs down column 0 with rows ascending.
 _PLANS = {
-    DRINFELD_FORWARD: (False, _column_major),
-    DRINFELD_REVERSED: (False, _column_major),
-    MATRIX_SOURCE: (True, _row_major),
-    TRIANGULAR_SOURCE: (False, _row_zero_leftward),
-    CARLITZ_TARGET: (True, _row_major),
-    TRIANGULAR_TARGET_REVERSED: (False, _column_major),
-    DIAGONAL_PAIRS: (False, _column_major),
+    DRINFELD_FORWARD: (False, "column-major"),
+    DRINFELD_REVERSED: (False, "column-major"),
+    MATRIX_SOURCE: (True, "row-major"),
+    TRIANGULAR_SOURCE: (False, "row-zero-leftward"),
+    CARLITZ_TARGET: (True, "row-major"),
+    TRIANGULAR_TARGET_REVERSED: (False, "column-major"),
+    DIAGONAL_PAIRS: (False, "column-major"),
 }
 
+# At most MAX_MEMO values (plans, a(t)-actions) stay in the memo, which
+# clears when full; canonical_slots builds at most MAX_CANONICAL_SLOTS.
+MAX_MEMO = 64
+MAX_CANONICAL_SLOTS = 2 ** 10
+_memo = {}
 
-def reduction_plan(source, target, regime):
-    """(layered, entries): whether the regime kills whole layers, and the
-    (row, col) entries of a biderivation in reduction order."""
+
+def _memoized(key, objs, build):
+    """build(), kept under key, which names the objects objs by id.  A hit
+    must find objs again by identity, so a recycled id never serves another
+    object's value; what build raises is not kept."""
+    hit = _memo.get(key)
+    if hit is not None and all(a is b for a, b in zip(hit[0], objs)):
+        return hit[1]
+    value = build()
+    if len(_memo) >= MAX_MEMO:
+        _memo.clear()
+    _memo[key] = objs, value
+    return value
+
+
+@dataclass(frozen=True)
+class ReductionPlan:
+    """What a reduction between one module pair reads besides the
+    biderivation; shared, so read only.  entries are (row, col, bound,
+    forward, lead) in reduction order: an entry keeps degrees below bound,
+    and an entrywise plan kills its leading coefficient against lead, the
+    payload of the source's diagonal entry if forward, else the target's."""
+
+    regime: str
+    layered: bool
+    entries: tuple
+    sign: int
+    phi: list  # the payload grids of Phi_t and Psi_t
+    psi: list
+    lead_inv: tuple | None  # layered: the inverse leading matrix
+
+
+def reduction_plan(source, target, regime=None):
+    """The plan of regime (by default the pair's, from select_regime),
+    built once per (source, target, regime) while the memo keeps it."""
+    return _memoized((id(source), id(target), regime), (source, target),
+                     lambda: _build_plan(source, target, regime))
+
+
+def _build_plan(source, target, regime):
+    if regime is None:
+        regime = select_regime(source, target)
     if regime not in _PLANS:
         raise UnsupportedRegime(f"unknown regime {regime!r}")
-    layered, order = _PLANS[regime]
-    return layered, order(source, target)
-
-
-def _entry_bound(source, target, r, c):
-    """The degree an entrywise plan reduces the entry at (r, c) below."""
-    return max(source.t_matrix.entry(c, c).degree,
-               target.t_matrix.entry(r, r).degree)
+    layered, how = _PLANS[regime]
+    src, tgt = source.t_matrix, target.t_matrix
+    rows, cols = range(target.dim), range(source.dim)
+    order = {"column-major": [(r, c) for c in cols for r in rows],
+             "row-major": [(r, c) for r in rows for c in cols],
+             "row-zero-leftward": [(0, c) for c in reversed(cols)]}[how]
+    entries = []
+    for r, c in order:
+        if layered:
+            entries.append((r, c, source.rank, None, None))
+            continue
+        # the higher of the two diagonal entries that meet at (r, c)
+        forward = src.entry(c, c).degree >= tgt.entry(r, r).degree
+        pivot = src.entry(c, c) if forward else tgt.entry(r, r)
+        entries.append((r, c, pivot.degree, forward,
+                        pivot.leading()[1].payload))
+    return ReductionPlan(
+        regime, layered, tuple(entries), twist_sign(source.var),
+        _payload_grid(src.entries), _payload_grid(tgt.entries),
+        const_inverse(source.leading_matrix()) if layered else None)
 
 
 def canonical_slots(source, target, regime=None):
     """The free positions of the canonical form, in basis order.  A slot
     (row, col, deg) addresses the coefficient of var^deg in the matrix
-    entry at (row, col)."""
-    if regime is None:
-        regime = select_regime(source, target)
-    layered, entries = reduction_plan(source, target, regime)
-    return tuple((r, c, k) for r, c in entries
-                 for k in range(source.rank if layered
-                                else _entry_bound(source, target, r, c)))
+    entry at (row, col).  Over MAX_CANONICAL_SLOTS raises CarrierTooLarge."""
+    entries = reduction_plan(source, target, regime).entries
+    count = sum(e[2] for e in entries)
+    if count > MAX_CANONICAL_SLOTS:
+        raise CarrierTooLarge(f"{count} canonical slots exceed "
+                              f"MAX_CANONICAL_SLOTS = {MAX_CANONICAL_SLOTS}")
+    return tuple((r, c, k) for r, c, bound, _, _ in entries
+                 for k in range(bound))
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +368,9 @@ def _step(arith, phi, psi, grid, witness, r, c, k, a, s):
     _add_into(arith, witness[r][c], u)
 
 
-def _reduce_layered(arith, source, target, grid, witness):
-    sign, n = twist_sign(source.var), source.rank
-    phi, psi = (_payload_grid(m.t_matrix.entries) for m in (source, target))
-    lead_inv = const_inverse(source.leading_matrix())
+def _reduce_layered(arith, plan, grid, witness):
+    sign, phi, psi = plan.sign, plan.phi, plan.psi
+    n = plan.entries[0][2]  # every entry's bound: the source's rank
     while True:
         deg = max(_degree(acc, arith.is_zero) for row in grid for acc in row)
         if deg < n:
@@ -324,8 +380,8 @@ def _reduce_layered(arith, source, target, grid, witness):
         top = [[[(0, acc[deg])] if deg in acc else [] for acc in row]
                for row in grid]
         ainv = [[[(0, e.payload)] if e else [] for e in row]
-                for row in const_twist(lead_inv, sign * k)]
-        coeffs = [[{} for _ in range(source.dim)] for _ in grid]
+                for row in const_twist(plan.lead_inv, sign * k)]
+        coeffs = [[{} for _ in phi] for _ in grid]
         _matmul_into(arith, coeffs, top, ainv, sign)
         for r, row in enumerate(coeffs):
             for c, acc in enumerate(row):
@@ -334,16 +390,9 @@ def _reduce_layered(arith, source, target, grid, witness):
                           sign)
 
 
-def _reduce_entrywise(arith, source, target, entries, grid, witness):
-    sign = twist_sign(source.var)
-    phi, psi = (_payload_grid(m.t_matrix.entries) for m in (source, target))
-    for r, c in entries:
-        bound = _entry_bound(source, target, r, c)
-        src_diag = source.t_matrix.entry(c, c)
-        # forward when the source's diagonal entry is the higher one
-        forward = src_diag.degree == bound
-        lead = (src_diag if forward
-                else target.t_matrix.entry(r, r)).leading()[1].payload
+def _reduce_entrywise(arith, plan, grid, witness):
+    sign, phi, psi = plan.sign, plan.phi, plan.psi
+    for r, c, bound, forward, lead in plan.entries:
         acc = grid[r][c]
         while (deg := _degree(acc, arith.is_zero)) >= bound:
             a = acc[deg]
@@ -356,19 +405,14 @@ def _reduce_entrywise(arith, source, target, entries, grid, witness):
             _step(arith, phi, psi, grid, witness, r, c, k, a, sign)
 
 
-def _reduce_maps(arith, source, target, regime, grid):
-    """Reduce the accumulator grid of a biderivation in place by the plan
-    of regime; return the witness maps.  Raises InvariantViolation when an
-    entry keeps a coefficient outside the canonical slots."""
-    layered, entries = reduction_plan(source, target, regime)
-    witness = [[{} for _ in range(source.dim)] for _ in range(target.dim)]
-    if layered:
-        _reduce_layered(arith, source, target, grid, witness)
-    else:
-        _reduce_entrywise(arith, source, target, entries, grid, witness)
-    for r, c in entries:
-        bound = (source.rank if layered
-                 else _entry_bound(source, target, r, c))
+def _reduce_maps(arith, plan, grid):
+    """Reduce the accumulator grid of a biderivation in place by the plan;
+    return the witness maps.  Raises InvariantViolation when an entry keeps
+    a coefficient outside the canonical slots."""
+    witness = [[{} for _ in plan.phi] for _ in plan.psi]
+    loop = _reduce_layered if plan.layered else _reduce_entrywise
+    loop(arith, plan, grid, witness)
+    for r, c, bound, _, _ in plan.entries:
         if (deg := _degree(grid[r][c], arith.is_zero)) >= bound:
             raise InvariantViolation(
                 f"reduction left a coefficient outside the canonical slots "
@@ -376,18 +420,16 @@ def _reduce_maps(arith, source, target, regime, grid):
     return witness
 
 
-def _recombines(delta, witness, canonical):
+def _recombines(delta, plan, witness, canonical):
     """Whether delta - (W*Phi - Psi*W) == canonical for the witness grid W,
     rebuilt with one accumulator per entry and compared by payloads, as
     FieldElement equality is."""
-    source, target = delta.source, delta.target
-    arith, s = source.spec._arith, twist_sign(source.var)
+    arith, s = delta.source.spec._arith, plan.sign
     w = _payload_grid(witness)
     accs = _maps(delta.matrix.entries)
     _matmul_into(arith, accs, [[[(d, arith.neg(c)) for d, c in e]
-                                for e in row] for row in w],
-                 _payload_grid(source.t_matrix.entries), s)
-    _matmul_into(arith, accs, _payload_grid(target.t_matrix.entries), w, s)
+                                for e in row] for row in w], plan.phi, s)
+    _matmul_into(arith, accs, plan.psi, w, s)
     return all({d: c for d, c in acc.items() if not arith.is_zero(c)}
                == dict(_payloads(want))
                for acc_row, want_row in zip(accs, canonical)
@@ -409,15 +451,14 @@ def reduce_canonical(delta, regime=None):
     """Rewrite delta as canonical + delta^(witness) with the canonical form
     unique in its extension class."""
     source, target = delta.source, delta.target
-    if regime is None:
-        regime = select_regime(source, target)
+    plan = reduction_plan(source, target, regime)
     spec, var = source.spec, source.var
     grid = _maps(delta.matrix.entries)
-    witness = _reduce_maps(spec._arith, source, target, regime, grid)
+    witness = _reduce_maps(spec._arith, plan, grid)
     canonical, witness = _matrix(spec, var, grid), _matrix(spec, var, witness)
-    if not _recombines(delta, witness.entries, canonical.entries):
+    if not _recombines(delta, plan, witness.entries, canonical.entries):
         raise InvariantViolation("reduction self-check failed: the "
                                  "canonical form and witness do not "
                                  "recombine to the input")
     return ReductionResult(Biderivation(source, target, canonical), witness,
-                           regime)
+                           plan.regime)

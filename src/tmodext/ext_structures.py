@@ -31,7 +31,7 @@ from .biderivations import (
     _reduce_maps,
     canonical_slots,
     reduce_canonical,
-    select_regime,
+    reduction_plan,
 )
 from .errors import InvariantViolation, UnsupportedRegime
 from .modules_t import TModule, tmodule
@@ -40,8 +40,6 @@ from .skewpoly import (
     SkewPoly,
     _from_map,
     _matmul_into,
-    _payload_grid,
-    twist_sign,
 )
 
 
@@ -182,16 +180,14 @@ class ExtStructure:
 
 def ext_structure(source, target, regime=None):
     """Compute the t-module structure on Ext(source, target)."""
-    if regime is None:
-        regime = select_regime(source, target)
-    if regime not in FORWARD_REGIMES:
+    plan = reduction_plan(source, target, regime)
+    if plan.regime not in FORWARD_REGIMES:
         raise UnsupportedRegime(
             f"the t-module structure is only computed for forward regimes, "
-            f"not {regime!r}; reversed pairs still have canonical forms and "
-            f"a split test, and their structure is available on the adjoint "
-            f"side")
+            f"not {plan.regime!r}; reversed pairs still have canonical forms "
+            f"and a split test, and their structure is available on the "
+            f"adjoint side")
     spec, var = source.spec, source.var
-    sign = twist_sign(var)
     basis = canonical_slots(source, target, regime)
     index = {slot: a for a, slot in enumerate(basis)}
     # Psi_t times the generic canonical form, each slot's coordinate as a
@@ -200,11 +196,10 @@ def ext_structure(source, target, regime=None):
     for slot in basis:
         r, c, k = slot
         generic[r][c].append((k, {(slot, 0): spec._arith.one}))
-    forms = _FormOps(spec._arith, sign)
+    forms = _FormOps(spec._arith, plan.sign)
     acted = [[{} for _ in range(source.dim)] for _ in range(target.dim)]
-    _matmul_into(forms, acted, _payload_grid(target.t_matrix.entries),
-                 generic, sign)
-    _reduce_maps(forms, source, target, regime, acted)
+    _matmul_into(forms, acted, plan.psi, generic, plan.sign)
+    _reduce_maps(forms, plan, acted)
 
     grid = [[{} for _ in basis] for _ in basis]
     for r, row in enumerate(acted):
@@ -218,7 +213,7 @@ def ext_structure(source, target, regime=None):
                     grid[index[r, c, deg]][index[slot]][i] = w
     pi = SkewMatrix.from_rows(spec, var, [
         [_from_map(spec, var, acc) for acc in row] for row in grid])
-    structure = ExtStructure(source, target, regime, basis, pi)
+    structure = ExtStructure(source, target, plan.regime, basis, pi)
     structure.module()  # validates theta*I + nilpotent
     return structure
 

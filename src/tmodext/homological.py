@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 from .biderivations import (
     Biderivation,
+    _memoized,
     assemble,
     inner_matrix,
     reduce_canonical,
-    select_regime,
+    reduction_plan,
 )
 from .errors import (
     CarrierTooLarge,
@@ -40,11 +41,13 @@ def baer_sum(d1, d2):
 
 
 def t_action(apoly, delta):
-    """The action of a(t) on the class of delta: push out along the
-    target's a-action and reduce."""
-    psi_a = delta.target.act(apoly)
-    return class_of(Biderivation(delta.source, delta.target,
-                                 psi_a * delta.matrix))
+    """The action of a(t), a coefficient tuple as parse_apoly gives, on the
+    class of delta: push out along the target's a-action Psi_a, which the
+    memo keeps per (target, a), and reduce."""
+    target = delta.target
+    psi_a = _memoized(("act", id(target), id(apoly)), (target, apoly),
+                      lambda: target.act(apoly))
+    return class_of(Biderivation(delta.source, target, psi_a * delta.matrix))
 
 
 def pullback(delta, g, gmod):
@@ -186,12 +189,12 @@ def is_split(delta, bound=None):
     """
     source, target = delta.source, delta.target
     try:
-        regime = select_regime(source, target)
+        reduction_plan(source, target)
     except UnsupportedRegime:
-        regime = None
-    if regime is not None:
+        pass  # no regime: search for a witness below
+    else:
         try:
-            reduced = reduce_canonical(delta, regime)
+            reduced = reduce_canonical(delta)
         except NotAQthPower as exc:
             return NotSplit(None, f"a forced witness coefficient has no "
                                   f"q-th root: {exc}")

@@ -394,8 +394,8 @@ _WRONG_WITNESS = textwrap.dedent("""
     real = biderivations._reduce_entrywise
 
 
-    def wrong_witness(arith, source, target, entries, grid, witness):
-        real(arith, source, target, entries, grid, witness)
+    def wrong_witness(arith, plan, grid, witness):
+        real(arith, plan, grid, witness)
         _add_into(arith, witness[0][0], [(0, arith.one)])
 
 
@@ -442,13 +442,13 @@ _LAYERED_FAULTS = textwrap.dedent("""
     real = biderivations._reduce_layered
 
 
-    def wrong_witness(arith, source, target, grid, witness):
-        real(arith, source, target, grid, witness)
+    def wrong_witness(arith, plan, grid, witness):
+        real(arith, plan, grid, witness)
         _add_into(arith, witness[0][1], [(0, arith.one)])
 
 
-    def tampered_canonical(arith, source, target, grid, witness):
-        real(arith, source, target, grid, witness)
+    def tampered_canonical(arith, plan, grid, witness):
+        real(arith, plan, grid, witness)
         _add_into(arith, grid[0][0], [(0, arith.one)])
 
 

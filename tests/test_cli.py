@@ -6,6 +6,7 @@ import json
 import os
 import re
 import tempfile
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -298,6 +299,18 @@ def test_huge_search_bound_is_refused_before_solving(capsys, argv):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "MAX_FP_UNKNOWNS" in err
+
+
+@pytest.mark.parametrize("exponent", ["1000000000", "3000"])
+def test_huge_ext_rank_is_refused_before_building_slots(capsys, exponent):
+    start = time.perf_counter()
+    code, out, err = run(capsys, [
+        "ext", "--field", "GF(3)", "--phi", f"1 + tau^{exponent}",
+        "--psi", "1 + tau"])
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "MAX_CANONICAL_SLOTS" in err
 
 
 def test_sixterm_golden(capsys):

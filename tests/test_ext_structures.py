@@ -230,8 +230,8 @@ def test_tracked_reduction_builds_no_element_per_weight(monkeypatch):
 def test_tracked_reduction_checks_what_it_reads_back(monkeypatch):
     real = biderivations._reduce_entrywise
 
-    def untwisted(arith, source, target, entries, grid, witness):
-        real(arith, source, target, entries, grid, witness)
+    def untwisted(arith, plan, grid, witness):
+        real(arith, plan, grid, witness)
         for entry in grid[0]:
             for deg, form in entry.items():
                 entry[deg] = {(slot, -1 - i): w

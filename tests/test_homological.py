@@ -14,9 +14,11 @@ from tmodext import (
     Inconclusive,
     NotAMorphism,
     NotSplit,
+    ParseError,
     SkewMatrix,
     SkewPoly,
     SplitWitness,
+    TModule,
     UnboundedSearch,
     baer_sum,
     carlitz,
@@ -102,6 +104,107 @@ def test_t_action_is_polynomial_in_the_structure_matrix():
             acted = class_of(t_action(a, d))
             expected = apply_matrix(pi_a, S.coords_of(class_of(d)))
             assert list(S.coords_of(acted)) == list(expected)
+
+
+# ---------------------------------------------------------------------------
+# The memo of reduction plans and a(t)-actions.
+
+
+def _counting(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_memo_builds_once_per_pair_and_action(monkeypatch):
+    monkeypatch.setattr(biderivations, "_memo", {})
+    regimes = _counting(monkeypatch, biderivations, "select_regime")
+    actions = _counting(monkeypatch, TModule, "act")
+    checks = _counting(monkeypatch, biderivations, "_recombines")
+    pairs = (_pair_f9(), (_drin(F9, "g + tau^4"), _drin(F9, "g + tau")))
+    apolys = (parse_apoly(F9, "t^2 + t"), parse_apoly(F9, "t"))
+    rng = random.Random(16)
+    rounds = 6
+    for _ in range(rounds):
+        for src, tgt in pairs:
+            d1 = random_biderivation(src, tgt, rng)
+            d2 = random_biderivation(src, tgt, rng)
+            summed = baer_sum(d1, d2)
+            for a in apolys:
+                t_action(a, summed)
+            class_of(d1)
+            is_split(d2)
+    assert len(regimes) == len(pairs)
+    assert len(actions) == len(pairs) * len(apolys)
+    # the self-check still runs on every reduction
+    assert len(checks) == rounds * len(pairs) * (3 + len(apolys))
+
+
+def test_memo_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(biderivations, "_memo", {})
+    a = parse_apoly(F9, "t")
+    for i in range(biderivations.MAX_MEMO + 10):
+        src, tgt = _drin(F9, f"g + tau^{3 + i % 3}"), _drin(F9, "g + tau^2")
+        t_action(a, Biderivation(src, tgt, parse_matrix(F9, "[[tau^5]]")))
+        assert len(biderivations._memo) <= biderivations.MAX_MEMO
+
+
+def test_memo_matches_a_cleared_memo_as_pairs_come_and_go(monkeypatch):
+    # each round builds its modules afresh, shared between pairs, and drops
+    # them at its end, so later rounds may get their ids back
+    pairs = (("g + tau^4", "g + tau^2"), ("g + tau^4", "g + tau^3"),
+             ("g + tau^2", "g + tau^4"))
+    rng = random.Random(17)
+    texts = [[str(random_matrix(F9, "tau", rng, 1, 1, 6)) for _ in pairs]
+             for _ in range(10)]
+
+    def reduced(cleared):
+        out = []
+        for row in texts:
+            mods = {t: _drin(F9, t) for t in ("g + tau^2", "g + tau^3",
+                                              "g + tau^4")}
+            for (phi, psi), text in zip(pairs, row):
+                if cleared:
+                    biderivations._memo.clear()
+                delta = Biderivation(mods[phi], mods[psi],
+                                     parse_matrix(F9, text))
+                result = biderivations.reduce_canonical(delta)
+                split = is_split(delta)
+                out.append((str(result.canonical.matrix),
+                            str(result.witness), split.kind,
+                            str(getattr(split, "witness", None))))
+            del mods, delta
+        return out
+
+    monkeypatch.setattr(biderivations, "_memo", {})
+    assert reduced(False) == reduced(True)
+
+
+def test_memo_hit_needs_the_same_objects(monkeypatch):
+    # an entry whose key ids name other objects, as a recycled id would,
+    # is rebuilt rather than served
+    monkeypatch.setattr(biderivations, "_memo", {})
+    src, tgt = _pair_f9()
+    other = biderivations.reduction_plan(tgt, src)
+    biderivations._memo[(id(src), id(tgt), None)] = (tgt, src), other
+    plan = biderivations.reduction_plan(src, tgt)
+    assert plan is not other and plan.regime == "drinfeld-forward"
+
+
+def test_unfixed_coefficient_raises_on_every_call(monkeypatch):
+    monkeypatch.setattr(biderivations, "_memo", {})
+    src, tgt = _pair_f9()
+    delta = Biderivation(src, tgt, parse_matrix(F9, "[[tau]]"))
+    a = (F9.gen(),)
+    for _ in range(3):
+        with pytest.raises(ParseError, match="not fixed by the twist"):
+            t_action(a, delta)
 
 
 # ---------------------------------------------------------------------------
