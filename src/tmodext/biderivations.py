@@ -244,9 +244,11 @@ _PLANS = {
 }
 
 # At most MAX_MEMO values (plans, a(t)-actions) stay in the memo, which
-# clears when full; canonical_slots builds at most MAX_CANONICAL_SLOTS.
+# clears when full; canonical_slots builds at most MAX_CANONICAL_SLOTS, and
+# ext_structure a Pi_t of at most MAX_PI_ENTRIES (rank^2) entries.
 MAX_MEMO = 64
 MAX_CANONICAL_SLOTS = 2 ** 10
+MAX_PI_ENTRIES = 2 ** 16
 _memo = {}
 
 

@@ -408,6 +408,12 @@ def _get_ops(p, modulus):
 # pairs, ascending in the exponent, holding nonzero coefficients only.  The
 # q^k-th powers of th that twisting produces are single pairs, so a twist
 # re-indexes exponents and never allocates the gaps between them.
+#
+# Single terms, the common case, skip gcds and long division.  The product
+# of c1*th^e1/th^f1 and c2*th^e2/th^f2 is c1*c2*th^(e-t)/th^(f-t), where
+# e = e1 + e2, f = f1 + f2 and t = min(e, f): one exponent is 0, so it is in
+# lowest terms, and its denominator is monic, as a reduced single-term one
+# is a bare power of th.  A single-term gcd th^k divides by a shift.
 
 
 # The most terms a quotient in th may hold.  An exact quotient by a gcd can
@@ -519,9 +525,12 @@ def _rat_normal(num, den, ops):
     if not num:
         return ((), ((0, ops.one),))
     g = _rp_gcd(num, den, ops)
-    if g != ((0, ops.one),):
+    if len(g) > 1:
         num = _rp_divmod(num, g, ops)[0]
         den = _rp_divmod(den, g, ops)[0]
+    elif g[0][0]:  # th^k: shift the exponents
+        k = g[0][0]
+        num, den = (tuple((e - k, c) for e, c in p) for p in (num, den))
     lead = den[-1][1]
     if lead != ops.one:
         li = ops.inv(lead)
@@ -607,9 +616,12 @@ class _RationalOps(_FractionOps):
         return _rat_normal(num, _rp_mul(d1, d2, ops), ops)
 
     def mul(self, a, b):
-        ops = self.ops
-        return _rat_normal(_rp_mul(a[0], b[0], ops), _rp_mul(a[1], b[1], ops),
-                           ops)
+        ops, (n1, d1), (n2, d2) = self.ops, a, b
+        if len(n1) == len(n2) == len(d1) == len(d2) == 1:
+            e, f = n1[0][0] + n2[0][0], d1[0][0] + d2[0][0]
+            t, c = min(e, f), ops.mul(n1[0][1], n2[0][1])
+            return (((e - t, c),), ((f - t, ops.one),))
+        return _rat_normal(_rp_mul(n1, n2, ops), _rp_mul(d1, d2, ops), ops)
 
     def inv(self, a):
         if not a[0]:
@@ -648,10 +660,21 @@ class _FormalOps(_FractionOps):
         return _ftf_normal(num, _mono_mul(d1, d2), self.ops)
 
     def mul(self, a, b):
-        mul = self.ops.mul
+        mul, (n1, d1), (n2, d2) = self.ops.mul, a, b
+        if len(n1) == len(n2) == 1:
+            # one term each: cancel every denominator symbol in one pass
+            num, den = dict(_mono_mul(n1[0][0], n2[0][0])), []
+            for key, e in _mono_mul(d1, d2):
+                t = min(e, num.get(key, 0))
+                if t:
+                    num[key] -= t
+                if e > t:
+                    den.append((key, e - t))
+            mono = tuple((key, e) for key, e in num.items() if e)
+            return (((mono, mul(n1[0][1], n2[0][1])),), tuple(den))
         num = [(_mono_mul(m1, m2), mul(c1, c2))
-               for m1, c1 in a[0] for m2, c2 in b[0]]
-        return _ftf_normal(num, _mono_mul(a[1], b[1]), self.ops)
+               for m1, c1 in n1 for m2, c2 in n2]
+        return _ftf_normal(num, _mono_mul(d1, d2), self.ops)
 
     def inv(self, a):
         n, d = a

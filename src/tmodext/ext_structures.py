@@ -27,13 +27,14 @@ from dataclasses import dataclass
 from .biderivations import (
     DIAGONAL_PAIRS,
     FORWARD_REGIMES,
+    MAX_PI_ENTRIES,
     Biderivation,
     _reduce_maps,
     canonical_slots,
     reduce_canonical,
     reduction_plan,
 )
-from .errors import InvariantViolation, UnsupportedRegime
+from .errors import CarrierTooLarge, InvariantViolation, UnsupportedRegime
 from .modules_t import TModule, tmodule
 from .skewpoly import (
     SkewMatrix,
@@ -189,6 +190,9 @@ def ext_structure(source, target, regime=None):
             f"adjoint side")
     spec, var = source.spec, source.var
     basis = canonical_slots(source, target, regime)
+    if len(basis) ** 2 > MAX_PI_ENTRIES:
+        raise CarrierTooLarge(f"{len(basis) ** 2} Pi_t entries exceed "
+                              f"MAX_PI_ENTRIES = {MAX_PI_ENTRIES}")
     index = {slot: a for a, slot in enumerate(basis)}
     # Psi_t times the generic canonical form, each slot's coordinate as a
     # unit form; reduced in place

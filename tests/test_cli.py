@@ -313,6 +313,23 @@ def test_huge_ext_rank_is_refused_before_building_slots(capsys, exponent):
     assert "MAX_CANONICAL_SLOTS" in err
 
 
+def test_huge_pi_t_is_refused_before_building_forms(capsys):
+    """1024 slots pass MAX_CANONICAL_SLOTS, but Pi_t would have 1024^2
+    entries; rank 256 (256^2 = MAX_PI_ENTRIES) is still computed."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, [
+        "ext", "--field", "GF(3)", "--phi", "1 + tau^1024",
+        "--psi", "1 + tau"])
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "MAX_PI_ENTRIES" in err and "1048576" in err
+    code, out, _ = run(capsys, [
+        "ext", "--field", "GF(3)", "--phi", "1 + tau^256",
+        "--psi", "1 + tau", "--json"])
+    assert code == 0 and len(json.loads(out)["basis"]) == 256
+
+
 def test_sixterm_golden(capsys):
     code, out, _ = run(capsys, [
         "sixterm", "--field", Q3, "--phi", "th + tau^2",

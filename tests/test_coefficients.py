@@ -21,10 +21,18 @@ from tmodext import (
     parse_element,
     parse_field,
 )
+from tmodext import coefficients
 from tmodext.coefficients import (
     MAX_POLY_TERMS,
     ZECH_LIMIT,
+    _ftf_normal,
+    _mono_mul,
     _PolyOps,
+    _rp_add,
+    _rp_divmod,
+    _rp_gcd,
+    _rp_mul,
+    _rp_scale,
     _ZechOps,
     default_modulus,
 )
@@ -400,6 +408,148 @@ def test_unit_payload_of_every_ops_object(spec):
     for x in pool:
         assert arith.mul(x.payload, arith.one) == x.payload
         assert arith.twist(arith.one, 2) == arith.one
+
+
+# ---------------------------------------------------------------------------
+# Single-term shortcuts of the fraction domains.  Their products (and the
+# rational gcd division) have exact shortcuts for single-term operands; these
+# tests hold them to the general formulas and to the payload contract:
+# lowest terms, and a monic denominator.
+
+
+F4TH = make_rational(2, 2)
+FTH = parse_field("FTF(3; gens=a,b,th; inv=a)")
+
+
+def _general_rational(num, den, ops):
+    """num/den in lowest terms by Euclid's gcd and long division, the
+    general path with no single-term shortcut."""
+    if not num:
+        return ((), ((0, ops.one),))
+    g = _rp_gcd(num, den, ops)
+    num, den = _rp_divmod(num, g, ops)[0], _rp_divmod(den, g, ops)[0]
+    inv = ops.inv(den[-1][1])
+    return (_rp_scale(num, inv, ops), _rp_scale(den, inv, ops))
+
+
+def _rational_payloads(spec):
+    """Reduced payloads of spec: single terms c*th^e/th^f, or fractions of
+    sparse polynomials with up to three terms each."""
+    ops, codes = spec._ops, st.integers(1, spec.p ** spec.m - 1)
+    single = st.builds(
+        lambda c, e, f: (((e - min(e, f), c),), ((f - min(e, f), ops.one),)),
+        codes, st.integers(0, 6), st.integers(0, 6))
+    poly = st.dictionaries(st.integers(0, 6), codes, min_size=1,
+                           max_size=3).map(lambda d: tuple(sorted(d.items())))
+    general = st.builds(lambda n, d: _general_rational(n, d, ops), poly, poly)
+    return st.one_of(single, general)
+
+
+def _formal_payloads(spec):
+    """Reduced payloads of spec: one-term or multi-term numerators over a
+    monomial in the invertible symbols."""
+    def mono(names):
+        return st.dictionaries(
+            st.tuples(st.sampled_from(names), st.integers(-2, 2)),
+            st.integers(1, 3), max_size=3).map(
+                lambda d: tuple(sorted(d.items())))
+
+    term = st.tuples(mono(spec.generators),
+                     st.integers(1, spec.p ** spec.m - 1))
+    return st.builds(
+        lambda terms, den: _ftf_normal(terms, den, spec._ops),
+        st.lists(term, min_size=1, max_size=3),
+        mono(sorted(spec.invertibles)))
+
+
+def _assert_reduced(spec, payload):
+    """The payload contract: lowest terms and a monic denominator (for a
+    formal domain, a bare monomial in invertible symbols, each of which
+    some numerator term lacks)."""
+    ops, (num, den) = spec._ops, payload
+    if spec.kind == "rational":
+        assert den and den[-1][1] == ops.one
+        unit = ((0, ops.one),)
+        assert (_rp_gcd(num, den, ops) if num else den) == unit
+        return
+    assert all(e > 0 and key[0] in spec.invertibles for key, e in den)
+    assert all(min(dict(m).get(key, 0) for m, _c in num) == 0
+               for key, _e in den)
+    assert num or not den
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((Q3, F4TH, FTH)).flatmap(
+           lambda spec: st.tuples(st.just(spec), *[
+               (_rational_payloads if spec.kind == "rational"
+                else _formal_payloads)(spec)] * 2)))
+def test_fraction_shortcuts_agree_with_the_general_formulas(case):
+    spec, a, b = case
+    arith, ops = spec._arith, spec._ops
+    (n1, d1), (n2, d2) = a, b
+    if spec.kind == "rational":
+        want_mul = _general_rational(_rp_mul(n1, n2, ops),
+                                     _rp_mul(d1, d2, ops), ops)
+        want_add = _general_rational(
+            _rp_add(_rp_mul(n1, d2, ops), _rp_mul(n2, d1, ops), ops),
+            _rp_mul(d1, d2, ops), ops)
+        want_inv = _general_rational(d1, n1, ops)
+    else:
+        want_mul = _ftf_normal(
+            [(_mono_mul(m1, m2), ops.mul(c1, c2))
+             for m1, c1 in n1 for m2, c2 in n2], _mono_mul(d1, d2), ops)
+        want_add = _ftf_normal(
+            [(_mono_mul(m, d2), c) for m, c in n1]
+            + [(_mono_mul(m, d1), c) for m, c in n2], _mono_mul(d1, d2), ops)
+        want_inv = None
+        if len(n1) == 1 and all(key[0] in spec.invertibles
+                                for key, _e in n1[0][0]):
+            want_inv = _ftf_normal(((d1, ops.inv(n1[0][1])),), n1[0][0], ops)
+    for got, want in ((arith.mul(a, b), want_mul),
+                      (arith.add(a, b), want_add)):
+        assert got == want
+        _assert_reduced(spec, got)
+    if not n1:
+        with pytest.raises(DivisionByZero):
+            arith.inv(a)
+    elif want_inv is None:
+        with pytest.raises(NonMonomialDenominator):
+            arith.inv(a)
+    else:
+        assert arith.inv(a) == want_inv
+        _assert_reduced(spec, want_inv)
+
+
+def _count_calls(monkeypatch, names):
+    """Wrap the named functions of the coefficients module so that each
+    call is counted."""
+    counts = dict.fromkeys(names, 0)
+
+    def wrap(name, real):
+        def counted(*args):
+            counts[name] += 1
+            return real(*args)
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(coefficients, name,
+                            wrap(name, getattr(coefficients, name)))
+    return counts
+
+
+def test_single_term_products_take_the_shortcut(monkeypatch):
+    x, y = parse_element(Q3, "2*th^5"), parse_element(Q3, "1/th^7")
+    u = parse_element(FTH, "2*a[1]*b[0]^2/a[3]")
+    v = parse_element(FTH, "a[3]^2*th[1]/a[1]")
+    w, z = parse_element(Q3, "(1 + th)/th^3"), parse_element(Q3, "2/th^3")
+    counts = _count_calls(monkeypatch, ("_rp_gcd", "_rp_divmod",
+                                        "_ftf_normal"))
+    assert str(x * y) == "2/th^2" and str(y * y) == "1/th^14"
+    assert str(u * v) == "2*a[3]*b[0]^2*th[1]"
+    assert counts == {"_rp_gcd": 0, "_rp_divmod": 0, "_ftf_normal": 0}
+    # a sum over a single-term gcd shifts exponents: no long division
+    assert str(w + z) == "1/th^2"
+    assert counts["_rp_divmod"] == 0 and counts["_rp_gcd"] == 1
 
 
 # ---------------------------------------------------------------------------
