@@ -244,11 +244,13 @@ _PLANS = {
 }
 
 # At most MAX_MEMO values (plans, a(t)-actions) stay in the memo, which
-# clears when full; canonical_slots builds at most MAX_CANONICAL_SLOTS, and
-# ext_structure a Pi_t of at most MAX_PI_ENTRIES (rank^2) entries.
+# clears when full; canonical_slots builds at most MAX_CANONICAL_SLOTS,
+# ext_structure a Pi_t of at most MAX_PI_ENTRIES (rank^2) entries, and
+# _reduce_maps starts no reduction that calls for over MAX_REDUCTION_STEPS.
 MAX_MEMO = 64
 MAX_CANONICAL_SLOTS = 2 ** 10
 MAX_PI_ENTRIES = 2 ** 16
+MAX_REDUCTION_STEPS = 2 ** 16
 _memo = {}
 
 
@@ -409,8 +411,17 @@ def _reduce_entrywise(arith, plan, grid, witness):
 
 def _reduce_maps(arith, plan, grid):
     """Reduce the accumulator grid of a biderivation in place by the plan;
-    return the witness maps.  Raises InvariantViolation when an entry keeps
-    a coefficient outside the canonical slots."""
+    return the witness maps.  Raises CarrierTooLarge before the first step
+    when the entries call for more than MAX_REDUCTION_STEPS (the sum of
+    deg - bound + 1), and InvariantViolation when an entry keeps a
+    coefficient outside the canonical slots."""
+    steps = 0
+    for r, c, bound, _, _ in plan.entries:
+        if (deg := _degree(grid[r][c], arith.is_zero)) >= bound:
+            steps += deg - bound + 1
+    if steps > MAX_REDUCTION_STEPS:
+        raise CarrierTooLarge(f"{steps} reduction steps exceed "
+                              f"MAX_REDUCTION_STEPS = {MAX_REDUCTION_STEPS}")
     witness = [[{} for _ in plan.phi] for _ in plan.psi]
     loop = _reduce_layered if plan.layered else _reduce_entrywise
     loop(arith, plan, grid, witness)

@@ -7,13 +7,17 @@ stable JSON documents.  Exit codes: 0 success, 1 domain error, 2 usage or
 parse error, 3 verification failure.
 
 Each subcommand is one row of ``_COMMANDS`` (name, handler, help, flags),
-and each flag is declared once in ``_FLAGS``.
+and each flag is declared once in ``_FLAGS``.  A command's flags are added
+only when argparse chooses that command.  Help takes shutil's terminal width
+without importing shutil, whose import (bz2, lzma, zlib, fnmatch) costs a
+fresh process more than most commands.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .biderivations import Biderivation, assemble, reduce_canonical
@@ -39,9 +43,47 @@ from .oracle import verify_duality, verify_ga, verify_sixterm, verify_structure
 from .skewpoly import TAU, SIGMA, parse_apoly, parse_matrix
 
 
+def _columns():
+    """shutil.get_terminal_size().columns: COLUMNS if a positive integer,
+    else the width of the terminal on stdout, else 80."""
+    try:
+        if (columns := int(os.environ["COLUMNS"])) > 0:
+            return columns
+    except (KeyError, ValueError):
+        pass
+    try:
+        return os.get_terminal_size(sys.__stdout__.fileno()).columns or 80
+    except (AttributeError, ValueError, OSError):
+        return 80
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    def __init__(self, prog):
+        super().__init__(prog, width=_columns() - 2)
+
+
 class _ArgumentParser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=_HelpFormatter, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
+
+
+class _CommandParser(_ArgumentParser):
+    """One command's parser: add_parser passes its flag names and handler,
+    and the flags are added when argparse hands it its arguments."""
+
+    def __init__(self, *, flags, handler, **kwargs):
+        super().__init__(**kwargs)
+        self._flags = flags
+        self.set_defaults(func=handler)
+
+    def parse_known_args(self, args=None, namespace=None):
+        for flag in self._flags:
+            self.add_argument("--" + flag.split("/")[0], **_FLAGS[flag])
+        self._flags = ()
+        return super().parse_known_args(args, namespace)
 
 
 def _slot_text(slot):
@@ -484,13 +526,12 @@ def _build_parser():
         prog="tmodext",
         description="Exact Ext-group computations for Drinfeld modules and "
                     "Anderson t-modules over twisted polynomial rings.")
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    sub.required = True
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND",
+                                required=True, parser_class=_CommandParser)
     for name, handler, help_text, flags in _COMMANDS:
-        p = sub.add_parser(name, help=help_text, description=help_text)
-        for flag in (*_COMMON_FLAGS, *flags.split()):
-            p.add_argument("--" + flag.split("/")[0], **_FLAGS[flag])
-        p.set_defaults(func=handler)
+        sub.add_parser(name, help=help_text, description=help_text,
+                       flags=(*_COMMON_FLAGS, *flags.split()),
+                       handler=handler)
     return parser
 
 

@@ -78,7 +78,8 @@ class CarrierTooLarge(TmodError):
 
 
 class PolynomialTooLarge(TmodError):
-    """A polynomial in th would hold more terms than MAX_POLY_TERMS."""
+    """A polynomial in th would hold more terms than MAX_POLY_TERMS, or one
+    in t would exceed MAX_APOLY_DEGREE."""
 
 
 class FiniteFieldRequired(TmodError):

@@ -18,6 +18,7 @@ from .errors import (
     DivisionByZero,
     MixedFields,
     ParseError,
+    PolynomialTooLarge,
     SingularLeading,
 )
 
@@ -587,6 +588,9 @@ _UNARY_BP = 25
 # costs the parser at most four stack frames, so this keeps deep input well
 # inside the interpreter's recursion limit.
 MAX_NESTING = 100
+# The highest degree parse_apoly accepts: a(t) acts through a dense power
+# series of Psi_t, quadratic in deg a.
+MAX_APOLY_DEGREE = 2 ** 10
 
 
 def _tokenize(text):
@@ -800,11 +804,15 @@ def parse_element(spec, text):
 
 def parse_apoly(spec, text):
     """Parse a commutative polynomial in t with coefficients fixed by the
-    twist, returned as a dense ascending coefficient tuple."""
+    twist, returned as a dense ascending coefficient tuple.  Above degree
+    MAX_APOLY_DEGREE raises PolynomialTooLarge before the tuple is built."""
     value = _Parser(spec, TAU, frozenset({"t"}), text).parse()
     if isinstance(value, SkewMatrix):
         raise ParseError(f"expected a t-polynomial, got a matrix: "
                          f"{text.strip()!r}")
+    if value.degree > MAX_APOLY_DEGREE:
+        raise PolynomialTooLarge(f"degree {value.degree} in t exceeds "
+                                 f"MAX_APOLY_DEGREE = {MAX_APOLY_DEGREE}")
     coeffs = []
     for k in range(value.degree + 1):
         c = value.coefficient(k)

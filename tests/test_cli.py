@@ -1,10 +1,14 @@
 """Tests driving the command-line interface in process."""
 
+import argparse
 import contextlib
 import io
 import json
 import os
 import re
+import shutil
+import subprocess
+import sys
 import tempfile
 import time
 
@@ -13,7 +17,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import tmodext.cli as cli
 from tmodext import Check, Report
-from tmodext.skewpoly import MAX_NESTING
+from tmodext.biderivations import MAX_REDUCTION_STEPS
+from tmodext.skewpoly import MAX_APOLY_DEGREE, MAX_NESTING
 
 Q3 = "GF(3)(th)"
 F4 = "GF(2^2)"
@@ -43,6 +48,15 @@ def test_ext_text_output(capsys):
     assert "basis: (0,0,0) (0,0,1) (0,0,2)" in out
     assert "ga_rank: 1" in out
     assert GOLDEN_PI in out
+
+
+def test_main_reads_sys_argv_by_default(capsys, monkeypatch):
+    """The console script calls main() with no arguments."""
+    monkeypatch.setattr(sys, "argv", [
+        "tmodext", "ext", "--field", Q3, "--phi", "th + tau^3",
+        "--psi", "th + tau^2"])
+    assert cli.main() == 0
+    assert GOLDEN_PI in capsys.readouterr().out
 
 
 def test_ext_json_output(capsys):
@@ -330,6 +344,23 @@ def test_huge_pi_t_is_refused_before_building_forms(capsys):
     assert code == 0 and len(json.loads(out)["basis"]) == 256
 
 
+@pytest.mark.parametrize("argv, limit", [
+    (["reduce", "--field", "GF(3)", "--phi", "1 + tau^3", "--psi", "1 + tau",
+      "--delta", "[[tau^100000000]]"],
+     f"MAX_REDUCTION_STEPS = {MAX_REDUCTION_STEPS}"),
+    (["act", "--field", "GF(3)", "--phi", "1 + tau^3", "--psi", "1 + tau",
+      "--delta", "[[1]]", "--a", "t^100000000"],
+     f"MAX_APOLY_DEGREE = {MAX_APOLY_DEGREE}"),
+], ids=["reduce", "act"])
+def test_huge_degrees_are_refused_before_any_step(capsys, argv, limit):
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert limit in err
+
+
 def test_sixterm_golden(capsys):
     code, out, _ = run(capsys, [
         "sixterm", "--field", Q3, "--phi", "th + tau^2",
@@ -487,6 +518,55 @@ def test_subcommand_help_names_its_flags(capsys, name):
     assert re.findall(r"--(\w+)", usage) == expected
 
 
+def test_a_run_leaves_shutil_unimported():
+    """Help is formatted at the terminal width without importing shutil,
+    in a fresh interpreter, on every path through argparse."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    script = (
+        "import contextlib, io, sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import tmodext.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    cli.main(['ext', '--field', {Q3!r}, '--phi', 'th + tau^3', "
+        "'--psi', 'th + tau^2'])\n"
+        "    cli.main(['--help'])\n"
+        "    cli.main(['ext', '--help'])\n"
+        "    cli.main(['frobnicate'])\n"
+        "print('shutil' in sys.modules)\n")
+    result = subprocess.run([sys.executable, "-I", "-S", "-c", script],
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == \
+        (0, "False\n", "")
+
+
+@pytest.mark.parametrize("columns", [None, "40", "0", "abc"])
+def test_columns_match_shutil(monkeypatch, columns):
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    assert cli._columns() == shutil.get_terminal_size().columns
+
+
+def test_only_the_chosen_command_gets_flags(capsys, monkeypatch):
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counting(self, *names, **kwargs):
+        added.append(names[0])
+        return add_argument(self, *names, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    code, _, _ = run(capsys, ["hom", "--field", F4, "--phi", "g + tau",
+                              "--psi", "g + tau", "--bound", "2"])
+    assert code == 0
+    # one -h for the top-level parser and one per command
+    assert added.count("-h") == 1 + len(cli._COMMANDS)
+    assert [name for name in added if name != "-h"] == [
+        "--field", "--json", "--out", "--phi", "--psi", "--bound"]
+
+
 # ---------------------------------------------------------------------------
 # Property: whatever the flags hold, main returns an exit code and never
 # raises.  Degrees and carrier sizes stay small so each run is quick.
@@ -512,7 +592,7 @@ _MODULE_FLAGS = {"phi", "psi", "gmod", "fmod", "g/partner", "g/sixterm",
                  "phi/optional"}
 _POOLS = {
     "e": _INTS, "bound": [*_INTS, "100000"], "samples": _INTS, "seed": _INTS,
-    "a": ["t", "t^2 + 1", "0", "t +", ""],
+    "a": ["t", "t^2 + 1", "0", "t +", "", "t^100000000"],
     "var": ["tau", "tau", "sigma", "rho"],
     "what": ["structure", "duality", "ga", "sixterm", "all"],
     "mode": ["sample", "enumerate", "all"],
