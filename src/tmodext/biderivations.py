@@ -51,13 +51,10 @@ from .modules_t import TModule
 from .skewpoly import (
     SkewMatrix,
     _add_into,
-    _from_map,
+    _from_maps,
     _matmul_into,
     _mul_into,
-    _payload_grid,
-    _payloads,
     const_inverse,
-    const_twist,
     twist_sign,
 )
 
@@ -274,15 +271,17 @@ class ReductionPlan:
     biderivation; shared, so read only.  entries are (row, col, bound,
     forward, lead) in reduction order: an entry keeps degrees below bound,
     and an entrywise plan kills its leading coefficient against lead, the
-    payload of the source's diagonal entry if forward, else the target's."""
+    payload of the source's diagonal entry if forward, else the target's.
+    phi, psi and lead_inv are grids of the stored (degree, payload) pairs
+    of their entries."""
 
     regime: str
     layered: bool
     entries: tuple
     sign: int
-    phi: list  # the payload grids of Phi_t and Psi_t
+    phi: list  # Phi_t and Psi_t
     psi: list
-    lead_inv: tuple | None  # layered: the inverse leading matrix
+    lead_inv: list | None  # layered: the inverse leading matrix
 
 
 def reduction_plan(source, target, regime=None):
@@ -311,12 +310,15 @@ def _build_plan(source, target, regime):
         # the higher of the two diagonal entries that meet at (r, c)
         forward = src.entry(c, c).degree >= tgt.entry(r, r).degree
         pivot = src.entry(c, c) if forward else tgt.entry(r, r)
-        entries.append((r, c, pivot.degree, forward,
-                        pivot.leading()[1].payload))
-    return ReductionPlan(
-        regime, layered, tuple(entries), twist_sign(source.var),
-        _payload_grid(src.entries), _payload_grid(tgt.entries),
-        const_inverse(source.leading_matrix()) if layered else None)
+        bound, lead = pivot._pairs[-1]
+        entries.append((r, c, bound, forward, lead))
+    lead_inv = None
+    if layered:
+        inv = const_inverse(source.leading_matrix())
+        lead_inv = SkewMatrix.from_const(source.spec, source.var, inv)._pairs
+    return ReductionPlan(regime, layered, tuple(entries),
+                         twist_sign(source.var), src._pairs, tgt._pairs,
+                         lead_inv)
 
 
 def canonical_slots(source, target, regime=None):
@@ -334,20 +336,12 @@ def canonical_slots(source, target, regime=None):
 
 # ---------------------------------------------------------------------------
 # The two reduction loops.  Both work in place on a grid of accumulator maps
-# {degree: payload} (the biderivation, which becomes the canonical form) and
-# on the witness maps, with an ops object arith: the domain's own for
-# canonical forms, or ext_structures' form domain for Pi_t.  The loops add,
-# negate and twist payloads and multiply them only by scalars (of Phi_t,
-# Psi_t and the inverted leading coefficients), so one loop serves both.
-
-
-def _maps(grid):
-    return [[{d: c.payload for d, c in e.coeffs} for e in row] for row in grid]
-
-
-def _matrix(spec, var, maps):
-    return SkewMatrix(spec, var, tuple(
-        tuple(_from_map(spec, var, acc) for acc in row) for row in maps))
+# {degree: payload} (the biderivation's stored pairs, which become the
+# canonical form) and on the witness maps, with an ops object arith: the
+# domain's own for canonical forms, or ext_structures' form domain for
+# Pi_t.  The loops add, negate and twist payloads and multiply them only by
+# scalars (the stored payloads of Phi_t, Psi_t and the inverse leading
+# matrix, and the inverted leading coefficients), so one loop serves both.
 
 
 def _degree(acc, is_zero):
@@ -363,7 +357,7 @@ def _degree(acc, is_zero):
 def _step(arith, phi, psi, grid, witness, r, c, k, a, s):
     """Add u = a*v^k to the witness at (r, c) and subtract delta^(u) =
     u*Phi - Psi*u, which touches only row r and column c, from the grid;
-    phi and psi are the payload grids of Phi_t and Psi_t."""
+    phi and psi are the pair grids of Phi_t and Psi_t."""
     minus_u, u = ((k, arith.neg(a)),), ((k, a),)
     for l, p in enumerate(phi[c]):
         _mul_into(arith, grid[r][l], minus_u, p, s)
@@ -373,18 +367,18 @@ def _step(arith, phi, psi, grid, witness, r, c, k, a, s):
 
 
 def _reduce_layered(arith, plan, grid, witness):
-    sign, phi, psi = plan.sign, plan.phi, plan.psi
+    sign, phi, psi, twist = plan.sign, plan.phi, plan.psi, arith.twist
     n = plan.entries[0][2]  # every entry's bound: the source's rank
     while True:
         deg = max(_degree(acc, arith.is_zero) for row in grid for acc in row)
         if deg < n:
             return
         k = deg - n
-        # the top layer times the twisted inverse leading matrix, on payloads
+        # the top layer times the twisted inverse leading matrix
         top = [[[(0, acc[deg])] if deg in acc else [] for acc in row]
                for row in grid]
-        ainv = [[[(0, e.payload)] if e else [] for e in row]
-                for row in const_twist(plan.lead_inv, sign * k)]
+        ainv = [[[(0, twist(x, sign * k)) for _, x in e] for e in row]
+                for row in plan.lead_inv]
         coeffs = [[{} for _ in phi] for _ in grid]
         _matmul_into(arith, coeffs, top, ainv, sign)
         for r, row in enumerate(coeffs):
@@ -434,18 +428,17 @@ def _reduce_maps(arith, plan, grid):
 
 
 def _recombines(delta, plan, witness, canonical):
-    """Whether delta - (W*Phi - Psi*W) == canonical for the witness grid W,
-    rebuilt with one accumulator per entry and compared by payloads, as
-    FieldElement equality is."""
-    arith, s = delta.source.spec._arith, plan.sign
-    w = _payload_grid(witness)
-    accs = _maps(delta.matrix.entries)
+    """Whether delta - (W*Phi - Psi*W) == canonical for the witness W,
+    rebuilt from the stored pairs with one accumulator per entry and
+    compared with the canonical form's stored pairs."""
+    arith, s, w = delta.source.spec._arith, plan.sign, witness._pairs
+    accs = [[dict(e) for e in row] for row in delta.matrix._pairs]
     _matmul_into(arith, accs, [[[(d, arith.neg(c)) for d, c in e]
                                 for e in row] for row in w], plan.phi, s)
     _matmul_into(arith, accs, plan.psi, w, s)
     return all({d: c for d, c in acc.items() if not arith.is_zero(c)}
-               == dict(_payloads(want))
-               for acc_row, want_row in zip(accs, canonical)
+               == dict(want)
+               for acc_row, want_row in zip(accs, canonical._pairs)
                for acc, want in zip(acc_row, want_row))
 
 
@@ -466,10 +459,11 @@ def reduce_canonical(delta, regime=None):
     source, target = delta.source, delta.target
     plan = reduction_plan(source, target, regime)
     spec, var = source.spec, source.var
-    grid = _maps(delta.matrix.entries)
+    grid = [[dict(e) for e in row] for row in delta.matrix._pairs]
     witness = _reduce_maps(spec._arith, plan, grid)
-    canonical, witness = _matrix(spec, var, grid), _matrix(spec, var, witness)
-    if not _recombines(delta, plan, witness.entries, canonical.entries):
+    canonical = _from_maps(spec, var, grid)
+    witness = _from_maps(spec, var, witness)
+    if not _recombines(delta, plan, witness, canonical):
         raise InvariantViolation("reduction self-check failed: the "
                                  "canonical form and witness do not "
                                  "recombine to the input")

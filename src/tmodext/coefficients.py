@@ -420,6 +420,8 @@ def _get_ops(p, modulus):
 # be dense where both operands are sparse: (1 + th^N)/(2 + th^2) over
 # GF(3)(th) divides out th + 1 and leaves about N terms.
 MAX_POLY_TERMS = 2 ** 16
+# The highest exponent of th a twist may produce.
+MAX_TH_EXPONENT = 2 ** 64
 
 
 def _rp_collect(terms, ops):
@@ -630,15 +632,24 @@ class _RationalOps(_FractionOps):
 
     def twist(self, a, i):
         """Coefficients in F_q are fixed by the q-th power, so twisting
-        scales every exponent by q^i; a negative twist needs each exponent
-        divisible by q^-i."""
-        if not i:
-            return a
+        scales every exponent by q^i and leaves constants as they are; a
+        negative twist needs each exponent divisible by q^-i, and a
+        positive one past MAX_TH_EXPONENT raises PolynomialTooLarge.  No
+        q^|i| above the top exponent or MAX_TH_EXPONENT is formed."""
         n, d = a
-        step = self.q ** abs(i)
+        top = max(n[-1][0] if n else 0, d[-1][0])
+        if not i or not top:
+            return a
         if i > 0:
+            if i >= MAX_TH_EXPONENT.bit_length() or \
+                    top * self.q ** i > MAX_TH_EXPONENT:
+                raise PolynomialTooLarge(
+                    f"twisting th^{top} by {i} exceeds MAX_TH_EXPONENT = "
+                    f"2^{MAX_TH_EXPONENT.bit_length() - 1}")
+            step = self.q ** i
             return (tuple((e * step, c) for e, c in n),
                     tuple((e * step, c) for e, c in d))
+        step = self.q ** min(-i, top.bit_length())  # if capped, above top
         if any(e % step for e, _c in n + d):
             raise NotAQthPower(f"element is not a q^{-i}-th power in F_q(th)")
         return (tuple((e // step, c) for e, c in n),
@@ -826,6 +837,10 @@ class FieldSpec:
 
     # -- F_p coordinates ------------------------------------------------------
 
+    def _fp_coords(self, payload):
+        self._require_finite("F_p coordinates require")
+        return _digits(payload, self.p, self.m)
+
     def from_fp_coords(self, coords):
         """The element of F_{p^m} with coordinates coords (ascending in g)
         over F_p; the inverse of FieldElement.fp_coords."""
@@ -993,9 +1008,7 @@ class FieldElement(SlottedValue):
     def fp_coords(self):
         """The coordinates over F_p (ascending in g) of an element of
         F_{p^m}."""
-        spec = self.spec
-        spec._require_finite("F_p coordinates require")
-        return tuple(_digits(self.payload, spec.p, spec.m))
+        return tuple(self.spec._fp_coords(self.payload))
 
     def negate_indices(self):
         """The automorphism of a formal-twist domain sending s[j] to s[-j]."""

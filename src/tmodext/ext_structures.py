@@ -16,8 +16,8 @@ reduced with every matrix coefficient a semilinear form
 only add forms, scale them by scalars and twist them, shifting their twist
 indices up; they never invert a form, so the reduced forms read back as
 twisted polynomials: the weights at (slot, i) are the coefficients of var^i
-in one entry of Pi_t.  No field element is built per weight; each
-coefficient of Pi_t is wrapped once, at the end.
+in one entry of Pi_t.  Pi_t stores the weights as they are, so no field
+element is built.
 """
 
 from __future__ import annotations
@@ -36,12 +36,7 @@ from .biderivations import (
 )
 from .errors import CarrierTooLarge, InvariantViolation, UnsupportedRegime
 from .modules_t import TModule, tmodule
-from .skewpoly import (
-    SkewMatrix,
-    SkewPoly,
-    _from_map,
-    _matmul_into,
-)
+from .skewpoly import SkewMatrix, SkewPoly, _from_maps, _matmul_into
 
 
 # ---------------------------------------------------------------------------
@@ -150,17 +145,9 @@ class ExtStructure:
                      for (r, c, k) in self.basis)
 
     def from_coords(self, coords):
-        grids = [[dict() for _ in range(self.source.dim)]
-                 for _ in range(self.target.dim)]
-        for (r, c, k), value in zip(self.basis, coords):
-            if value:
-                grids[r][c][k] = value
-        rows = [[SkewPoly.from_pairs(self.spec, self.var,
-                                     list(grids[r][c].items()))
-                 for c in range(self.source.dim)]
-                for r in range(self.target.dim)]
-        return Biderivation(self.source, self.target,
-                            SkewMatrix.from_rows(self.spec, self.var, rows))
+        return Biderivation(self.source, self.target, SkewMatrix.from_slots(
+            self.spec, self.var, self.target.dim, self.source.dim,
+            self.basis, coords))
 
     def basis_delta(self, index):
         coords = [self.spec.zero()] * self.rank
@@ -215,8 +202,7 @@ def ext_structure(source, target, regime=None):
                             "reduction produced a negative twist index in "
                             "a forward regime")
                     grid[index[r, c, deg]][index[slot]][i] = w
-    pi = SkewMatrix.from_rows(spec, var, [
-        [_from_map(spec, var, acc) for acc in row] for row in grid])
+    pi = _from_maps(spec, var, grid)
     structure = ExtStructure(source, target, plan.regime, basis, pi)
     structure.module()  # validates theta*I + nilpotent
     return structure

@@ -74,10 +74,11 @@ MAX_FP_UNKNOWNS = 2 ** 12
 
 def _fp_vector(mat):
     """The nonzero F_p coordinates {(row, col, deg, comp): value} of a
-    matrix over GF(p^m)."""
-    return {(r, c, d, k): v for r, row in enumerate(mat.entries)
-            for c, e in enumerate(row) for d, x in e.coeffs
-            for k, v in enumerate(x.fp_coords()) if v}
+    matrix over GF(p^m), read off its stored pairs."""
+    fp_coords = mat.spec._fp_coords
+    return {(r, c, d, k): v for r, row in enumerate(mat._pairs)
+            for c, e in enumerate(row) for d, x in e
+            for k, v in enumerate(fp_coords(x)) if v}
 
 
 def _inner_columns(source, target, bound):

@@ -103,18 +103,9 @@ def enumerate_ext(source, target):
     """All canonical representatives of Ext(source, target)."""
     slots = canonical_slots(source, target)
     spec, var = source.spec, source.var
-    out = []
-    for coords in coordinate_vectors(spec, len(slots)):
-        grids = [[dict() for _ in range(source.dim)]
-                 for _ in range(target.dim)]
-        for (r, c, k), value in zip(slots, coords):
-            if value:
-                grids[r][c][k] = value
-        rows = [[SkewPoly.from_pairs(spec, var, list(grids[r][c].items()))
-                 for c in range(source.dim)] for r in range(target.dim)]
-        out.append(Biderivation(source, target,
-                                SkewMatrix.from_rows(spec, var, rows)))
-    return out
+    return [Biderivation(source, target, SkewMatrix.from_slots(
+        spec, var, target.dim, source.dim, slots, coords))
+        for coords in coordinate_vectors(spec, len(slots))]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .coefficients import FieldElement, FieldSpec, SlottedValue, _new, _power
 from .errors import (
     DimensionMismatch,
-    DivisionByZero,
     MixedFields,
     ParseError,
     PolynomialTooLarge,
@@ -41,17 +40,10 @@ def _var_display(var):
 
 # ---------------------------------------------------------------------------
 # Accumulator kernels on payloads, with the domain's ops object arith
-# (FieldSpec._arith): products and sums add (degree, payload) pairs in place
-# into maps {degree: payload} that may hold zeros, and build no element;
-# _from_map wraps the nonzero coefficients of such a map once each.
-
-
-def _payloads(poly):
-    return [(d, c.payload) for d, c in poly.coeffs]
-
-
-def _payload_grid(entries):
-    return [[_payloads(e) for e in row] for row in entries]
+# (FieldSpec._arith).  A polynomial stores its nonzero coefficients as
+# ascending (degree, payload) pairs.  Products and sums add such pairs in
+# place into maps {degree: payload} that may hold zeros, and _from_map keeps
+# the nonzero ones; elements are built only where a coefficient leaves.
 
 
 def _add_into(arith, acc, pairs):
@@ -77,17 +69,17 @@ def _mul_into(arith, acc, a, b, s):
     return acc
 
 
-def _apply_into(arith, acc, coeffs, x, s):
+def _apply_into(arith, acc, pairs, x, s):
     """acc plus the image of the payload x under the polynomial with the
-    (degree, FieldElement) pairs coeffs, acting as a twisting operator."""
+    (degree, payload) pairs, acting as a twisting operator."""
     add, mul, twist = arith.add, arith.mul, arith.twist
-    for i, a in coeffs:
-        acc = add(acc, mul(a.payload, twist(x, s * i)))
+    for i, a in pairs:
+        acc = add(acc, mul(a, twist(x, s * i)))
     return acc
 
 
 def _matmul_into(arith, accs, a, b, s):
-    """Add the product of the payload grids a and b (see _payload_grid) into
+    """Add the product of the grids a and b of (degree, payload) pairs into
     the grid of accumulators accs, one per output entry, in ascending k."""
     for acc_row, a_row in zip(accs, a):
         for x, b_row in zip(a_row, b):
@@ -102,14 +94,14 @@ def _matmul_into(arith, accs, a, b, s):
 
 
 class SkewPoly(SlottedValue):
-    # coeffs: ((degree, FieldElement), ...) ascending, nonzero coeffs
-    __slots__ = ("spec", "var", "coeffs")
+    # _pairs: ((degree, payload), ...) ascending, nonzero payloads
+    __slots__ = ("spec", "var", "_pairs")
 
     # -- construction --------------------------------------------------------
 
     @classmethod
     def zero(cls, spec, var):
-        return _from_map(spec, var, {})
+        return cls(spec, var, ())
 
     @classmethod
     def const(cls, spec, var, c):
@@ -121,7 +113,7 @@ class SkewPoly(SlottedValue):
             c = spec.from_int(c)
         if deg < 0:
             raise ParseError("negative twisted-polynomial degree")
-        return cls(spec, var, ((deg, c),) if c else ())
+        return cls(spec, var, ((deg, c.payload),) if c else ())
 
     @classmethod
     def from_pairs(cls, spec, var, pairs):
@@ -131,29 +123,32 @@ class SkewPoly(SlottedValue):
     # -- structure ------------------------------------------------------------
 
     @property
+    def coeffs(self):
+        """The nonzero coefficients as ascending (degree, element) pairs."""
+        return tuple((d, self.spec._fe(c)) for d, c in self._pairs)
+
+    @property
     def sign(self):
         return twist_sign(self.var)
 
     def is_zero(self):
-        return not self.coeffs
+        return not self._pairs
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._pairs)
 
     @property
     def degree(self):
-        return self.coeffs[-1][0] if self.coeffs else -1
+        return self._pairs[-1][0] if self._pairs else -1
 
     def coefficient(self, k):
-        for deg, c in self.coeffs:
+        for deg, c in self._pairs:
             if deg == k:
-                return c
+                return self.spec._fe(c)
         return self.spec.zero()
 
     def leading(self):
-        if not self.coeffs:
-            return None
-        return self.coeffs[-1]
+        return (self.degree, self.coefficient(self.degree)) if self else None
 
     def is_constant(self):
         return self.degree <= 0
@@ -183,13 +178,14 @@ class SkewPoly(SlottedValue):
         if other is None:
             return NotImplemented
         return _from_map(self.spec, self.var, _add_into(
-            self.spec._arith, dict(_payloads(self)), _payloads(other)))
+            self.spec._arith, dict(self._pairs), other._pairs))
 
     __radd__ = __add__
 
     def __neg__(self):
+        neg = self.spec._arith.neg
         return SkewPoly(self.spec, self.var,
-                        tuple((d, -c) for d, c in self.coeffs))
+                        tuple((d, neg(c)) for d, c in self._pairs))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -210,8 +206,7 @@ class SkewPoly(SlottedValue):
         if other is None:
             return NotImplemented
         return _from_map(self.spec, self.var, _mul_into(
-            self.spec._arith, {}, _payloads(self), _payloads(other),
-            self.sign))
+            self.spec._arith, {}, self._pairs, other._pairs, self.sign))
 
     def __rmul__(self, other):
         other = self._coerce(other)
@@ -232,26 +227,26 @@ class SkewPoly(SlottedValue):
         if c.spec != spec:
             raise MixedFields("elements of different coefficient domains")
         arith = spec._arith
-        return spec._fe(_apply_into(arith, arith.zero, self.coeffs, c.payload,
+        return spec._fe(_apply_into(arith, arith.zero, self._pairs, c.payload,
                                     self.sign))
 
     def adjoint(self):
         """The image under the anti-automorphism swapping tau and sigma."""
-        s = self.sign
+        s, twist = self.sign, self.spec._arith.twist
         var = SIGMA if self.var == TAU else TAU
         return SkewPoly(self.spec, var,
-                        tuple((i, a.twist(-s * i)) for i, a in self.coeffs))
+                        tuple((i, twist(a, -s * i)) for i, a in self._pairs))
 
     # -- rendering ------------------------------------------------------------
 
     def __str__(self):
-        if not self.coeffs:
+        if not self._pairs:
             return "0"
         vname = _var_display(self.var)
-        one = self.spec.one()
+        fe, one = self.spec._fe, self.spec._arith.one
         parts = []
-        for deg, c in self.coeffs:
-            cs = str(c)
+        for deg, c in self._pairs:
+            cs = str(fe(c))
             if deg == 0:
                 parts.append(cs)
                 continue
@@ -272,18 +267,24 @@ class SkewPoly(SlottedValue):
 
 _set_spec = SkewPoly.spec.__set__
 _set_var = SkewPoly.var.__set__
-_set_coeffs = SkewPoly.coeffs.__set__
+_set_pairs = SkewPoly._pairs.__set__
 
 
 def _from_map(spec, var, acc):
-    """The polynomial of an accumulator: zeros dropped, degrees sorted."""
-    is_zero, fe = spec._arith.is_zero, spec._fe
+    """The polynomial storing an accumulator's nonzero payloads, sorted."""
+    is_zero = spec._arith.is_zero
     p = _new(SkewPoly)
     _set_spec(p, spec)
     _set_var(p, var)
-    _set_coeffs(p, tuple([(d, fe(c)) for d, c in sorted(acc.items())
-                          if not is_zero(c)]))
+    _set_pairs(p, tuple([(d, c) for d, c in sorted(acc.items())
+                         if not is_zero(c)]))
     return p
+
+
+def _from_maps(spec, var, maps):
+    """The matrix of a grid of accumulators."""
+    return SkewMatrix(spec, var, tuple(
+        tuple(_from_map(spec, var, acc) for acc in row) for row in maps))
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +321,15 @@ class SkewMatrix:
     def from_const(cls, spec, var, grid):
         return cls.from_rows(spec, var, [
             [SkewPoly.const(spec, var, c) for c in row] for row in grid])
+
+    @classmethod
+    def from_slots(cls, spec, var, nrows, ncols, slots, values):
+        """The nrows x ncols matrix holding each value at its slot (row,
+        col, deg), the slots distinct, and zero elsewhere."""
+        maps = [[{} for _ in range(ncols)] for _ in range(nrows)]
+        for (r, c, k), value in zip(slots, values):
+            maps[r][c][k] = value.payload
+        return _from_maps(spec, var, maps)
 
     @classmethod
     def zeros(cls, spec, var, nrows, ncols):
@@ -369,6 +379,11 @@ class SkewMatrix:
 
     def entry(self, i, j):
         return self.entries[i][j]
+
+    @property
+    def _pairs(self):
+        """The grid of the entries' stored (degree, payload) pairs."""
+        return [[e._pairs for e in row] for row in self.entries]
 
     def is_zero(self):
         return all(e.is_zero() for row in self.entries for e in row)
@@ -439,13 +454,10 @@ class SkewMatrix:
             if self.ncols != other.nrows:
                 raise DimensionMismatch(
                     f"cannot multiply {self.shape} by {other.shape}")
-            spec, var = self.spec, self.var
             accs = [[{} for _ in range(other.ncols)] for _ in self.entries]
-            _matmul_into(spec._arith, accs, _payload_grid(self.entries),
-                         _payload_grid(other.entries), twist_sign(var))
-            return SkewMatrix(spec, var, tuple(
-                tuple(_from_map(spec, var, acc) for acc in row)
-                for row in accs))
+            _matmul_into(self.spec._arith, accs, self._pairs, other._pairs,
+                         twist_sign(self.var))
+            return _from_maps(self.spec, self.var, accs)
         if isinstance(other, (SkewPoly, FieldElement, int)):
             return self.map_entries(lambda e: e * other)
         return NotImplemented
@@ -481,7 +493,7 @@ class SkewMatrix:
         for row in self.entries:
             acc = arith.zero
             for e, x in zip(row, xs):
-                acc = _apply_into(arith, acc, e.coeffs, x, s)
+                acc = _apply_into(arith, acc, e._pairs, x, s)
             out.append(spec._fe(acc))
         return tuple(out)
 
@@ -505,29 +517,20 @@ class SkewMatrix:
 
 
 def const_mul(a, b):
-    """The product a*b of two FieldElement grids, skipping zeros: entry
-    (i, j) sums a[i][k] * b[k][j] over the k where both are nonzero, in
-    ascending k, and is the field's zero if there is no such k."""
+    """The product a*b of two FieldElement grids, skipping zeros as matrix
+    products do: entry (i, j) sums a[i][k] * b[k][j] over the k where both
+    are nonzero, in ascending k, and is the field's zero if there is none."""
     if len(a[0]) != len(b):
         raise DimensionMismatch("constant matrix shapes do not compose")
     spec = a[0][0].spec
-    arith = spec._arith
-    a, b = ([[[] if arith.is_zero(x.payload) else [(0, x.payload)]
-              for x in row] for row in grid] for grid in (a, b))
-    accs = [[{} for _ in b[0]] for _ in a]
-    _matmul_into(arith, accs, a, b, 1)
-    return tuple(tuple(spec._fe(acc.get(0, arith.zero)) for acc in row)
-                 for row in accs)
+    a, b = (SkewMatrix.from_const(spec, TAU, grid) for grid in (a, b))
+    return (a * b).coefficient_matrix(0)
 
 
 def const_identity(spec, n):
     one, zero = spec.one(), spec.zero()
     return tuple(tuple(one if i == j else zero for j in range(n))
                  for i in range(n))
-
-
-def const_twist(a, i):
-    return tuple(tuple(c.twist(i) for c in row) for row in a)
 
 
 def const_inverse(a):

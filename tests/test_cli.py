@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -103,6 +104,48 @@ def test_out_to_missing_directory_exits_two(capsys, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(target) in err
     assert not target.parent.exists()
+
+
+# ---------------------------------------------------------------------------
+# The README's examples, run as written.
+
+README = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "README.md")
+
+
+def _readme_examples():
+    """(argv, expected stdout lines) of each fenced block of README.md that
+    starts with "$ tmodext", its backslash continuations joined."""
+    with open(README, encoding="utf-8") as fh:
+        blocks = re.findall(r"^```\n(\$ tmodext .*?)^```$", fh.read(),
+                            re.M | re.S)
+    examples = []
+    for block in blocks:
+        lines = block.splitlines()
+        command = lines.pop(0)
+        while command.endswith("\\"):
+            command = command[:-1] + lines.pop(0)
+        examples.append((shlex.split(command)[2:], lines))
+    return examples
+
+
+_README_EXAMPLES = _readme_examples()
+
+
+def test_readme_holds_its_examples():
+    assert [argv[0] for argv, _ in _README_EXAMPLES] == [
+        "ext", "ext-dual", "sixterm", "split", "hom", "verify"]
+
+
+@pytest.mark.parametrize("argv, want", _README_EXAMPLES,
+                         ids=[argv[0] for argv, _ in _README_EXAMPLES])
+def test_readme_example_prints_what_the_readme_shows(capsys, argv, want):
+    """A "..." line of the README matches any run of output lines."""
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    pattern = "".join("(?:.*\n)*" if line == "..." else re.escape(line) + "\n"
+                      for line in want)
+    assert re.fullmatch(pattern, out), out
 
 
 # ---------------------------------------------------------------------------
@@ -315,16 +358,37 @@ def test_huge_search_bound_is_refused_before_solving(capsys, argv):
     assert "MAX_FP_UNKNOWNS" in err
 
 
-@pytest.mark.parametrize("exponent", ["1000000000", "3000"])
-def test_huge_ext_rank_is_refused_before_building_slots(capsys, exponent):
+# The huge-input probes run over GF(3), whose cases keep their bare ids,
+# and over F_q(th) and a formal domain; c is the modules' constant term.
+_HUGE_FIELDS = (("GF(3)", "1"), (Q3, "th"), ("FTF(3; gens=a,th; inv=a)",
+                                             "th[0]"))
+
+
+def _over_fields(cases):
+    """pytest params (field, c, *values) of each (id, *values) case over
+    every field of _HUGE_FIELDS."""
+    return [pytest.param(field, c, *values,
+                         id=name if field == "GF(3)" else f"{field}-{name}")
+            for field, c in _HUGE_FIELDS for name, *values in cases]
+
+
+def _refused_in_a_second(capsys, argv):
+    """The error message of argv, which must exit 1 within a second."""
     start = time.perf_counter()
-    code, out, err = run(capsys, [
-        "ext", "--field", "GF(3)", "--phi", f"1 + tau^{exponent}",
-        "--psi", "1 + tau"])
+    code, out, err = run(capsys, argv)
     assert time.perf_counter() - start < 1
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "MAX_CANONICAL_SLOTS" in err
+    return err
+
+
+@pytest.mark.parametrize("field, c, exponent", _over_fields(
+    [("1000000000", "1000000000"), ("3000", "3000")]))
+def test_huge_ext_rank_is_refused_before_building_slots(capsys, field, c,
+                                                        exponent):
+    assert "MAX_CANONICAL_SLOTS" in _refused_in_a_second(capsys, [
+        "ext", "--field", field, "--phi", f"{c} + tau^{exponent}",
+        "--psi", f"{c} + tau"])
 
 
 def test_huge_pi_t_is_refused_before_building_forms(capsys):
@@ -344,21 +408,39 @@ def test_huge_pi_t_is_refused_before_building_forms(capsys):
     assert code == 0 and len(json.loads(out)["basis"]) == 256
 
 
-@pytest.mark.parametrize("argv, limit", [
-    (["reduce", "--field", "GF(3)", "--phi", "1 + tau^3", "--psi", "1 + tau",
-      "--delta", "[[tau^100000000]]"],
+@pytest.mark.parametrize("field, c, argv, limit", _over_fields([
+    ("reduce", ["reduce", "--phi", "{c} + tau^3", "--psi", "{c} + tau",
+                "--delta", "[[tau^100000000]]"],
      f"MAX_REDUCTION_STEPS = {MAX_REDUCTION_STEPS}"),
-    (["act", "--field", "GF(3)", "--phi", "1 + tau^3", "--psi", "1 + tau",
-      "--delta", "[[1]]", "--a", "t^100000000"],
+    ("act", ["act", "--phi", "{c} + tau^3", "--psi", "{c} + tau",
+             "--delta", "[[1]]", "--a", "t^100000000"],
      f"MAX_APOLY_DEGREE = {MAX_APOLY_DEGREE}"),
-], ids=["reduce", "act"])
-def test_huge_degrees_are_refused_before_any_step(capsys, argv, limit):
+]))
+def test_huge_degrees_are_refused_before_any_step(capsys, field, c, argv,
+                                                  limit):
+    argv = [argv[0], "--field", field, *(a.format(c=c) for a in argv[1:])]
+    assert limit in _refused_in_a_second(capsys, argv)
+
+
+@pytest.mark.parametrize("field, c, argv", _over_fields([
+    ("adjoint-module", ["adjoint", "--phi", "{c} + tau^1000000000"]),
+    ("adjoint-matrix", ["adjoint", "--delta", "[[{c} + tau^1000000000]]"]),
+    ("pullback", ["pullback", "--phi", "{c} + tau^3", "--psi", "{c} + tau",
+                  "--delta", "[[tau]]", "--g", "[[{c} + tau^1000000000]]",
+                  "--gmod", "{c} + tau^1000000000"]),
+]))
+def test_huge_tau_exponents_end_within_a_second(capsys, field, c, argv):
+    """Twisting a constant by a huge amount leaves it as it is, and
+    twisting th past MAX_TH_EXPONENT is refused, so these end at once."""
+    argv = [argv[0], "--field", field, *(a.format(c=c) for a in argv[1:])]
     start = time.perf_counter()
     code, out, err = run(capsys, argv)
     assert time.perf_counter() - start < 1
-    assert code == 1 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert limit in err
+    if code == 0:
+        assert out and err == ""
+    else:
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_sixterm_golden(capsys):
@@ -569,21 +651,27 @@ def test_only_the_chosen_command_gets_flags(capsys, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # Property: whatever the flags hold, main returns an exit code and never
-# raises.  Degrees and carrier sizes stay small so each run is quick.
+# raises.  Carriers stay small, and the one huge exponent per pool must meet
+# a budget, so each run is quick.
 
 # Per field: module expressions and 1x1 matrices that parse over it.
 _GOOD = {
-    "GF(2)": (["1 + tau", "1 + tau^2", "1 + tau^3"],
-              ["[[0]]", "[[1]]", "[[tau]]"]),
-    "GF(2^2)": (["g + tau", "g + tau^2", "g + tau^3"],
-                ["[[1]]", "[[tau]]", "[[g + tau]]"]),
-    "GF(3^2)": (["g + tau", "g + tau^2", "g + tau^3"],
-                ["[[0]]", "[[1]]", "[[tau]]", "[[g + tau^3]]"]),
+    "GF(2)": (["1 + tau", "1 + tau^2", "1 + tau^3", "1 + tau^1000000000"],
+              ["[[0]]", "[[1]]", "[[tau]]", "[[tau^100000000]]"]),
+    "GF(2^2)": (["g + tau", "g + tau^2", "g + tau^3", "g + tau^1000000000"],
+                ["[[1]]", "[[tau]]", "[[g + tau]]", "[[tau^100000000]]"]),
+    "GF(3^2)": (["g + tau", "g + tau^2", "g + tau^3", "g + tau^1000000000"],
+                ["[[0]]", "[[1]]", "[[tau]]", "[[g + tau^3]]",
+                 "[[tau^100000000]]"]),
     "GF(3)(th)": (["th + tau", "th + tau^2", "th + tau^3",
-                   "[[th, 1], [0, th]] + [[1, 0], [0, 1]]*tau^2"],
-                  ["[[1 + tau]]", "[[th*tau^2]]", "[[1, tau]]"]),
-    "FTF(3; gens=a,th; inv=a)": (["th[0] + a[0]*tau", "th[0] + tau^2"],
-                                 ["[[1]]", "[[a[0]*tau]]"]),
+                   "[[th, 1], [0, th]] + [[1, 0], [0, 1]]*tau^2",
+                   "th + tau^1000000000"],
+                  ["[[1 + tau]]", "[[th*tau^2]]", "[[1, tau]]",
+                   "[[tau^100000000]]"]),
+    "FTF(3; gens=a,th; inv=a)": (["th[0] + a[0]*tau", "th[0] + tau^2",
+                                  "th[0] + tau^1000000000"],
+                                 ["[[1]]", "[[a[0]*tau]]",
+                                  "[[tau^100000000]]"]),
 }
 _BAD_FIELDS = ["GF(6)", "GF(", ""]
 _BAD_EXPRESSIONS = ["th + * tau", "tau^", "0", "", "[[tau", "[[1], [2]]"]

@@ -24,6 +24,7 @@ from tmodext import (
 from tmodext import coefficients
 from tmodext.coefficients import (
     MAX_POLY_TERMS,
+    MAX_TH_EXPONENT,
     ZECH_LIMIT,
     _ftf_normal,
     _mono_mul,
@@ -307,6 +308,29 @@ def test_rational_deep_twists_reindex_exponents():
 
 
 Q9TH = make_rational(3, 2)
+
+
+def test_huge_twists_in_f_q_th_end_at_once():
+    """Constants are fixed by every twist, q^-i above the top exponent
+    cannot divide it, and th^(q^41) would pass MAX_TH_EXPONENT; none of
+    these forms q^|i|."""
+    th, deep = Q3.theta(), Q3.theta().twist(40)
+    start = time.perf_counter()
+    for i in (10 ** 9, -10 ** 9):
+        assert Q3.from_int(2).twist(i) == Q3.from_int(2)
+        assert Q9TH.gen().twist(i) == Q9TH.gen()
+    with pytest.raises(NotAQthPower):
+        deep.twist(-41)
+    with pytest.raises(NotAQthPower):
+        (1 / th).twist(-10 ** 9)
+    for base, i in ((th, 41), (th, 10 ** 9), (deep, 1)):
+        with pytest.raises(PolynomialTooLarge) as info:
+            base.twist(i)
+        message = str(info.value)
+        assert "MAX_TH_EXPONENT = 2^64" in message and f"by {i} " in message
+        assert "\n" not in message
+    assert 3 ** 40 < MAX_TH_EXPONENT < 3 ** 41
+    assert time.perf_counter() - start < 1
 
 
 def _scalars(spec):

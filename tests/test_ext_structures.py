@@ -207,24 +207,19 @@ def _count_built(monkeypatch, module, names):
 
 
 def test_tracked_reduction_builds_no_element_per_weight(monkeypatch):
-    source = tmodule(Q3, parse_matrix(Q3, MATRIX_SOURCE_Q3))
-    inverse = _count_built(monkeypatch, biderivations, ("const_inverse",))
-    biderivations.const_inverse(source.leading_matrix())
-    monkeypatch.undo()
-
     counts = _count_built(monkeypatch, biderivations, (
-        "_reduce_entrywise", "_reduce_layered", "const_twist"))
+        "_reduce_entrywise", "_reduce_layered", "_step"))
     ext_structure(_drin(Q3, "th + th*tau + tau^8"),
                   _drin(Q3, "th + th*tau + tau^7"))
     assert counts["_reduce_entrywise"] == [0]
 
-    # beyond the inverse leading matrix, formed once, a layer builds at
-    # most its twist: d^2 elements
-    ext_structure(source, _drin(Q3, "th + tau^2"))
-    layers = len(counts["const_twist"])
-    assert layers >= 2
-    assert counts["_reduce_layered"][0] <= (
-        inverse["const_inverse"][0] + source.dim ** 2 * layers)
+    # the layered loop twists the stored inverse leading matrix on payloads
+    steps = len(counts["_step"])
+    ext_structure(tmodule(Q3, parse_matrix(Q3, MATRIX_SOURCE_Q3)),
+                  _drin(Q3, "th + tau^2"))
+    assert counts["_reduce_layered"] == [0]
+    assert len(counts["_step"]) - steps >= 2
+    assert not any(counts["_step"])
 
 
 def test_tracked_reduction_checks_what_it_reads_back(monkeypatch):
