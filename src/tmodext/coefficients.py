@@ -420,8 +420,11 @@ def _get_ops(p, modulus):
 # be dense where both operands are sparse: (1 + th^N)/(2 + th^2) over
 # GF(3)(th) divides out th + 1 and leaves about N terms.
 MAX_POLY_TERMS = 2 ** 16
-# The highest exponent of th a twist may produce.
-MAX_TH_EXPONENT = 2 ** 64
+# The most decimal digits an exponent of th made by a twist may have: the
+# most Python converts between int and str by default, so every exponent
+# can still be printed and parsed back.
+MAX_TH_EXPONENT_DIGITS = 4300
+_TH_EXPONENT_CAP = 10 ** MAX_TH_EXPONENT_DIGITS
 
 
 def _rp_collect(terms, ops):
@@ -634,21 +637,24 @@ class _RationalOps(_FractionOps):
         """Coefficients in F_q are fixed by the q-th power, so twisting
         scales every exponent by q^i and leaves constants as they are; a
         negative twist needs each exponent divisible by q^-i, and a
-        positive one past MAX_TH_EXPONENT raises PolynomialTooLarge.  No
-        q^|i| above the top exponent or MAX_TH_EXPONENT is formed."""
+        positive one whose top exponent would have more than
+        MAX_TH_EXPONENT_DIGITS digits raises PolynomialTooLarge.  No q^|i|
+        of more than twice the cap's bits, or above the top exponent, is
+        formed."""
         n, d = a
         top = max(n[-1][0] if n else 0, d[-1][0])
         if not i or not top:
             return a
         if i > 0:
-            if i >= MAX_TH_EXPONENT.bit_length() or \
-                    top * self.q ** i > MAX_TH_EXPONENT:
-                raise PolynomialTooLarge(
-                    f"twisting th^{top} by {i} exceeds MAX_TH_EXPONENT = "
-                    f"2^{MAX_TH_EXPONENT.bit_length() - 1}")
-            step = self.q ** i
-            return (tuple((e * step, c) for e, c in n),
-                    tuple((e * step, c) for e, c in d))
+            # q^i has at least i * (bitlength(q) - 1) bits
+            if i * (self.q.bit_length() - 1) < _TH_EXPONENT_CAP.bit_length():
+                step = self.q ** i
+                if top * step < _TH_EXPONENT_CAP:
+                    return (tuple((e * step, c) for e, c in n),
+                            tuple((e * step, c) for e, c in d))
+            raise PolynomialTooLarge(
+                f"a twist by {i} makes an exponent of th of more than "
+                f"MAX_TH_EXPONENT_DIGITS = {MAX_TH_EXPONENT_DIGITS} digits")
         step = self.q ** min(-i, top.bit_length())  # if capped, above top
         if any(e % step for e, _c in n + d):
             raise NotAQthPower(f"element is not a q^{-i}-th power in F_q(th)")

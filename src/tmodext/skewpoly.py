@@ -148,7 +148,10 @@ class SkewPoly(SlottedValue):
         return self.spec.zero()
 
     def leading(self):
-        return (self.degree, self.coefficient(self.degree)) if self else None
+        if not self._pairs:
+            return None
+        d, c = self._pairs[-1]
+        return d, self.spec._fe(c)
 
     def is_constant(self):
         return self.degree <= 0

@@ -19,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 import tmodext.cli as cli
 from tmodext import Check, Report
 from tmodext.biderivations import MAX_REDUCTION_STEPS
+from tmodext.coefficients import MAX_TH_EXPONENT_DIGITS
 from tmodext.skewpoly import MAX_APOLY_DEGREE, MAX_NESTING
 
 Q3 = "GF(3)(th)"
@@ -422,25 +423,61 @@ def test_huge_degrees_are_refused_before_any_step(capsys, field, c, argv,
     assert limit in _refused_in_a_second(capsys, argv)
 
 
-@pytest.mark.parametrize("field, c, argv", _over_fields([
-    ("adjoint-module", ["adjoint", "--phi", "{c} + tau^1000000000"]),
-    ("adjoint-matrix", ["adjoint", "--delta", "[[{c} + tau^1000000000]]"]),
+_NOT_COMMUTING = "the matrix does not commute with the t-actions"
+_TOO_LONG = f"MAX_TH_EXPONENT_DIGITS = {MAX_TH_EXPONENT_DIGITS} digits"
+
+
+@pytest.mark.parametrize("field, c, argv, refusals", _over_fields([
+    ("adjoint-module", ["adjoint", "--phi", "{c} + tau^1000000000"], {}),
+    ("adjoint-matrix", ["adjoint", "--delta", "[[{c} + tau^1000000000]]"],
+     {}),
     ("pullback", ["pullback", "--phi", "{c} + tau^3", "--psi", "{c} + tau",
                   "--delta", "[[tau]]", "--g", "[[{c} + tau^1000000000]]",
-                  "--gmod", "{c} + tau^1000000000"]),
+                  "--gmod", "{c} + tau^1000000000"],
+     {"GF(3)": _NOT_COMMUTING, Q3: _TOO_LONG,
+      "FTF(3; gens=a,th; inv=a)": _NOT_COMMUTING}),
 ]))
-def test_huge_tau_exponents_end_within_a_second(capsys, field, c, argv):
-    """Twisting a constant by a huge amount leaves it as it is, and
-    twisting th past MAX_TH_EXPONENT is refused, so these end at once."""
+def test_huge_tau_exponents_end_within_a_second(capsys, field, c, argv,
+                                                refusals):
+    """Twisting a constant by a huge amount leaves it as it is, so the
+    adjoint is computed at once; twisting th past MAX_TH_EXPONENT_DIGITS
+    is refused before q^i is formed."""
     argv = [argv[0], "--field", field, *(a.format(c=c) for a in argv[1:])]
+    if field in refusals:
+        assert refusals[field] in _refused_in_a_second(capsys, argv)
+        return
     start = time.perf_counter()
     code, out, err = run(capsys, argv)
     assert time.perf_counter() - start < 1
-    if code == 0:
-        assert out and err == ""
-    else:
-        assert code == 1 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+    assert (code, out, err) == (0, f"[[{c} + sig^1000000000]]\n", "")
+
+
+@pytest.mark.parametrize("k", [45, 9000])
+def test_twists_of_th_within_the_exponent_bound_are_computed(capsys, k):
+    """th twisted k - 1 times lands in the canonical form, which prints
+    its exponent 3^(k-1) in full: 4294 digits at k = 9000."""
+    code, out, err = run(capsys, [
+        "reduce", "--field", Q3, "--phi", f"th + tau^{k}",
+        "--psi", f"th + tau^{k - 1}", "--delta", f"[[th*tau^{k}]]"])
+    assert (code, err) == (0, "")
+    assert out == ("regime: drinfeld-forward\ncanonical:\n"
+                   f"[[th^{3 ** (k - 1)}*tau^{k - 1}]]\nwitness:\n[[th]]\n")
+
+
+def test_exponents_too_long_to_print_are_refused(capsys):
+    """Twisting th 9099 times makes an exponent of 4342 digits, which
+    Python does not print by default; the reduction is refused instead."""
+    assert _TOO_LONG in _refused_in_a_second(capsys, [
+        "reduce", "--field", Q3, "--phi", "th + tau^9100",
+        "--psi", "th + tau^9099", "--delta", "[[th*tau^9100]]"])
+
+
+def test_ext_of_rank_64_over_f_q_th_is_computed(capsys):
+    code, out, err = run(capsys, [
+        "ext", "--field", Q3, "--phi", "th + tau^64", "--psi", "th + tau",
+        "--json"])
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["basis"]) == 64
 
 
 def test_sixterm_golden(capsys):

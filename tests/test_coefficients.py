@@ -24,7 +24,7 @@ from tmodext import (
 from tmodext import coefficients
 from tmodext.coefficients import (
     MAX_POLY_TERMS,
-    MAX_TH_EXPONENT,
+    MAX_TH_EXPONENT_DIGITS,
     ZECH_LIMIT,
     _ftf_normal,
     _mono_mul,
@@ -312,24 +312,26 @@ Q9TH = make_rational(3, 2)
 
 def test_huge_twists_in_f_q_th_end_at_once():
     """Constants are fixed by every twist, q^-i above the top exponent
-    cannot divide it, and th^(q^41) would pass MAX_TH_EXPONENT; none of
-    these forms q^|i|."""
-    th, deep = Q3.theta(), Q3.theta().twist(40)
+    cannot divide it, and 3^9013 has more than MAX_TH_EXPONENT_DIGITS
+    digits; none of these forms q^|i|."""
+    th, deep = Q3.theta(), Q3.theta().twist(9012)
     start = time.perf_counter()
     for i in (10 ** 9, -10 ** 9):
         assert Q3.from_int(2).twist(i) == Q3.from_int(2)
         assert Q9TH.gen().twist(i) == Q9TH.gen()
+    assert deep.twist(-9012) == th and str(deep) == f"th^{3 ** 9012}"
     with pytest.raises(NotAQthPower):
-        deep.twist(-41)
+        deep.twist(-9013)
     with pytest.raises(NotAQthPower):
         (1 / th).twist(-10 ** 9)
-    for base, i in ((th, 41), (th, 10 ** 9), (deep, 1)):
+    for base, i in ((th, 9013), (th, 10 ** 9), (deep, 1)):
         with pytest.raises(PolynomialTooLarge) as info:
             base.twist(i)
         message = str(info.value)
-        assert "MAX_TH_EXPONENT = 2^64" in message and f"by {i} " in message
-        assert "\n" not in message
-    assert 3 ** 40 < MAX_TH_EXPONENT < 3 ** 41
+        assert f"twist by {i} " in message and "\n" not in message
+        assert f"MAX_TH_EXPONENT_DIGITS = {MAX_TH_EXPONENT_DIGITS} digits" \
+            in message
+    assert len(str(3 ** 9012)) == MAX_TH_EXPONENT_DIGITS
     assert time.perf_counter() - start < 1
 
 
