@@ -16,13 +16,11 @@ from .errors import (
     NotNilpotent,
     ParseError,
     PolynomialTooLarge,
-    RankZero,
     SingularLeading,
     TmodError,
     UnboundedSearch,
     UnsupportedRegime,
     UsageError,
-    ZeroLeading,
 )
 from .coefficients import (
     FieldElement,

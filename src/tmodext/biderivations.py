@@ -19,7 +19,10 @@ matrix.  An entrywise plan reduces one entry at a time, killing its leading
 coefficient against the higher of the two diagonal entries that meet there:
 forward against the source's, reversed against the target's.  A step at
 (row, col) changes only that row and that column, and the entry order puts
-every such change on an entry not yet reduced.
+every such change on an entry not yet reduced.  The plan marks each entry
+forward or reversed, layered entries forward (they divide by the source's
+leading matrix); a pair whose entries are all forward has a t-module
+structure on Ext (``ext_structures``).
 
 ``reduction_plan`` builds a ``ReductionPlan`` once per (source, target,
 regime) and keeps it in a small memo keyed by the identity of the modules,
@@ -65,9 +68,6 @@ TRIANGULAR_SOURCE = "triangular-source"
 CARLITZ_TARGET = "carlitz-target"
 TRIANGULAR_TARGET_REVERSED = "triangular-target-reversed"
 DIAGONAL_PAIRS = "diagonal-pairs"
-
-FORWARD_REGIMES = frozenset({
-    DRINFELD_FORWARD, MATRIX_SOURCE, TRIANGULAR_SOURCE, CARLITZ_TARGET})
 
 
 @dataclass(frozen=True)
@@ -272,6 +272,8 @@ class ReductionPlan:
     forward, lead) in reduction order: an entry keeps degrees below bound,
     and an entrywise plan kills its leading coefficient against lead, the
     payload of the source's diagonal entry if forward, else the target's.
+    A forward entry divides only by source data; layered entries are
+    forward, with lead None.
     phi, psi and lead_inv are grids of the stored (degree, payload) pairs
     of their entries."""
 
@@ -292,6 +294,9 @@ def reduction_plan(source, target, regime=None):
 
 
 def _build_plan(source, target, regime):
+    """The plan's entries in order; an entry is forward when it divides by
+    the source: every entry of a layered plan, and an entrywise one whose
+    source diagonal entry is at least as high as the target's."""
     if regime is None:
         regime = select_regime(source, target)
     if regime not in _PLANS:
@@ -305,7 +310,7 @@ def _build_plan(source, target, regime):
     entries = []
     for r, c in order:
         if layered:
-            entries.append((r, c, source.rank, None, None))
+            entries.append((r, c, source.rank, True, None))
             continue
         # the higher of the two diagonal entries that meet at (r, c)
         forward = src.entry(c, c).degree >= tgt.entry(r, r).degree

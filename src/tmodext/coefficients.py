@@ -425,6 +425,17 @@ MAX_POLY_TERMS = 2 ** 16
 # can still be printed and parsed back.
 MAX_TH_EXPONENT_DIGITS = 4300
 _TH_EXPONENT_CAP = 10 ** MAX_TH_EXPONENT_DIGITS
+# The most digits an integer literal in parsed text may have: the most
+# Python converts from str to int by default.
+MAX_LITERAL_DIGITS = 4300
+
+
+def _check_literals(text):
+    """Refuse text holding a run of more digits than MAX_LITERAL_DIGITS,
+    before any of it is converted."""
+    if any(len(run) > MAX_LITERAL_DIGITS for run in re.findall(r"\d+", text)):
+        raise ParseError(f"an integer literal has more than "
+                         f"MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS} digits")
 
 
 def _rp_collect(terms, ops):
@@ -1227,6 +1238,7 @@ def _parse_g_poly(text, p):
 def parse_field(text):
     """Parse a coefficient-domain header such as GF(3), GF(3^2; mod=g^2+1),
     GF(3)(th), or FTF(3; gens=a,b,th; inv=a)."""
+    _check_literals(text)
     m_ = _FIELD_RE.match(text)
     if not m_:
         raise ParseError(f"malformed field header {text!r}")

@@ -33,14 +33,6 @@ class DimensionMismatch(TmodError):
     """Matrix shapes are incompatible for the requested operation."""
 
 
-class ZeroLeading(TmodError):
-    """A leading coefficient that must be nonzero is zero."""
-
-
-class RankZero(TmodError):
-    """A Drinfeld polynomial must have positive twist degree."""
-
-
 class InvalidModule(TmodError):
     """A proposed t-module matrix violates the structural requirements."""
 

@@ -1,12 +1,14 @@
 """t-module structures on Ext groups.
 
-For module pairs whose reduction regime is forward (the source outranks the
-target), the canonical forms of biderivations make the Ext group a free
-module over the coefficient domain with an explicit finite basis, and the
-action of t on extension classes is itself given by a square matrix Pi_t of
-twisted polynomials: acting on a class with coordinates (c_1, ..., c_r)
-yields coordinates ``new[i] = sum_j Pi_t[i][j](c_j)``, each entry applied as
-a twisting operator.
+For module pairs whose reduction plan is forward at every entry (each entry
+divides by the source's data, as when the source outranks the target; see
+``biderivations``), the canonical forms of biderivations make the Ext group
+a free module over the coefficient domain with an explicit finite basis, and
+the action of t on extension classes is itself given by a square matrix
+Pi_t of twisted polynomials: acting on a class with coordinates (c_1, ...,
+c_r) yields coordinates ``new[i] = sum_j Pi_t[i][j](c_j)``, each entry
+applied as a twisting operator.  Direct sums of Drinfeld modules are one
+such pair: their diagonal pair is reduced like any other.
 
 Pi_t comes from the reduction that gives canonical forms, run over a
 second coefficient domain: Psi_t times the generic canonical form is
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 
 from .biderivations import (
     DIAGONAL_PAIRS,
-    FORWARD_REGIMES,
     MAX_PI_ENTRIES,
     Biderivation,
     _reduce_maps,
@@ -167,9 +168,10 @@ class ExtStructure:
 
 
 def ext_structure(source, target, regime=None):
-    """Compute the t-module structure on Ext(source, target)."""
+    """Compute the t-module structure on Ext(source, target); the pair's
+    plan must be forward at every entry."""
     plan = reduction_plan(source, target, regime)
-    if plan.regime not in FORWARD_REGIMES:
+    if not all(forward for _, _, _, forward, _ in plan.entries):
         raise UnsupportedRegime(
             f"the t-module structure is only computed for forward regimes, "
             f"not {plan.regime!r}; reversed pairs still have canonical forms "
@@ -219,9 +221,9 @@ def duality_transport(source, target):
 
 
 def ext_product(sources, targets):
-    """The structure on Ext(diag(sources), diag(targets)) when every pair
-    (source_i, target_j) is forward, assembled blockwise from the pairwise
-    structures."""
+    """The structure on Ext(diag(sources), diag(targets)) for dimension-one
+    Drinfeld modules, every source rank above every target rank: one
+    reduction of the diagonal pair."""
     if not sources or not targets:
         raise UnsupportedRegime("the product needs at least one module on "
                                 "each side")
@@ -231,14 +233,12 @@ def ext_product(sources, targets):
             raise UnsupportedRegime(
                 "the product construction takes dimension-one Drinfeld "
                 "modules")
-    pairwise = {}
     for i, src in enumerate(sources):
         for j, tgt in enumerate(targets):
             if src.rank <= tgt.rank:
                 raise UnsupportedRegime(
                     f"pair ({i}, {j}) is not forward: source rank "
                     f"{src.rank} <= target rank {tgt.rank}")
-            pairwise[(i, j)] = ext_structure(src, tgt)
 
     def diag(mods):
         d = len(mods)
@@ -247,23 +247,7 @@ def ext_product(sources, targets):
             [mods[i].scalar_poly() if i == j else zero for j in range(d)]
             for i in range(d)]))
 
-    big_source = diag(list(sources))
-    big_target = diag(list(targets))
-    basis = canonical_slots(big_source, big_target, DIAGONAL_PAIRS)
-    index = {slot: a for a, slot in enumerate(basis)}
-    r = len(basis)
-    zero = SkewPoly.zero(spec, var)
-    grid = [[zero] * r for _ in range(r)]
-    for (i, j), st in pairwise.items():
-        offsets = [index[(j, i, k)] for k in range(sources[i].rank)]
-        for a_local, a_global in enumerate(offsets):
-            for b_local, b_global in enumerate(offsets):
-                grid[a_global][b_global] = st.pi.entry(a_local, b_local)
-    pi = SkewMatrix.from_rows(spec, var, grid)
-    structure = ExtStructure(big_source, big_target, DIAGONAL_PAIRS, basis,
-                             pi)
-    structure.module()
-    return structure
+    return ext_structure(diag(sources), diag(targets), DIAGONAL_PAIRS)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .coefficients import FieldSpec
+from .coefficients import FieldSpec, _check_literals
 from .errors import (
     DimensionMismatch,
     InvalidModule,
@@ -261,6 +261,7 @@ def parse_module(spec, text, var=TAU):
     Accepted forms: a bare expression (scalar or matrix); ``drinfeld EXPR``;
     ``tmodule [dim=N] EXPR``; ``carlitz [e=N]``.
     """
+    _check_literals(text)
     m = _KEY_RE.match(text)
     if not m:
         value = parse_value(spec, text, var)

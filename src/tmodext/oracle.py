@@ -19,7 +19,7 @@ from .biderivations import (
     inner_matrix,
     reduce_canonical,
 )
-from .errors import CarrierTooLarge, FiniteFieldRequired
+from .errors import CarrierTooLarge
 from .homological import class_of
 from .skewpoly import SkewMatrix, SkewPoly
 
@@ -46,11 +46,6 @@ class Report:
         return {"ok": self.ok,
                 "checks": [{"name": c.name, "passed": c.passed,
                             "detail": c.detail} for c in self.checks]}
-
-
-def _require_finite(spec, what):
-    if spec.kind != "finite":
-        raise FiniteFieldRequired(f"{what} needs a finite coefficient field")
 
 
 def _guard_carrier(count, what):
@@ -93,7 +88,7 @@ def apply_matrix(mat, vec):
 
 
 def coordinate_vectors(spec, length):
-    _require_finite(spec, "coordinate enumeration")
+    spec._require_finite("coordinate enumeration needs")
     _guard_carrier(spec.carrier_size() ** length, "coordinate enumeration")
     elements = list(spec.enumerate_elements())
     return itertools.product(elements, repeat=length)
@@ -118,7 +113,7 @@ def verify_structure(structure, samples=200, seed=0, mode="sample"):
     on every class with mode="enumerate"), coordinates must be stable under
     inner shifts, and the constant part of pi must be theta*I + nilpotent."""
     spec = structure.spec
-    _require_finite(spec, "structure verification")
+    spec._require_finite("structure verification needs")
     rng = random.Random(seed)
     checks = []
 
@@ -183,7 +178,7 @@ def verify_ga(seq, seed=0):
     t-equivariance on both maps, and the image size."""
     structure = seq.structure
     spec = structure.spec
-    _require_finite(spec, "quotient-sequence verification")
+    spec._require_finite("quotient-sequence verification needs")
     r = structure.rank
     checks = []
     pure = set(seq.pure)
@@ -240,7 +235,7 @@ def verify_ga(seq, seed=0):
 # Six-term verification.
 
 
-def _node_hom(bundle, source, target):
+def _node_hom(source, target):
     from .homological import hom_space
 
     space = hom_space(source, target)
@@ -265,14 +260,26 @@ def verify_sixterm(bundle, seed=0, inner_samples=20):
     and check exactness, plus surjectivity of the final maps and
     well-definedness of the Ext-level maps under inner shifts."""
     spec = bundle.delta.source.spec
-    _require_finite(spec, "six-term verification")
+    spec._require_finite("six-term verification needs")
     rng = random.Random(seed)
     G = bundle.partner
     E, X, F = bundle.quotient, bundle.middle, bundle.sub
+    b = bundle
+    # one row per side: check prefix, its three nodes, the label of its
+    # first Hom node, the (source, target) pair at each node, and its maps
+    # Hom0 -> Hom1 -> Hom2 -> Ext0 -> Ext1 -> Ext2
+    sides = (
+        ("co", ("sub", "middle", "quot"), "Hom(G,sub)",
+         ((G, F), (G, X), (G, E)),
+         (b.co_hom_sub, b.co_hom_quot, b.co_connect, b.co_ext_middle,
+          b.co_ext_quot)),
+        ("contra", ("quot", "middle", "sub"), "Hom(quot,G)",
+         ((E, G), (X, G), (F, G)),
+         (b.contra_hom_quot, b.contra_hom_sub, b.contra_connect,
+          b.contra_ext_middle, b.contra_ext_sub)),
+    )
     checks = []
-
-    def ext_elements(src, tgt):
-        return [class_of(d) for d in enumerate_ext(src, tgt)]
+    first_ext = []
 
     def image(elems, fn):
         return {fn(e).matrix for e in elems}
@@ -280,69 +287,32 @@ def verify_sixterm(bundle, seed=0, inner_samples=20):
     def kernel(elems, fn):
         return {e.matrix for e in elems if fn(e).is_zero()}
 
-    # covariant side ---------------------------------------------------------
-    hom_GF = _node_hom(bundle, G, F)
-    hom_GX = _node_hom(bundle, G, X)
-    hom_GE = _node_hom(bundle, G, E)
-    ext_GF = ext_elements(G, F)
-    ext_GX = ext_elements(G, X)
-    ext_GE = ext_elements(G, E)
-
-    inj = len({bundle.co_hom_sub(f) for f in hom_GF}) == len(hom_GF)
-    checks.append(Check("co-hom-injective", inj,
-                        f"Hom(G,sub) ({len(hom_GF)} elements) embeds"))
-    im1 = {bundle.co_hom_sub(f) for f in hom_GF}
-    ker1 = {h for h in hom_GX if bundle.co_hom_quot(h).is_zero()}
-    checks.append(Check("co-exact-hom-middle", im1 == ker1,
-                        f"image {len(im1)} vs kernel {len(ker1)}"))
-    im2 = {bundle.co_hom_quot(h) for h in hom_GX}
-    ker2 = {f for f in hom_GE if bundle.co_connect(f).is_zero()}
-    checks.append(Check("co-exact-hom-quot", im2 == ker2,
-                        f"image {len(im2)} vs kernel {len(ker2)}"))
-    im3 = {bundle.co_connect(f).matrix for f in hom_GE}
-    ker3 = kernel(ext_GF, bundle.co_ext_middle)
-    checks.append(Check("co-exact-ext-sub", im3 == ker3,
-                        f"image {len(im3)} vs kernel {len(ker3)}"))
-    im4 = image(ext_GF, bundle.co_ext_middle)
-    ker4 = kernel(ext_GX, bundle.co_ext_quot)
-    checks.append(Check("co-exact-ext-middle", im4 == ker4,
-                        f"image {len(im4)} vs kernel {len(ker4)}"))
-    im5 = image(ext_GX, bundle.co_ext_quot)
-    all5 = {e.matrix for e in ext_GE}
-    checks.append(Check("co-final-surjective", im5 == all5,
-                        f"image {len(im5)} of {len(all5)} classes"))
-
-    # contravariant side ------------------------------------------------------
-    hom_EG = _node_hom(bundle, E, G)
-    hom_XG = _node_hom(bundle, X, G)
-    hom_FG = _node_hom(bundle, F, G)
-    ext_EG = ext_elements(E, G)
-    ext_XG = ext_elements(X, G)
-    ext_FG = ext_elements(F, G)
-
-    inj_c = len({bundle.contra_hom_quot(g) for g in hom_EG}) == len(hom_EG)
-    checks.append(Check("contra-hom-injective", inj_c,
-                        f"Hom(quot,G) ({len(hom_EG)} elements) embeds"))
-    cim1 = {bundle.contra_hom_quot(g) for g in hom_EG}
-    cker1 = {h for h in hom_XG if bundle.contra_hom_sub(h).is_zero()}
-    checks.append(Check("contra-exact-hom-middle", cim1 == cker1,
-                        f"image {len(cim1)} vs kernel {len(cker1)}"))
-    cim2 = {bundle.contra_hom_sub(h) for h in hom_XG}
-    cker2 = {g for g in hom_FG if bundle.contra_connect(g).is_zero()}
-    checks.append(Check("contra-exact-hom-sub", cim2 == cker2,
-                        f"image {len(cim2)} vs kernel {len(cker2)}"))
-    cim3 = {bundle.contra_connect(g).matrix for g in hom_FG}
-    cker3 = kernel(ext_EG, bundle.contra_ext_middle)
-    checks.append(Check("contra-exact-ext-quot", cim3 == cker3,
-                        f"image {len(cim3)} vs kernel {len(cker3)}"))
-    cim4 = image(ext_EG, bundle.contra_ext_middle)
-    cker4 = kernel(ext_XG, bundle.contra_ext_sub)
-    checks.append(Check("contra-exact-ext-middle", cim4 == cker4,
-                        f"image {len(cim4)} vs kernel {len(cker4)}"))
-    cim5 = image(ext_XG, bundle.contra_ext_sub)
-    call5 = {e.matrix for e in ext_FG}
-    checks.append(Check("contra-final-surjective", cim5 == call5,
-                        f"image {len(cim5)} of {len(call5)} classes"))
+    for prefix, nodes, hom_label, pairs, maps in sides:
+        hom_in, hom_out, connect, ext_in, ext_out = maps
+        hom = [_node_hom(*pair) for pair in pairs]
+        ext = [[class_of(d) for d in enumerate_ext(*pair)] for pair in pairs]
+        first_ext.append(ext[0])
+        im1 = {hom_in(f) for f in hom[0]}
+        checks.append(Check(f"{prefix}-hom-injective", len(im1) == len(hom[0]),
+                            f"{hom_label} ({len(hom[0])} elements) embeds"))
+        exact = (
+            (f"hom-{nodes[1]}", im1,
+             {h for h in hom[1] if hom_out(h).is_zero()}),
+            (f"hom-{nodes[2]}", {hom_out(h) for h in hom[1]},
+             {f for f in hom[2] if connect(f).is_zero()}),
+            (f"ext-{nodes[0]}", {connect(f).matrix for f in hom[2]},
+             kernel(ext[0], ext_in)),
+            (f"ext-{nodes[1]}", image(ext[0], ext_in),
+             kernel(ext[1], ext_out)),
+        )
+        for node, im, ker in exact:
+            checks.append(Check(f"{prefix}-exact-{node}", im == ker,
+                                f"image {len(im)} vs kernel {len(ker)}"))
+        im5 = image(ext[1], ext_out)
+        all5 = {e.matrix for e in ext[2]}
+        checks.append(Check(f"{prefix}-final-surjective", im5 == all5,
+                            f"image {len(im5)} of {len(all5)} classes"))
+    ext_GF, ext_EG = first_ext
 
     # well-definedness under inner shifts -------------------------------------
     bad_shift = 0
@@ -380,7 +350,7 @@ def verify_duality(source, target, classes=100, seed=0):
     transport is well defined on classes, and the double adjoint returns
     the original."""
     spec = source.spec
-    _require_finite(spec, "duality verification")
+    spec._require_finite("duality verification needs")
     rng = random.Random(seed)
     checks = []
 

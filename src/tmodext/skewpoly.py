@@ -12,7 +12,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .coefficients import FieldElement, FieldSpec, SlottedValue, _new, _power
+from .coefficients import (
+    FieldElement,
+    FieldSpec,
+    SlottedValue,
+    _check_literals,
+    _new,
+    _power,
+)
 from .errors import (
     DimensionMismatch,
     MixedFields,
@@ -113,12 +120,12 @@ class SkewPoly(SlottedValue):
             c = spec.from_int(c)
         if deg < 0:
             raise ParseError("negative twisted-polynomial degree")
-        return cls(spec, var, ((deg, c.payload),) if c else ())
+        return cls(spec, var, ((deg, _payload(spec, c)),) if c else ())
 
     @classmethod
     def from_pairs(cls, spec, var, pairs):
         return _from_map(spec, var, _add_into(
-            spec._arith, {}, [(d, c.payload) for d, c in pairs]))
+            spec._arith, {}, [(d, _payload(spec, c)) for d, c in pairs]))
 
     # -- structure ------------------------------------------------------------
 
@@ -273,6 +280,14 @@ _set_var = SkewPoly.var.__set__
 _set_pairs = SkewPoly._pairs.__set__
 
 
+def _payload(spec, c):
+    """The payload of the element c of spec; an element of another domain
+    raises MixedFields."""
+    if c.spec is not spec and c.spec != spec:
+        raise MixedFields("elements of different coefficient domains")
+    return c.payload
+
+
 def _from_map(spec, var, acc):
     """The polynomial storing an accumulator's nonzero payloads, sorted."""
     is_zero = spec._arith.is_zero
@@ -331,7 +346,7 @@ class SkewMatrix:
         col, deg), the slots distinct, and zero elsewhere."""
         maps = [[{} for _ in range(ncols)] for _ in range(nrows)]
         for (r, c, k), value in zip(slots, values):
-            maps[r][c][k] = value.payload
+            maps[r][c][k] = _payload(spec, value)
         return _from_maps(spec, var, maps)
 
     @classmethod
@@ -600,6 +615,7 @@ MAX_APOLY_DEGREE = 2 ** 10
 
 
 def _tokenize(text):
+    _check_literals(text)
     tokens = []
     pos = 0
     while pos < len(text):

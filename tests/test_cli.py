@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -19,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 import tmodext.cli as cli
 from tmodext import Check, Report
 from tmodext.biderivations import MAX_REDUCTION_STEPS
-from tmodext.coefficients import MAX_TH_EXPONENT_DIGITS
+from tmodext.coefficients import MAX_LITERAL_DIGITS, MAX_TH_EXPONENT_DIGITS
 from tmodext.skewpoly import MAX_APOLY_DEGREE, MAX_NESTING
 
 Q3 = "GF(3)(th)"
@@ -149,6 +150,31 @@ def test_readme_example_prints_what_the_readme_shows(capsys, argv, want):
     assert re.fullmatch(pattern, out), out
 
 
+def _benchmark_workloads():
+    """perfbench/workloads.py: the benchmark's CLI commands and the
+    digests of their recorded output."""
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_commands_print_their_recorded_output(capsys,
+                                                        monkeypatch):
+    """Every command of the benchmark's cli-oneshot workload, run in
+    process, gives its exit code and output (compared by digest)."""
+    monkeypatch.setenv("COLUMNS", "80")  # --help as in a piped child
+    workloads = _benchmark_workloads()
+    wrong = []
+    for name, argv, code, golden in workloads.CLI_COMMANDS:
+        report = dict(zip(("code", "stdout", "stderr"), run(capsys, argv)))
+        if not workloads.check_cli(name, code, golden, report):
+            wrong.append(name)
+    assert workloads.CLI_COMMANDS and wrong == []
+
+
 # ---------------------------------------------------------------------------
 # The remaining structure commands.
 
@@ -202,6 +228,18 @@ def test_ext_prod_output(capsys):
         "--psi", "th + tau^2"])
     assert code == 0
     assert "regime: diagonal-pairs" in out
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_ext_of_an_all_forward_diagonal_pair_is_ext_prod(capsys, json_flag):
+    """Exit 1 ("reversed pairs ...") before the plan decided forwardness."""
+    prod = run(capsys, [
+        "ext-prod", "--field", Q3, "--phi", "th + tau^3; th + tau^4",
+        "--psi", "th + tau; th + tau^2", *json_flag])
+    assert prod[0] == 0 and prod == run(capsys, [
+        "ext", "--field", Q3,
+        "--phi", "[[th + tau^3, 0], [0, th + tau^4]]",
+        "--psi", "[[th + tau, 0], [0, th + tau^2]]", *json_flag])
 
 
 def test_ext_tmod_output(capsys):
@@ -373,12 +411,13 @@ def _over_fields(cases):
             for field, c in _HUGE_FIELDS for name, *values in cases]
 
 
-def _refused_in_a_second(capsys, argv):
-    """The error message of argv, which must exit 1 within a second."""
+def _refused_in_a_second(capsys, argv, want=1):
+    """The error message of argv, which must exit with code want (1 by
+    default) within a second."""
     start = time.perf_counter()
     code, out, err = run(capsys, argv)
     assert time.perf_counter() - start < 1
-    assert code == 1 and out == ""
+    assert code == want and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     return err
 
@@ -470,6 +509,26 @@ def test_exponents_too_long_to_print_are_refused(capsys):
     assert _TOO_LONG in _refused_in_a_second(capsys, [
         "reduce", "--field", Q3, "--phi", "th + tau^9100",
         "--psi", "th + tau^9099", "--delta", "[[th*tau^9100]]"])
+
+
+_LONG_LITERAL = "1" * (MAX_LITERAL_DIGITS + 1)
+
+
+@pytest.mark.parametrize("field, phi", [
+    (Q3, f"th + th^{_LONG_LITERAL}*tau^3"),
+    (Q3, f"{_LONG_LITERAL} + tau^3"),
+    (f"GF({_LONG_LITERAL})", "th + tau^3"),
+    (FORMAL, f"th[{_LONG_LITERAL}] + tau^3"),
+    (Q3, f"carlitz e={_LONG_LITERAL}"),
+], ids=["exponent", "constant", "field", "symbol-index", "module-option"])
+def test_integer_literals_too_long_to_convert_are_refused(capsys, field,
+                                                          phi):
+    """Python converts at most 4300 digits from str to int by default;
+    before, a longer literal ended in a ValueError traceback."""
+    err = _refused_in_a_second(capsys, [
+        "ext", "--field", field, "--phi", phi, "--psi", "th + tau^2"], 2)
+    assert err == (f"error: an integer literal has more than "
+                   f"MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS} digits\n")
 
 
 def test_ext_of_rank_64_over_f_q_th_is_computed(capsys):

@@ -20,6 +20,7 @@ from tmodext import (
     parse_matrix,
     parse_poly,
     tmodule,
+    verify_structure,
 )
 from tmodext import biderivations
 from tmodext.skewpoly import const_mul
@@ -416,3 +417,46 @@ def test_ext_product_rejects_reversed_factor():
     r3 = _drin(Q3, "th + tau^3")
     with pytest.raises(UnsupportedRegime):
         ext_product([r2], [r3])
+
+
+def _diagonal(spec, texts):
+    d = len(texts)
+    return tmodule(spec, parse_matrix(spec, "[" + ", ".join(
+        "[" + ", ".join(texts[i] if i == j else "0" for j in range(d)) + "]"
+        for i in range(d)) + "]"))
+
+
+_PRODUCT_CASES = {
+    "rational": (Q3, ["th + tau^3", "th + tau^4"], ["th + tau", "th + tau^2"]),
+    "finite": (F9, ["g + tau^3", "g + g*tau + tau^4"],
+               ["g + tau^2", "g + tau"]),
+    "formal": (FF, ["th[0] + a[0]*tau^3", "th[0] + b[0]*tau + tau^4"],
+               ["th[0] + a[0]*tau^2", "th[0] + tau"]),
+}
+
+
+@pytest.mark.parametrize("case", list(_PRODUCT_CASES))
+def test_all_forward_diagonal_pair_has_the_product_structure(case):
+    """A diagonal pair whose plan is forward at every entry gets the
+    structure of ext_product on its factors (refused before the plan
+    decided forwardness)."""
+    spec, sources, targets = _PRODUCT_CASES[case]
+    S = ext_structure(_diagonal(spec, sources), _diagonal(spec, targets))
+    P = ext_product([_drin(spec, s) for s in sources],
+                    [_drin(spec, t) for t in targets])
+    assert S.regime == P.regime == "diagonal-pairs"
+    assert S.basis == P.basis
+    assert S.pi == P.pi
+    assert S.to_json() == P.to_json()
+    if spec.kind == "finite":
+        assert verify_structure(S, samples=20, seed=3).ok
+
+
+def test_diagonal_pair_with_a_reversed_entry_is_refused():
+    with pytest.raises(UnsupportedRegime) as err:
+        ext_structure(_diagonal(Q3, ["th + tau^3", "th + tau^2"]),
+                      _diagonal(Q3, ["th + tau", "th + tau^4"]))
+    assert str(err.value) == (
+        "the t-module structure is only computed for forward regimes, not "
+        "'diagonal-pairs'; reversed pairs still have canonical forms and a "
+        "split test, and their structure is available on the adjoint side")

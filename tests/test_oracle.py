@@ -11,6 +11,7 @@ from tmodext import (
     FiniteFieldRequired,
     Report,
     SkewMatrix,
+    SixTerm,
     SkewPoly,
     carlitz,
     class_of,
@@ -138,10 +139,37 @@ def test_verify_sixterm_bundle():
     d = Biderivation(E, F, parse_matrix(F2, "[[1]]"))
     rep = verify_sixterm(six_term(d, carlitz(F2)), seed=1, inner_samples=5)
     assert rep.ok, [c for c in rep.checks if not c.passed]
-    assert len(rep.checks) == 13
-    names = {c.name for c in rep.checks}
-    assert {"co-final-surjective", "contra-final-surjective",
-            "ext-maps-well-defined"} <= names
+    assert [c.name for c in rep.checks] == _SIXTERM_CHECKS
+
+
+_SIXTERM_CHECKS = [
+    "co-hom-injective", "co-exact-hom-middle", "co-exact-hom-quot",
+    "co-exact-ext-sub", "co-exact-ext-middle", "co-final-surjective",
+    "contra-hom-injective", "contra-exact-hom-middle",
+    "contra-exact-hom-sub", "contra-exact-ext-quot",
+    "contra-exact-ext-middle", "contra-final-surjective",
+    "ext-maps-well-defined"]
+
+
+@pytest.mark.parametrize("broken, zero_class", [
+    ("contra_ext_sub", lambda b: Biderivation.zero(b.sub, b.partner)),
+    ("co_ext_quot", lambda b: Biderivation.zero(b.partner, b.quotient)),
+])
+def test_verify_sixterm_reads_each_side_its_own_maps(monkeypatch, broken,
+                                                     zero_class):
+    """A final Ext map sending every class to zero fails that side's
+    surjectivity and leaves every check of the other side passing."""
+    E = _drin(F2, "1 + tau^2")
+    F = _drin(F2, "1 + tau^3")
+    bundle = six_term(Biderivation(E, F, parse_matrix(F2, "[[1]]")),
+                      carlitz(F2))
+    monkeypatch.setattr(SixTerm, broken, lambda b, xi: zero_class(b))
+    side = broken.split("_")[0]
+    other = "co-" if side == "contra" else "contra-"
+    passed = {c.name: c.passed
+              for c in verify_sixterm(bundle, seed=1, inner_samples=5).checks}
+    assert not passed[f"{side}-final-surjective"]
+    assert all(ok for name, ok in passed.items() if name.startswith(other))
 
 
 def test_verify_duality_passes_and_is_deterministic():

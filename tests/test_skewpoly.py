@@ -518,6 +518,22 @@ def test_matrix_action_rejects_foreign_and_misshapen_vectors():
         mat.eval_linear((F9.one(),))
 
 
+def test_constructors_refuse_elements_of_another_domain():
+    """Before, the foreign payload was stored and failed later in str()
+    or a product with a TypeError."""
+    th = Q3.theta()
+    with pytest.raises(MixedFields):
+        SkewPoly.term(F9, TAU, th, 1)
+    with pytest.raises(MixedFields):
+        SkewPoly.from_pairs(F9, TAU, [(0, F9.one()), (1, th)])
+    with pytest.raises(MixedFields):
+        SkewMatrix.from_slots(F9, TAU, 1, 2, [(0, 0, 0), (0, 1, 2)],
+                              [F9.gen(), F8.gen()])
+    twin = make_finite(3, 2)  # equal to F9, not the same object
+    assert SkewPoly.from_pairs(F9, TAU, [(1, twin.gen())]) == \
+        SkewPoly.term(F9, TAU, F9.gen(), 1)
+
+
 # ---------------------------------------------------------------------------
 # Field elements and twisted polynomials are immutable values.
 
