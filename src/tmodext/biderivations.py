@@ -48,6 +48,7 @@ from .errors import (
     CarrierTooLarge,
     InvariantViolation,
     MixedPairs,
+    SingularLeading,
     UnsupportedRegime,
 )
 from .modules_t import TModule
@@ -57,7 +58,6 @@ from .skewpoly import (
     _from_maps,
     _matmul_into,
     _mul_into,
-    const_inverse,
     twist_sign,
 )
 
@@ -181,12 +181,12 @@ def select_regime(source, target):
         raise UnsupportedRegime(
             "dimension-one reduction needs Drinfeld modules on both sides")
 
-    if target.dim == 1 and target.is_drinfeld and source.dim > 1:
+    if target.is_drinfeld and source.dim > 1:
         m = target.rank
         if source.rank > m and source.has_invertible_leading():
             return MATRIX_SOURCE
-        if source.is_lower_triangular() and source.diagonal_is_drinfeld() \
-                and all(n > m for n in source.diagonal_ranks()):
+        ranks = source.drinfeld_ranks
+        if ranks and min(ranks) > m:
             return TRIANGULAR_SOURCE
         raise UnsupportedRegime(
             "the source must have an invertible leading matrix of rank above "
@@ -200,19 +200,17 @@ def select_regime(source, target):
             "reduction into a Carlitz tensor power needs a source of rank "
             "at least 2 with invertible leading matrix")
 
-    if source.dim == 1 and source.is_drinfeld and target.dim > 1:
-        n = source.rank
-        if target.is_lower_triangular() and target.diagonal_is_drinfeld() \
-                and all(nv > n for nv in target.diagonal_ranks()):
+    if source.is_drinfeld and target.dim > 1:
+        ranks = target.drinfeld_ranks
+        if ranks and min(ranks) > source.rank:
             return TRIANGULAR_TARGET_REVERSED
         raise UnsupportedRegime(
             "a higher-dimensional target must be lower triangular with "
             "diagonal ranks above the source's rank")
 
-    if source.is_diagonal() and target.is_diagonal() and \
-            source.diagonal_is_drinfeld() and target.diagonal_is_drinfeld():
-        if all(ni != mw for ni in source.diagonal_ranks()
-               for mw in target.diagonal_ranks()):
+    src, tgt = source.drinfeld_ranks, target.drinfeld_ranks
+    if source.is_diagonal() and target.is_diagonal() and src and tgt:
+        if not set(src) & set(tgt):
             return DIAGONAL_PAIRS
         raise UnsupportedRegime(
             "diagonal pairs need every source rank different from every "
@@ -319,8 +317,10 @@ def _build_plan(source, target, regime):
         entries.append((r, c, bound, forward, lead))
     lead_inv = None
     if layered:
-        inv = const_inverse(source.leading_matrix())
-        lead_inv = SkewMatrix.from_const(source.spec, source.var, inv)._pairs
+        if source.leading_inverse is None:
+            raise SingularLeading("matrix is singular")
+        lead_inv = SkewMatrix.from_const(source.spec, source.var,
+                                         source.leading_inverse)._pairs
     return ReductionPlan(regime, layered, tuple(entries),
                          twist_sign(source.var), src._pairs, tgt._pairs,
                          lead_inv)
@@ -374,10 +374,15 @@ def _step(arith, phi, psi, grid, witness, r, c, k, a, s):
 def _reduce_layered(arith, plan, grid, witness):
     sign, phi, psi, twist = plan.sign, plan.phi, plan.psi, arith.twist
     n = plan.entries[0][2]  # every entry's bound: the source's rank
+    last = None
     while True:
         deg = max(_degree(acc, arith.is_zero) for row in grid for acc in row)
         if deg < n:
             return
+        if last is not None and deg >= last:
+            raise InvariantViolation(f"the plan does not fit the pair: a "
+                                     f"layer left the top degree at {deg}")
+        last = deg
         k = deg - n
         # the top layer times the twisted inverse leading matrix
         top = [[[(0, acc[deg])] if deg in acc else [] for acc in row]

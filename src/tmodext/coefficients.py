@@ -50,6 +50,7 @@ from functools import lru_cache
 from math import isqrt
 
 from .errors import (
+    CarrierTooLarge,
     DivisionByZero,
     FiniteFieldRequired,
     MixedFields,
@@ -115,6 +116,12 @@ def _poly_divmod_fp(a, b, p):
         while a and a[-1] == 0 and len(a) - 1 >= db:
             a.pop()
     return _poly_trim(q), _poly_trim(a)
+
+
+# The most trial divisors a field's set-up may try, by brute force: the
+# isqrt(p) integers that test p for primality, and the p^(m//2) monic
+# polynomials of top degree that test a degree-m modulus for irreducibility.
+MAX_FIELD_SEARCH = 2 ** 16
 
 
 def _is_irreducible_fp(f, p):
@@ -428,6 +435,17 @@ _TH_EXPONENT_CAP = 10 ** MAX_TH_EXPONENT_DIGITS
 # The most digits an integer literal in parsed text may have: the most
 # Python converts from str to int by default.
 MAX_LITERAL_DIGITS = 4300
+_LITERAL_CAP = 10 ** MAX_LITERAL_DIGITS
+
+
+def _printable(n):
+    """n, an exponent, degree or symbol index to print; one of more digits
+    than MAX_LITERAL_DIGITS could not be parsed back, so it is refused."""
+    if abs(n) >= _LITERAL_CAP:
+        raise PolynomialTooLarge(f"an exponent or index has more than "
+                                 f"MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS} "
+                                 f"digits to print")
+    return n
 
 
 def _check_literals(text):
@@ -1067,7 +1085,7 @@ def _render_gpoly(coeffs, sep="+"):
         if j == 0:
             parts.append(str(c))
         else:
-            base = "g" if j == 1 else f"g^{j}"
+            base = "g" if j == 1 else f"g^{_printable(j)}"
             parts.append(base if c == 1 else f"{c}*{base}")
     return sep.join(parts) if parts else "0"
 
@@ -1084,7 +1102,7 @@ def _render_rp(poly, spec):
         if j == 0:
             parts.append(cs)
             continue
-        base = "th" if j == 1 else f"th^{j}"
+        base = "th" if j == 1 else f"th^{_printable(j)}"
         if c == ops.one:
             parts.append(base)
         elif " + " in cs:
@@ -1111,8 +1129,8 @@ def _render_rational(payload, spec):
 def _render_mono(mono):
     factors = []
     for (sym, idx), e in mono:
-        base = f"{sym}[{idx}]"
-        factors.append(base if e == 1 else f"{base}^{e}")
+        base = f"{sym}[{_printable(idx)}]"
+        factors.append(base if e == 1 else f"{base}^{_printable(e)}")
     return "*".join(factors)
 
 
@@ -1183,6 +1201,13 @@ def make_formal(p, m=1, generators=(), invertibles=(), modulus=None):
 
 
 def _check_pm(p, m):
+    # p^k > MAX_FIELD_SEARCH for every p >= 2 once k reaches its bit length,
+    # so the power is formed with k capped there.
+    k = min(m // 2, MAX_FIELD_SEARCH.bit_length())
+    if p > 0 and max(isqrt(p), p ** k) > MAX_FIELD_SEARCH:
+        raise CarrierTooLarge(f"setting up the field would try more than "
+                              f"MAX_FIELD_SEARCH = {MAX_FIELD_SEARCH} trial "
+                              f"divisors")
     if not _is_prime(p):
         raise ParseError(f"{p} is not prime")
     if m < 1:

@@ -229,7 +229,7 @@ def ext_product(sources, targets):
                                 "each side")
     spec, var = sources[0].spec, sources[0].var
     for mod in list(sources) + list(targets):
-        if mod.dim != 1 or not mod.is_drinfeld:
+        if not mod.is_drinfeld:
             raise UnsupportedRegime(
                 "the product construction takes dimension-one Drinfeld "
                 "modules")
@@ -241,11 +241,10 @@ def ext_product(sources, targets):
                     f"{src.rank} <= target rank {tgt.rank}")
 
     def diag(mods):
-        d = len(mods)
         zero = SkewPoly.zero(spec, var)
         return tmodule(spec, SkewMatrix.from_rows(spec, var, [
-            [mods[i].scalar_poly() if i == j else zero for j in range(d)]
-            for i in range(d)]))
+            [m.t_matrix.entry(0, 0) if i == j else zero
+             for j in range(len(mods))] for i, m in enumerate(mods)]))
 
     return ext_structure(diag(sources), diag(targets), DIAGONAL_PAIRS)
 

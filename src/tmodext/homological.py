@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .biderivations import (
     Biderivation,
@@ -242,18 +243,12 @@ class HomSpace:
 
 
 def _rank_certificate(source, target):
-    """True when a degree comparison forces Hom(source, target) = 0."""
-    if source.dim == 1 and target.dim == 1:
-        if source.is_drinfeld and target.is_drinfeld:
-            return source.rank != target.rank
-        return False
-    if source.dim == 1 and source.is_drinfeld and \
-            target.is_lower_triangular() and target.diagonal_is_drinfeld():
-        return all(nv != source.rank for nv in target.diagonal_ranks())
-    if target.dim == 1 and target.is_drinfeld and \
-            source.is_lower_triangular() and source.diagonal_is_drinfeld():
-        return all(nj != target.rank for nj in source.diagonal_ranks())
-    return False
+    """True when a degree comparison forces Hom(source, target) = 0: both
+    are stacks of Drinfeld modules, one of dimension one, sharing no
+    rank."""
+    src, tgt = source.drinfeld_ranks, target.drinfeld_ranks
+    return bool(src and tgt and 1 in (source.dim, target.dim)
+                and not set(src) & set(tgt))
 
 
 def hom_space(source, target, bound=None):
@@ -375,12 +370,16 @@ class SixTerm:
 
     # -- structures -----------------------------------------------------------
 
-    def omega_structure(self):
-        """The Ext structure at the contravariant middle node
-        Ext(middle, partner)."""
+    @cached_property
+    def _omega(self):
         from .ext_structures import ext_structure
 
         return ext_structure(self.middle, self.partner)
+
+    def omega_structure(self):
+        """The Ext structure at the contravariant middle node
+        Ext(middle, partner), computed once per bundle."""
+        return self._omega
 
     def delta_block(self):
         """The lower-left block of the middle-node structure matrix: the

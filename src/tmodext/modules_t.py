@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .coefficients import FieldSpec, _check_literals
 from .errors import (
+    CarrierTooLarge,
     DimensionMismatch,
     InvalidModule,
     MixedFields,
@@ -69,12 +71,7 @@ class TModule:
 
     @property
     def is_drinfeld(self):
-        return self.dim == 1 and self.t_matrix.max_degree >= 1
-
-    def scalar_poly(self):
-        if self.dim != 1:
-            raise InvalidModule("not a dimension-one module")
-        return self.t_matrix.entry(0, 0)
+        return self.dim == 1 and self.drinfeld_ranks is not None
 
     def nilpotent_part(self):
         theta = self.spec.theta()
@@ -84,44 +81,36 @@ class TModule:
                   for j in range(self.dim))
             for i in range(self.dim))
 
-    def leading_matrix(self):
-        return self.t_matrix.coefficient_matrix(self.rank)
+    @cached_property
+    def leading_inverse(self):
+        """The inverse of the leading matrix, computed once; None when it
+        is singular or, over a formal domain, a pivot is not a unit."""
+        try:
+            return const_inverse(self.t_matrix.coefficient_matrix(self.rank))
+        except (SingularLeading, NonMonomialDenominator):
+            return None
 
     def has_invertible_leading(self):
-        if self.rank == 0:
-            return False
-        try:
-            const_inverse(self.leading_matrix())
-        except (SingularLeading, NonMonomialDenominator):
-            # Singular, or over a formal domain a pivot that is not a unit.
-            return False
-        return True
+        return self.rank > 0 and self.leading_inverse is not None
 
     # -- structural shapes ---------------------------------------------------
 
-    def is_lower_triangular(self):
-        return all(self.t_matrix.entry(i, j).is_zero()
-                   for i in range(self.dim)
-                   for j in range(i + 1, self.dim))
+    @cached_property
+    def drinfeld_ranks(self):
+        """The diagonal degrees of a stack of Drinfeld modules (a lower
+        triangular t-action with every diagonal degree positive; each
+        diagonal constant is then theta), else None."""
+        entry, d = self.t_matrix.entry, self.dim
+        ranks = tuple(entry(i, i).degree for i in range(d))
+        if min(ranks) < 1 or any(not entry(i, j).is_zero() for i in range(d)
+                                 for j in range(i + 1, d)):
+            return None
+        return ranks
 
     def is_diagonal(self):
         return all(self.t_matrix.entry(i, j).is_zero()
                    for i in range(self.dim)
                    for j in range(self.dim) if i != j)
-
-    def diagonal_ranks(self):
-        return tuple(self.t_matrix.entry(i, i).degree
-                     for i in range(self.dim))
-
-    def diagonal_is_drinfeld(self):
-        """Every diagonal entry has constant term theta and positive
-        degree."""
-        theta = self.spec.theta()
-        for i in range(self.dim):
-            e = self.t_matrix.entry(i, i)
-            if e.degree < 1 or e.coefficient(0) != theta:
-                return False
-        return True
 
     def is_carlitz_power(self):
         """Whether the t-action is theta*I + (superdiagonal 1s) + E(d,1)*tau,
@@ -205,9 +194,18 @@ def _carlitz_matrix(spec, e, var):
                                             for i in range(e)])
 
 
+# The largest Carlitz power exponent.  Ext(phi, C^(e)) has rank at least
+# 2e (phi has rank 2 or more), so past e = 128 its Pi_t of rank^2 entries
+# exceeds MAX_PI_ENTRIES = 2^16.
+MAX_CARLITZ_POWER = 128
+
+
 def carlitz_power(spec, e, var=TAU):
     if e < 1:
         raise InvalidModule("the Carlitz power exponent must be positive")
+    if e > MAX_CARLITZ_POWER:
+        raise CarrierTooLarge(f"the Carlitz power exponent exceeds "
+                              f"MAX_CARLITZ_POWER = {MAX_CARLITZ_POWER}")
     return TModule(spec, _carlitz_matrix(spec, e, var))
 
 
@@ -264,12 +262,7 @@ def parse_module(spec, text, var=TAU):
     _check_literals(text)
     m = _KEY_RE.match(text)
     if not m:
-        value = parse_value(spec, text, var)
-        if isinstance(value, SkewPoly):
-            if value.degree >= 1 and value.coefficient(0) == spec.theta():
-                return drinfeld(spec, value)
-            return tmodule(spec, value)
-        return tmodule(spec, value)
+        return tmodule(spec, parse_value(spec, text, var))
     keyword, rest = m.groups()
     if keyword == "carlitz":
         e = 1

@@ -17,6 +17,7 @@ from .coefficients import (
     FieldSpec,
     SlottedValue,
     _check_literals,
+    _printable,
     _new,
     _power,
 )
@@ -260,7 +261,7 @@ class SkewPoly(SlottedValue):
             if deg == 0:
                 parts.append(cs)
                 continue
-            base = vname if deg == 1 else f"{vname}^{deg}"
+            base = vname if deg == 1 else f"{vname}^{_printable(deg)}"
             if c == one:
                 parts.append(base)
             elif (" + " in cs) or ("*" in cs) or ("/" in cs):
@@ -272,7 +273,7 @@ class SkewPoly(SlottedValue):
     __repr__ = __str__
 
     def to_json(self):
-        return [[deg, str(c)] for deg, c in self.coeffs]
+        return [[_printable(deg), str(c)] for deg, c in self.coeffs]
 
 
 _set_spec = SkewPoly.spec.__set__

@@ -18,9 +18,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import tmodext.cli as cli
+import tmodext.ext_structures as ext_structures
 from tmodext import Check, Report
 from tmodext.biderivations import MAX_REDUCTION_STEPS
-from tmodext.coefficients import MAX_LITERAL_DIGITS, MAX_TH_EXPONENT_DIGITS
+from tmodext.coefficients import (
+    MAX_FIELD_SEARCH,
+    MAX_LITERAL_DIGITS,
+    MAX_TH_EXPONENT_DIGITS,
+)
+from tmodext.modules_t import MAX_CARLITZ_POWER
 from tmodext.skewpoly import MAX_APOLY_DEGREE, MAX_NESTING
 
 Q3 = "GF(3)(th)"
@@ -529,6 +535,79 @@ def test_integer_literals_too_long_to_convert_are_refused(capsys, field,
         "ext", "--field", field, "--phi", phi, "--psi", "th + tau^2"], 2)
     assert err == (f"error: an integer literal has more than "
                    f"MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS} digits\n")
+
+
+_NINES = "9" * MAX_LITERAL_DIGITS
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["reduce", "--field", Q3, "--phi", "th + tau^3", "--psi",
+                  "th + tau", "--delta", f"[[th^{_NINES}*th^{_NINES}]]"],
+                 id="th-exponent"),
+    pytest.param(["adjoint", "--field", "GF(3)",
+                  "--delta", f"[[tau^{_NINES}*tau^{_NINES}]]"],
+                 id="tau-degree"),
+    pytest.param(["adjoint", "--field", "FTF(3; gens=a,th)",
+                  "--delta", f"[[a^{_NINES}*a^{_NINES}*tau]]"],
+                 id="symbol-exponent"),
+    pytest.param(["adjoint", "--field", "FTF(3; gens=a,th)",
+                  "--delta", f"[[a*tau^{_NINES}*tau^{_NINES}]]"],
+                 id="symbol-index"),
+])
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_product_exponents_too_long_to_print_are_refused(capsys, argv, fmt):
+    """A product of two 4300-digit powers has a 4301-digit exponent, and
+    the adjoint twists a symbol's index by the degree, neither of which
+    could be parsed back; before, printing one ended in a ValueError
+    traceback."""
+    err = _refused_in_a_second(capsys, argv + fmt)
+    assert err == (f"error: an exponent or index has more than "
+                   f"MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS} digits to "
+                   f"print\n")
+
+
+@pytest.mark.parametrize("argv, limit", [
+    pytest.param(["ext", "--field", "GF(1000000000000000003)",
+                  "--phi", "1 + tau^3", "--psi", "1 + tau^2"],
+                 f"MAX_FIELD_SEARCH = {MAX_FIELD_SEARCH}", id="prime"),
+    pytest.param(["adjoint", "--field", "GF(2^40)", "--phi", "g + tau"],
+                 f"MAX_FIELD_SEARCH = {MAX_FIELD_SEARCH}", id="modulus"),
+    pytest.param(["adjoint", "--field", "GF(2^40)(th)", "--phi", "th + tau"],
+                 f"MAX_FIELD_SEARCH = {MAX_FIELD_SEARCH}", id="modulus-th"),
+    pytest.param(["adjoint", "--field", "GF(2^40; mod=g^40+g^3+1)",
+                  "--phi", "g + tau"],
+                 f"MAX_FIELD_SEARCH = {MAX_FIELD_SEARCH}", id="explicit-mod"),
+    pytest.param(["ext-carlitz", "--field", Q3, "--phi", "th + tau^3",
+                  "--e", "200"],
+                 f"MAX_CARLITZ_POWER = {MAX_CARLITZ_POWER}", id="carlitz"),
+])
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_brute_force_set_up_is_refused_before_it_starts(capsys, argv, limit,
+                                                        fmt):
+    """Trial division of p, the search for an irreducible modulus and the
+    validation of an e x e Carlitz power each ran for seconds before."""
+    assert limit in _refused_in_a_second(capsys, argv + fmt)
+
+
+def test_sixterm_computes_omega_once(capsys, monkeypatch):
+    """delta_block reads the bundle's Omega_t instead of computing it
+    again."""
+    calls = []
+    real = ext_structures.ext_structure
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("tmodext") and \
+                vars(mod).get("ext_structure") is real:
+            monkeypatch.setattr(mod, "ext_structure", counted)
+    code, out, _ = run(capsys, [
+        "sixterm", "--field", Q3, "--phi", "th + tau^2",
+        "--psi", "th + tau^3", "--delta", "[[1 + tau]]", "--g", "th + tau"])
+    assert code == 0 and "Omega_t:" in out and "Delta_t:" in out
+    assert len(calls) == 1
 
 
 def test_ext_of_rank_64_over_f_q_th_is_computed(capsys):

@@ -1,0 +1,75 @@
+"""Static checks of the package source with the stdlib ast module: every
+imported name is used, and every private module-level function or
+constant is used somewhere in the package."""
+
+import ast
+from pathlib import Path
+
+import tmodext
+
+PACKAGE = Path(tmodext.__file__).parent
+
+
+def _trees():
+    return {path.name: ast.parse(path.read_text(), str(path))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _loaded_names(tree):
+    """The names a module reads: bare names and attribute names."""
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name)
+             and not isinstance(node.ctx, ast.Store)}
+            | {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)})
+
+
+def _imported(tree):
+    """(bound name, line) for each name a module imports, __future__
+    features aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                yield name, node.lineno
+
+
+def test_every_imported_name_is_used():
+    """The package root re-exports what it imports, so only the other
+    modules are checked."""
+    unused = []
+    for module, tree in _trees().items():
+        if module != "__init__.py":
+            loaded = _loaded_names(tree)
+            unused += [f"{module}:{line} {name}"
+                       for name, line in _imported(tree) if name not in loaded]
+    assert unused == []
+
+
+def _private_definitions(tree):
+    """(name, line) of each private module-level function or constant."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno
+
+
+def test_every_private_helper_is_used_in_the_package():
+    trees = _trees()
+    used = set().union(*(_loaded_names(tree) for tree in trees.values()))
+    used |= {name for tree in trees.values() for name, _ in _imported(tree)}
+    dead = [f"{module}:{line} {name}"
+            for module, tree in trees.items()
+            for name, line in _private_definitions(tree)
+            if name not in used]
+    assert dead == []

@@ -1,11 +1,14 @@
 """t-modules: validation, constructors, action, adjoints, morphisms."""
 
+import time
+
 import pytest
 
 import tmodext.modules_t as modules_t
 from tmodext import (
     SIGMA,
     TAU,
+    CarrierTooLarge,
     InvalidModule,
     InvariantViolation,
     NotAMorphism,
@@ -26,6 +29,7 @@ from tmodext import (
     tmodule,
     trivial,
 )
+from tmodext.modules_t import MAX_CARLITZ_POWER
 
 F9 = make_finite(3, 2)
 Q3 = make_rational(3)
@@ -78,12 +82,25 @@ def test_basic_shape_queries():
         Q3, "[[th + tau^2, 0], [tau, th + tau^3]]"))
     assert mod.dim == 2
     assert mod.rank == 3
-    assert mod.is_lower_triangular()
     assert not mod.is_diagonal()
-    assert mod.diagonal_ranks() == (2, 3)
-    assert mod.diagonal_is_drinfeld()
+    assert mod.drinfeld_ranks == (2, 3)
     scalar = drinfeld(Q3, parse_poly(Q3, "th + tau^2"))
     assert scalar.is_drinfeld and scalar.rank == 2 and scalar.dim == 1
+
+
+@pytest.mark.parametrize("text, ranks", [
+    ("th + tau^2", (2,)),                                   # Drinfeld
+    ("[[th + tau^2, 0], [tau, th + tau^3]]", (2, 3)),       # triangular
+    ("[[th + tau^2, tau], [0, th + tau^3]]", None),         # upper
+    # a triangular nilpotent part has a zero diagonal, so a diagonal
+    # constant other than theta needs an entry above the diagonal
+    ("[[th + 1 + tau, 1], [2, th + 2 + tau^2]]", None),
+    ("tmodule [[th, 0], [0, th]]", None),                   # trivial
+    ("carlitz e=3", None),
+    ("carlitz e=1", (1,)),
+])
+def test_drinfeld_ranks(text, ranks):
+    assert parse_module(Q3, text).drinfeld_ranks == ranks
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +115,16 @@ def test_carlitz_power_golden():
     assert carlitz_power(Q3, 1).t_matrix == carlitz(Q3).t_matrix
     assert carlitz_power(Q3, 2).is_carlitz_power()
     assert not trivial(Q3, 2).is_carlitz_power()
+
+
+def test_carlitz_power_exponent_is_bounded_before_building():
+    start = time.perf_counter()
+    for build in (lambda: carlitz_power(Q3, MAX_CARLITZ_POWER + 1),
+                  lambda: parse_module(Q3, "carlitz e=1000000")):
+        with pytest.raises(CarrierTooLarge,
+                           match=f"MAX_CARLITZ_POWER = {MAX_CARLITZ_POWER}"):
+            build()
+    assert time.perf_counter() - start < 1
 
 
 def test_trivial_module_is_theta_scalar():
