@@ -42,8 +42,7 @@ returning a wrong representative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .coefficients import SlottedValue, _count
 from .errors import (
     CarrierTooLarge,
     InvariantViolation,
@@ -70,11 +69,8 @@ TRIANGULAR_TARGET_REVERSED = "triangular-target-reversed"
 DIAGONAL_PAIRS = "diagonal-pairs"
 
 
-@dataclass(frozen=True)
-class Biderivation:
-    source: TModule
-    target: TModule
-    matrix: SkewMatrix
+class Biderivation(SlottedValue):
+    __slots__ = ("source", "target", "matrix")
 
     def __post_init__(self):
         src, tgt, mat = self.source.t_matrix, self.target.t_matrix, self.matrix
@@ -124,8 +120,7 @@ def inner_matrix(source, target, u):
 # Extension assembly.
 
 
-@dataclass(frozen=True)
-class Assembly:
+class Assembly(SlottedValue):
     """The extension module of a biderivation with its structure maps.
 
     The middle module has t-action [[Phi_t, 0], [delta, Psi_t]]; inclusion
@@ -133,9 +128,7 @@ class Assembly:
     source coordinates, giving 0 -> target -> middle -> source -> 0.
     """
 
-    middle: TModule
-    inclusion: SkewMatrix
-    projection: SkewMatrix
+    __slots__ = ("middle", "inclusion", "projection")
 
 
 def assemble(delta):
@@ -263,8 +256,7 @@ def _memoized(key, objs, build):
     return value
 
 
-@dataclass(frozen=True)
-class ReductionPlan:
+class ReductionPlan(SlottedValue):
     """What a reduction between one module pair reads besides the
     biderivation; shared, so read only.  entries are (row, col, bound,
     forward, lead) in reduction order: an entry keeps degrees below bound,
@@ -275,13 +267,8 @@ class ReductionPlan:
     phi, psi and lead_inv are grids of the stored (degree, payload) pairs
     of their entries."""
 
-    regime: str
-    layered: bool
-    entries: tuple
-    sign: int
-    phi: list  # Phi_t and Psi_t
-    psi: list
-    lead_inv: list | None  # layered: the inverse leading matrix
+    __slots__ = ("regime", "layered", "entries", "sign", "phi", "psi",
+                 "lead_inv")  # lead_inv: None unless layered
 
 
 def reduction_plan(source, target, regime=None):
@@ -333,7 +320,7 @@ def canonical_slots(source, target, regime=None):
     entries = reduction_plan(source, target, regime).entries
     count = sum(e[2] for e in entries)
     if count > MAX_CANONICAL_SLOTS:
-        raise CarrierTooLarge(f"{count} canonical slots exceed "
+        raise CarrierTooLarge(f"{_count(count)} canonical slots exceed "
                               f"MAX_CANONICAL_SLOTS = {MAX_CANONICAL_SLOTS}")
     return tuple((r, c, k) for r, c, bound, _, _ in entries
                  for k in range(bound))
@@ -424,7 +411,7 @@ def _reduce_maps(arith, plan, grid):
         if (deg := _degree(grid[r][c], arith.is_zero)) >= bound:
             steps += deg - bound + 1
     if steps > MAX_REDUCTION_STEPS:
-        raise CarrierTooLarge(f"{steps} reduction steps exceed "
+        raise CarrierTooLarge(f"{_count(steps)} reduction steps exceed "
                               f"MAX_REDUCTION_STEPS = {MAX_REDUCTION_STEPS}")
     witness = [[{} for _ in plan.phi] for _ in plan.psi]
     loop = _reduce_layered if plan.layered else _reduce_entrywise
@@ -456,11 +443,8 @@ def _recombines(delta, plan, witness, canonical):
 # Top-level reduction.
 
 
-@dataclass(frozen=True)
-class ReductionResult:
-    canonical: Biderivation
-    witness: SkewMatrix
-    regime: str
+class ReductionResult(SlottedValue):
+    __slots__ = ("canonical", "witness", "regime")
 
 
 def reduce_canonical(delta, regime=None):

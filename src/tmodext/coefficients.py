@@ -45,7 +45,6 @@ import heapq
 import itertools
 import operator
 import re
-from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from math import isqrt
 
@@ -118,23 +117,34 @@ def _poly_divmod_fp(a, b, p):
     return _poly_trim(q), _poly_trim(a)
 
 
-# The most trial divisors a field's set-up may try, by brute force: the
-# isqrt(p) integers that test p for primality, and the p^(m//2) monic
-# polynomials of top degree that test a degree-m modulus for irreducibility.
+# The most trial divisors a field's set-up may try: the isqrt(p) integers
+# that test p for primality.  p^(m//2), the divisors a brute-force test of a
+# degree-m modulus would try, is held to it too, so that the same headers
+# are refused whichever way irreducibility is decided.
 MAX_FIELD_SEARCH = 2 ** 16
 
 
 def _is_irreducible_fp(f, p):
+    """Rabin's test: a monic f of degree m >= 2 is irreducible over F_p iff
+    it divides x^(p^m) - x and is coprime to x^(p^(m/r)) - x for every
+    prime r dividing m."""
     m = len(f) - 1
-    if m <= 0:
-        return False
-    if f[0] == 0:
+    if m <= 1 or not f[0]:  # x divides f
         return m == 1
-    for d in range(1, m // 2 + 1):
-        for lower in itertools.product(range(p), repeat=d):
-            g = lower + (1,)
-            if not _poly_divmod_fp(f, g, p)[1]:
-                return False
+
+    def frobenius_minus_x(k):  # x^(p^k) - x mod f
+        h = list(_fp_pow((0, 1), p ** k, f, p)) + [0, 0]
+        h[1] = (h[1] - 1) % p
+        return _poly_trim(h)
+
+    if frobenius_minus_x(m):
+        return False
+    for r in _prime_factors(m):
+        a, b = f, frobenius_minus_x(m // r)
+        while b:
+            a, b = b, _poly_divmod_fp(a, b, p)[1]
+        if len(a) > 1:
+            return False
     return True
 
 
@@ -448,6 +458,12 @@ def _printable(n):
     return n
 
 
+def _count(n):
+    """n, a count for a message: itself, or its order of magnitude when it
+    has more digits than MAX_LITERAL_DIGITS, which Python does not print."""
+    return n if n < _LITERAL_CAP else f"more than 10^{MAX_LITERAL_DIGITS}"
+
+
 def _check_literals(text):
     """Refuse text holding a run of more digits than MAX_LITERAL_DIGITS,
     before any of it is converted."""
@@ -747,6 +763,67 @@ class _FormalOps(_FractionOps):
 
 
 # ---------------------------------------------------------------------------
+# Immutable values.
+
+
+_new = object.__new__
+
+
+class SlottedValue:
+    """Immutable records whose fields live in slots: built positionally in
+    field order (then checked by the class's ``__post_init__``, if any),
+    compared, hashed and pickled by the tuple of their fields, and shown as
+    ``Name(field=value, ...)``.  The fields are the ``__slots__`` other than
+    ``__dict__`` (a slot that lets ``cached_property`` cache) unless the
+    class names them in ``_fields``; class keywords give defaults.
+    ``__init__``, ``__eq__`` and ``__hash__`` are compiled once per class,
+    unless it defines its own, so that they read each field directly; hot
+    constructors may also write the slots through their descriptors."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **defaults):
+        names = vars(cls).get("_fields") or tuple(
+            n for n in cls.__slots__ if n != "__dict__")
+        cls._fields = names
+        params = ", ".join(f"{n}=_default_{n}" if n in defaults else n
+                           for n in names)
+        mine = "".join(f"self.{n}, " for n in names)
+        theirs = "".join(f"other.{n}, " for n in names)
+        source = [f"def __init__(self, {params}):"]
+        source += [f" _set_{n}(self, {n})" for n in names]
+        if hasattr(cls, "__post_init__"):
+            source.append(" self.__post_init__()")
+        source += ["def __eq__(self, other):",
+                   " if other.__class__ is self.__class__:",
+                   f"  return ({mine}) == ({theirs})",
+                   " return NotImplemented",
+                   "def __hash__(self):",
+                   f" return hash(({mine}))"]
+        namespace = {f"_default_{n}": v for n, v in defaults.items()}
+        namespace.update((f"_set_{n}", getattr(cls, n).__set__)
+                         for n in names)
+        exec("\n".join(source), namespace)
+        for name in ("__init__", "__eq__", "__hash__"):
+            if vars(cls).get(name) is None:  # __eq__ alone sets __hash__ None
+                method = namespace[name]
+                method.__qualname__ = f"{cls.__qualname__}.{name}"
+                setattr(cls, name, method)
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, n) for n in self._fields)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+# ---------------------------------------------------------------------------
 # Field specification.
 
 
@@ -754,8 +831,8 @@ _NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 _RESERVED_NAMES = frozenset({"tau", "sig", "sigma", "t", "g"})
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(SlottedValue, theta_payload=None, generators=(),
+                invertibles=frozenset()):
     """Description of a coefficient domain.
 
     kind is one of "finite", "rational", "formal".  p is the
@@ -764,18 +841,12 @@ class FieldSpec:
     monic).  theta_payload (an F_{p^m} code) fixes the distinguished
     element theta for finite fields; generators/invertibles only apply to
     formal domains.  _ops is the F_{p^m} ops object and _arith the
-    domain's ops object on payloads.
+    domain's ops object on payloads, both derived from the fields.
     """
 
-    kind: str
-    p: int
-    m: int
-    modulus: tuple
-    theta_payload: int | None = None
-    generators: tuple = ()
-    invertibles: frozenset = frozenset()
-    _ops: object = field(init=False, repr=False, compare=False)
-    _arith: object = field(init=False, repr=False, compare=False)
+    __slots__ = ("kind", "p", "m", "modulus", "theta_payload", "generators",
+                 "invertibles", "_ops", "_arith")
+    _fields = __slots__[:-2]
 
     def __post_init__(self):
         ops = _get_ops(self.p, self.modulus)
@@ -787,7 +858,7 @@ class FieldSpec:
 
     def __eq__(self, other):
         # Identity first (FieldElement._coerce, run once per operation, also
-        # inlines it); the dataclass keeps this and hashes the same fields.
+        # inlines it); the hash is the record's, over the same fields.
         return self is other or (other.__class__ is self.__class__
                                  and self._key(self) == self._key(other))
 
@@ -898,8 +969,7 @@ class FieldSpec:
         return base + (")(th)" if self.kind == "rational" else ")")
 
 
-FieldSpec._key = operator.attrgetter(
-    *(f.name for f in fields(FieldSpec) if f.compare))
+FieldSpec._key = operator.attrgetter(*FieldSpec._fields)
 
 
 def _default_theta(p, m):
@@ -919,39 +989,6 @@ def _power(one, base, n):
         if n:
             base = base * base
     return one
-
-
-_new = object.__new__
-
-
-class SlottedValue:
-    """Immutable values compared and hashed by the tuple of their slots,
-    which hot constructors write through the slot descriptors."""
-
-    __slots__ = ()
-
-    def __init_subclass__(cls):
-        cls._fields = operator.attrgetter(*cls.__slots__)
-
-    def __init__(self, *fields):
-        for name, value in zip(self.__slots__, fields):
-            object.__setattr__(self, name, value)
-
-    def __reduce__(self):
-        return type(self), self._fields(self)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields(self) == other._fields(other)
-
-    def __hash__(self):
-        return hash(self._fields(self))
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign or delete field {name!r}")
-
-    __delattr__ = __setattr__
 
 
 class FieldElement(SlottedValue):

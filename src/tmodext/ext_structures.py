@@ -35,6 +35,7 @@ from .biderivations import (
     reduce_canonical,
     reduction_plan,
 )
+from .coefficients import SlottedValue
 from .errors import CarrierTooLarge, InvariantViolation, UnsupportedRegime
 from .modules_t import TModule, tmodule
 from .skewpoly import SkewMatrix, SkewPoly, _from_maps, _matmul_into
@@ -253,18 +254,13 @@ def ext_product(sources, targets):
 # The trivial-quotient sequence of a structure.
 
 
-@dataclass(frozen=True)
-class GaSequence:
+class GaSequence(SlottedValue):
     """The short exact sequence splitting off the scalar part of an Ext
     structure: rows of pi equal to theta*e_r are "pure"; they map onto a
     trivial module, and the complementary principal block is the
     sub-t-module."""
 
-    structure: ExtStructure
-    pure: tuple
-    g: SkewMatrix | None
-    inclusion: SkewMatrix | None
-    sub_pi: SkewMatrix | None
+    __slots__ = ("structure", "pure", "g", "inclusion", "sub_pi")
 
     @property
     def s(self):

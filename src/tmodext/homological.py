@@ -9,7 +9,6 @@ compare equal as values.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
 from .biderivations import (
@@ -20,6 +19,7 @@ from .biderivations import (
     reduce_canonical,
     reduction_plan,
 )
+from .coefficients import SlottedValue, _count
 from .errors import (
     CarrierTooLarge,
     InvariantViolation,
@@ -27,7 +27,7 @@ from .errors import (
     UnboundedSearch,
     UnsupportedRegime,
 )
-from .modules_t import TModule, check_morphism
+from .modules_t import check_morphism
 from .skewpoly import SkewMatrix, SkewPoly
 
 
@@ -89,8 +89,9 @@ def _inner_columns(source, target, bound):
     spec._require_finite("a bounded search of the inner map requires")
     count = target.dim * source.dim * (bound + 1) * spec.m
     if count > MAX_FP_UNKNOWNS:
-        raise CarrierTooLarge(f"{count} F_p unknowns exceed MAX_FP_UNKNOWNS "
-                              f"= {MAX_FP_UNKNOWNS} (degree bound {bound})")
+        raise CarrierTooLarge(f"{_count(count)} F_p unknowns exceed "
+                              f"MAX_FP_UNKNOWNS = {MAX_FP_UNKNOWNS} "
+                              f"(degree bound {bound})")
     basis = [spec.from_fp_coords([int(t == k) for t in range(spec.m)])
              for k in range(spec.m)]
     zero = SkewMatrix.zeros(spec, var, target.dim, source.dim)
@@ -145,36 +146,32 @@ def _fp_eliminate(columns, p, rhs=None):
 # Split testing.
 
 
-@dataclass(frozen=True)
-class SplitWitness:
+class SplitWitness(SlottedValue):
     """The class splits: delta = delta^(witness)."""
 
-    witness: SkewMatrix
+    __slots__ = ("witness",)
 
     @property
     def kind(self):
         return "split"
 
 
-@dataclass(frozen=True)
-class NotSplit:
+class NotSplit(SlottedValue):
     """The class is nonzero; canonical is its reduced form when a regime
     applies, reason explains conclusions reached without one."""
 
-    canonical: Biderivation | None
-    reason: str
+    __slots__ = ("canonical", "reason")  # canonical: Biderivation or None
 
     @property
     def kind(self):
         return "not-split"
 
 
-@dataclass(frozen=True)
-class Inconclusive:
+class Inconclusive(SlottedValue):
     """No witness with entry degrees up to bound; nothing larger was
     searched."""
 
-    bound: int
+    __slots__ = ("bound",)
 
     @property
     def kind(self):
@@ -222,8 +219,7 @@ def is_split(delta, bound=None):
 # Hom spaces.
 
 
-@dataclass(frozen=True)
-class HomSpace:
+class HomSpace(SlottedValue):
     """Morphisms source -> target: an F_p-basis of those found.
 
     complete=True means the basis is provably everything (here: the zero
@@ -231,11 +227,7 @@ class HomSpace:
     morphisms with entry degrees up to bound.
     """
 
-    source: TModule
-    target: TModule
-    basis: tuple
-    complete: bool
-    bound: int | None
+    __slots__ = ("source", "target", "basis", "complete", "bound")
 
     @property
     def fp_dimension(self):
@@ -290,8 +282,7 @@ def _require_pair(delta, source, target):
             "between the node's modules")
 
 
-@dataclass(frozen=True)
-class SixTerm:
+class SixTerm(SlottedValue):
     """Structure maps and induced maps of a short exact sequence.
 
     The sequence is 0 -> sub -> middle -> quotient -> 0 built from a
@@ -302,11 +293,9 @@ class SixTerm:
     biderivations, returned in canonical form.
     """
 
-    delta: Biderivation
-    partner: TModule
-    middle: TModule
-    inclusion: SkewMatrix
-    projection: SkewMatrix
+    # __dict__: the cached middle-node structure
+    __slots__ = ("delta", "partner", "middle", "inclusion", "projection",
+                 "__dict__")
 
     @property
     def quotient(self):

@@ -11,10 +11,9 @@ trivial module on which t acts by scalars.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 
-from .coefficients import FieldSpec, _check_literals
+from .coefficients import SlottedValue, _check_literals
 from .errors import (
     CarrierTooLarge,
     DimensionMismatch,
@@ -37,10 +36,8 @@ from .skewpoly import (
 )
 
 
-@dataclass(frozen=True)
-class TModule:
-    spec: FieldSpec
-    t_matrix: SkewMatrix
+class TModule(SlottedValue):
+    __slots__ = ("spec", "t_matrix", "__dict__")  # __dict__: cached shapes
 
     def __post_init__(self):
         m = self.t_matrix

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 
 from .biderivations import (
     Biderivation,
@@ -19,6 +18,7 @@ from .biderivations import (
     inner_matrix,
     reduce_canonical,
 )
+from .coefficients import SlottedValue
 from .errors import CarrierTooLarge
 from .homological import class_of
 from .skewpoly import SkewMatrix, SkewPoly
@@ -26,17 +26,12 @@ from .skewpoly import SkewMatrix, SkewPoly
 ENUMERATION_LIMIT = 2 ** 20
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    passed: bool
-    detail: str
+class Check(SlottedValue):
+    __slots__ = ("name", "passed", "detail")
 
 
-@dataclass(frozen=True)
-class Report:
-    ok: bool
-    checks: tuple
+class Report(SlottedValue):
+    __slots__ = ("ok", "checks")
 
     @classmethod
     def from_checks(cls, checks):

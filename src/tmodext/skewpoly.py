@@ -10,13 +10,12 @@ the two variables and is an anti-automorphism.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .coefficients import (
     FieldElement,
-    FieldSpec,
     SlottedValue,
     _check_literals,
+    _count,
     _printable,
     _new,
     _power,
@@ -310,11 +309,8 @@ def _from_maps(spec, var, maps):
 # Matrices of twisted polynomials.
 
 
-@dataclass(frozen=True)
-class SkewMatrix:
-    spec: FieldSpec
-    var: str
-    entries: tuple  # tuple of row tuples of SkewPoly
+class SkewMatrix(SlottedValue):
+    __slots__ = ("spec", "var", "entries")  # entries: row tuples of SkewPoly
 
     # -- construction --------------------------------------------------------
 
@@ -834,7 +830,7 @@ def parse_apoly(spec, text):
         raise ParseError(f"expected a t-polynomial, got a matrix: "
                          f"{text.strip()!r}")
     if value.degree > MAX_APOLY_DEGREE:
-        raise PolynomialTooLarge(f"degree {value.degree} in t exceeds "
+        raise PolynomialTooLarge(f"degree {_count(value.degree)} in t exceeds "
                                  f"MAX_APOLY_DEGREE = {MAX_APOLY_DEGREE}")
     coeffs = []
     for k in range(value.degree + 1):

@@ -20,12 +20,13 @@ from hypothesis import example, given, settings, strategies as st
 import tmodext.cli as cli
 import tmodext.ext_structures as ext_structures
 from tmodext import Check, Report
-from tmodext.biderivations import MAX_REDUCTION_STEPS
+from tmodext.biderivations import MAX_CANONICAL_SLOTS, MAX_REDUCTION_STEPS
 from tmodext.coefficients import (
     MAX_FIELD_SEARCH,
     MAX_LITERAL_DIGITS,
     MAX_TH_EXPONENT_DIGITS,
 )
+from tmodext.homological import MAX_FP_UNKNOWNS
 from tmodext.modules_t import MAX_CARLITZ_POWER
 from tmodext.skewpoly import MAX_APOLY_DEGREE, MAX_NESTING
 
@@ -466,6 +467,40 @@ def test_huge_degrees_are_refused_before_any_step(capsys, field, c, argv,
                                                   limit):
     argv = [argv[0], "--field", field, *(a.format(c=c) for a in argv[1:])]
     assert limit in _refused_in_a_second(capsys, argv)
+
+
+_NINES = "9" * MAX_LITERAL_DIGITS
+_HUGE = f"more than 10^{MAX_LITERAL_DIGITS}"
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["ext", "--field", "GF(3)", "--phi",
+                  f"1 + tau^{_NINES}*tau^{_NINES}", "--psi", "1 + tau"],
+                 f"{_HUGE} canonical slots exceed "
+                 f"MAX_CANONICAL_SLOTS = {MAX_CANONICAL_SLOTS}", id="slots"),
+    pytest.param(["reduce", "--field", "GF(3)", "--phi", "1 + tau^3",
+                  "--psi", "1 + tau", "--delta",
+                  f"[[tau^{_NINES}*tau^{_NINES}]]"],
+                 f"{_HUGE} reduction steps exceed "
+                 f"MAX_REDUCTION_STEPS = {MAX_REDUCTION_STEPS}", id="steps"),
+    pytest.param(["act", "--field", "GF(3)", "--phi", "1 + tau^3",
+                  "--psi", "1 + tau", "--delta", "[[1]]",
+                  "--a", f"t^{_NINES}*t^{_NINES}"],
+                 f"degree {_HUGE} in t exceeds "
+                 f"MAX_APOLY_DEGREE = {MAX_APOLY_DEGREE}", id="apoly"),
+    pytest.param(["hom", "--field", F4, "--phi", "g + tau", "--psi",
+                  "g + tau", "--bound", _NINES],
+                 f"{_HUGE} F_p unknowns exceed "
+                 f"MAX_FP_UNKNOWNS = {MAX_FP_UNKNOWNS} "
+                 f"(degree bound {_NINES})", id="unknowns"),
+])
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_counts_too_long_to_print_are_named_by_size(capsys, argv, message,
+                                                    fmt):
+    """A product of two 4300-digit powers (or a 4300-digit bound) makes a
+    count of more digits than Python prints; the message gives its size
+    instead of ending in a ValueError traceback."""
+    assert _refused_in_a_second(capsys, argv + fmt) == f"error: {message}\n"
 
 
 _NOT_COMMUTING = "the matrix does not commute with the t-actions"

@@ -1,5 +1,6 @@
 """Coefficient fields: finite, rational function, and formal twist."""
 
+import itertools
 import random
 import time
 
@@ -27,7 +28,9 @@ from tmodext.coefficients import (
     MAX_TH_EXPONENT_DIGITS,
     ZECH_LIMIT,
     _ftf_normal,
+    _is_irreducible_fp,
     _mono_mul,
+    _poly_divmod_fp,
     _PolyOps,
     _rp_add,
     _rp_divmod,
@@ -66,6 +69,41 @@ def test_default_moduli_are_the_first_irreducibles():
     assert default_modulus(3, 2) == (1, 0, 1)          # 1 + g^2
     assert default_modulus(2, 4) == (1, 1, 0, 0, 1)    # 1 + g + g^4
     assert default_modulus(5, 1) == (0, 1)
+
+
+def _irreducible_by_trial_division(f, p):
+    """The reference: no monic polynomial of degree 1..m//2 divides the
+    monic f of degree m >= 1."""
+    return not any(not _poly_divmod_fp(f, lower + (1,), p)[1]
+                   for d in range(1, (len(f) - 1) // 2 + 1)
+                   for lower in itertools.product(range(p), repeat=d))
+
+
+@pytest.mark.parametrize("p, top", [(2, 6), (3, 6), (5, 4), (7, 4)])
+def test_rabin_agrees_with_trial_division(p, top):
+    """Every monic polynomial of degree 1..top over F_p, degree 1 and
+    multiples of g included."""
+    for m in range(1, top + 1):
+        for lower in itertools.product(range(p), repeat=m):
+            f = lower + (1,)
+            assert _is_irreducible_fp(f, p) == \
+                _irreducible_by_trial_division(f, p), f
+
+
+@pytest.mark.parametrize("header, modulus", [
+    ("GF(2^32)", "1+g^2+g^3+g^7+g^32"),
+    ("GF(2^33)", "1+g+g^3+g^6+g^33"),
+    ("GF(3^20)", "1+2*g+g^3+g^20"),
+    ("GF(65521^2)", "17+g^2"),
+])
+def test_large_headers_set_up_within_a_second(header, modulus):
+    """The search for the default modulus took seconds by trial division
+    just inside MAX_FIELD_SEARCH; it finds the same modulus."""
+    default_modulus.cache_clear()
+    start = time.perf_counter()
+    spec = parse_field(header)
+    assert time.perf_counter() - start < 1
+    assert spec.header() == f"{header[:-1]}; mod={modulus})"
 
 
 def test_headers_round_trip():
