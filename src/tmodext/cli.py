@@ -7,10 +7,10 @@ stable JSON documents.  Exit codes: 0 success, 1 domain error, 2 usage or
 parse error, 3 verification failure.
 
 Each subcommand is one row of ``_COMMANDS`` (name, handler, help, flags),
-and each flag is declared once in ``_FLAGS``.  A command's flags are added
-only when argparse chooses that command.  Help takes shutil's terminal width
-without importing shutil, whose import (bz2, lzma, zlib, fnmatch) costs a
-fresh process more than most commands.
+and each flag is declared once in ``_FLAGS``.  A command's parser, with its
+flags, is built only when argparse chooses that command.  Help takes
+shutil's terminal width without importing shutil, whose import (bz2, lzma,
+zlib, fnmatch) costs a fresh process more than most commands.
 """
 
 from __future__ import annotations
@@ -70,20 +70,20 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-class _CommandParser(_ArgumentParser):
-    """One command's parser: add_parser passes its flag names and handler,
-    and the flags are added when argparse hands it its arguments."""
+class _CommandParser:
+    """One command's entry in argparse's command map: it keeps what
+    add_parser passes (prog, description, flag names, handler) and builds
+    the command's parser when argparse hands it the command's arguments."""
 
     def __init__(self, *, flags, handler, **kwargs):
-        super().__init__(**kwargs)
-        self._flags = flags
-        self.set_defaults(func=handler)
+        self._flags, self._handler, self._kwargs = flags, handler, kwargs
 
-    def parse_known_args(self, args=None, namespace=None):
+    def parse_known_args(self, args, namespace):
+        parser = _ArgumentParser(**self._kwargs)
+        parser.set_defaults(func=self._handler)
         for flag in self._flags:
-            self.add_argument("--" + flag.split("/")[0], **_FLAGS[flag])
-        self._flags = ()
-        return super().parse_known_args(args, namespace)
+            parser.add_argument("--" + flag.split("/")[0], **_FLAGS[flag])
+        return parser.parse_known_args(args, namespace)
 
 
 def _slot_text(slot):

@@ -661,6 +661,13 @@ class _RationalOps(_FractionOps):
     def add(self, a, b):
         ops, (n1, d1), (n2, d2) = self.ops, a, b
         if d1 == d2:
+            if len(n1) == len(n2) == len(d1) == 1:
+                # in lowest terms, unequal exponents force d1 == 1
+                (e1, c1), (e2, c2) = n1[0], n2[0]
+                if e1 != e2:
+                    return (n1 + n2 if e1 < e2 else n2 + n1, d1)
+                c = ops.add(c1, c2)
+                return self.zero if c == ops.zero else (((e1, c),), d1)
             return _rat_normal(_rp_add(n1, n2, ops), d1, ops)
         num = _rp_add(_rp_mul(n1, d2, ops), _rp_mul(n2, d1, ops), ops)
         return _rat_normal(num, _rp_mul(d1, d2, ops), ops)

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
@@ -841,7 +842,9 @@ def test_columns_match_shutil(monkeypatch, columns):
     assert cli._columns() == shutil.get_terminal_size().columns
 
 
-def test_only_the_chosen_command_gets_flags(capsys, monkeypatch):
+def _added_flags(capsys, monkeypatch, argv):
+    """main(argv)'s exit code and the first name of each add_argument call
+    it makes.  Every parser adds -h, so the -h count is the parser count."""
     added = []
     add_argument = argparse.ArgumentParser.add_argument
 
@@ -850,13 +853,110 @@ def test_only_the_chosen_command_gets_flags(capsys, monkeypatch):
         return add_argument(self, *names, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
-    code, _, _ = run(capsys, ["hom", "--field", F4, "--phi", "g + tau",
-                              "--psi", "g + tau", "--bound", "2"])
+    code, _, _ = run(capsys, argv)
+    return code, added
+
+
+def test_only_the_chosen_command_gets_flags(capsys, monkeypatch):
+    code, added = _added_flags(capsys, monkeypatch, [
+        "hom", "--field", F4, "--phi", "g + tau", "--psi", "g + tau",
+        "--bound", "2"])
     assert code == 0
-    # one -h for the top-level parser and one per command
-    assert added.count("-h") == 1 + len(cli._COMMANDS)
+    # one parser at the top level and one for hom
+    assert added.count("-h") == 2
     assert [name for name in added if name != "-h"] == [
         "--field", "--json", "--out", "--phi", "--psi", "--bound"]
+
+
+@pytest.mark.parametrize("argv, code", [(["frobnicate"], 2), (["--help"], 0)],
+                         ids=["frobnicate", "help"])
+def test_no_command_parser_without_a_command(capsys, monkeypatch, argv,
+                                             code):
+    assert _added_flags(capsys, monkeypatch, argv) == (code, ["-h"])
+
+
+# ---------------------------------------------------------------------------
+# Help and usage errors are the same bytes under every locale, in a fresh
+# interpreter each (the first gettext lookup of a process imports locale).
+# Help layout changed in argparse 3.13, so help is pinned by sha256 prefixes
+# of its text at COLUMNS=80 for 3.10 to 3.12 and for 3.13, taken at 3.10.13,
+# 3.11.7, 3.12.1 and 3.13.0; on other versions only the locales are compared.
+
+_HELP_LAYOUT = {(3, 10): 0, (3, 11): 0, (3, 12): 0, (3, 13): 1}
+_HELP_SHA256 = {  # command (None: the top level) -> a digest per layout
+    None: ("d4f0f3a121c7162b", "a6ceda4555f57d31"),
+    "ext": ("b1e8895f400e92eb", "972ed07815a9c94d"),
+    "ext0": ("79762a3e197bbfa8", "8e22c61e771b1599"),
+    "ext-seq": ("459f9b98b5b0ce3f", "459f9b98b5b0ce3f"),
+    "ext-prod": ("d1f64dce1c7109f5", "d1f64dce1c7109f5"),
+    "ext-tmod": ("1f9defb16657a65b", "1f9defb16657a65b"),
+    "ext-carlitz": ("11fef9f36822760b", "11fef9f36822760b"),
+    "ext-dual": ("263c79a6ae990d1c", "263c79a6ae990d1c"),
+    "adjoint": ("b47496901088aec9", "b47496901088aec9"),
+    "reduce": ("0ec4222a006dc2b0", "201b83f2be68165d"),
+    "assemble": ("7316a176ed7ba333", "7316a176ed7ba333"),
+    "baer": ("ad18669de9d73c5a", "03ec01426c35bda3"),
+    "act": ("92cd96015ad897f6", "616dbbe86ff70a4a"),
+    "pullback": ("2f2e24ba3f0fe664", "2f2e24ba3f0fe664"),
+    "pushout": ("b2600fa9ff24c5e4", "b2600fa9ff24c5e4"),
+    "split": ("5ff4cd1fca9fd238", "f929af852762a419"),
+    "hom": ("e5df0e717f63127d", "58898a748def5732"),
+    "sixterm": ("54af5dbe54bebf6f", "54af5dbe54bebf6f"),
+    "verify": ("aa642cfc07ea0ab3", "25f09818335a84e9"),
+}
+_USAGE_ERRORS = {  # case -> (argv, stderr)
+    "unknown-command": (
+        ["frobnicate"],
+        "error: argument COMMAND: invalid choice: 'frobnicate' (choose from "
+        "'ext', 'ext0', 'ext-seq', 'ext-prod', 'ext-tmod', 'ext-carlitz', "
+        "'ext-dual', 'adjoint', 'reduce', 'assemble', 'baer', 'act', "
+        "'pullback', 'pushout', 'split', 'hom', 'sixterm', 'verify')\n"),
+    "missing-flag": (
+        ["ext", "--field", Q3, "--phi", "th + tau^3"],
+        "error: the following arguments are required: --psi\n"),
+    "unknown-flag": (
+        ["ext", "--field", Q3, "--phi", "th + tau^3", "--psi", "th + tau^2",
+         "--bogus"],
+        "error: unrecognized arguments: --bogus\n"),
+}
+
+
+def _in_child(argv, env):
+    """(exit code, stdout, stderr) of main(argv) in a fresh interpreter
+    whose environment is exactly env."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    script = (f"import sys\nsys.path.insert(0, {src!r})\n"
+              f"from tmodext.cli import main\nsys.exit(main({argv!r}))\n")
+    result = subprocess.run([sys.executable, "-I", "-S", "-c", script],
+                            capture_output=True, text=True, timeout=60,
+                            env=env)
+    return result.returncode, result.stdout, result.stderr
+
+
+def _in_both_locales(argv):
+    """The child's run with no locale variables; asserts that it is the
+    same with LANG=en_US.UTF-8."""
+    plain = _in_child(argv, {"COLUMNS": "80"})
+    assert _in_child(argv, {"COLUMNS": "80", "LANG": "en_US.UTF-8"}) == plain
+    return plain
+
+
+@pytest.mark.parametrize("name", list(_HELP_SHA256),
+                         ids=lambda name: name or "top-level")
+def test_help_is_the_same_under_every_locale(name):
+    code, out, err = _in_both_locales(
+        ["--help"] if name is None else [name, "--help"])
+    assert (code, err) == (0, "")
+    layout = _HELP_LAYOUT.get(sys.version_info[:2])
+    if layout is not None:
+        digest = hashlib.sha256(out.encode()).hexdigest()[:16]
+        assert digest == _HELP_SHA256[name][layout]
+
+
+@pytest.mark.parametrize("case", list(_USAGE_ERRORS))
+def test_usage_errors_are_the_same_under_every_locale(case):
+    argv, err = _USAGE_ERRORS[case]
+    assert _in_both_locales(argv) == (2, "", err)
 
 
 # ---------------------------------------------------------------------------

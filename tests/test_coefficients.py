@@ -32,6 +32,7 @@ from tmodext.coefficients import (
     _mono_mul,
     _poly_divmod_fp,
     _PolyOps,
+    _rat_normal,
     _rp_add,
     _rp_divmod,
     _rp_gcd,
@@ -582,6 +583,29 @@ def test_fraction_shortcuts_agree_with_the_general_formulas(case):
     else:
         assert arith.inv(a) == want_inv
         _assert_reduced(spec, want_inv)
+
+
+@pytest.mark.parametrize("spec", [Q3, F4TH], ids=["GF(3)(th)", "GF(2^2)(th)"])
+def test_single_term_sums_over_one_denominator_agree_with_the_general_sum(
+        spec):
+    """Seeded single-term fractions c*th^e/th^f in lowest terms, added over
+    one denominator: the shortcut gives the general value for unequal
+    exponents (only over th^0), equal ones, and sums that cancel."""
+    arith, ops, rng = spec._arith, spec._ops, random.Random(20)
+    codes = range(1, spec.p ** spec.m)
+    seen = set()
+    for _ in range(400):
+        f = rng.choice((0, 0, rng.randint(1, 6)))
+        e1, e2 = (0, 0) if f else (rng.randint(0, 6), rng.randint(0, 6))
+        c1 = rng.choice(codes)
+        c2 = ops.neg(c1) if rng.random() < 0.25 else rng.choice(codes)
+        den = ((f, ops.one),)
+        a, b = (((e1, c1),), den), (((e2, c2),), den)
+        got = arith.add(a, b)
+        assert got == _rat_normal(_rp_add(a[0], b[0], ops), den, ops)
+        _assert_reduced(spec, got)
+        seen.add("unequal" if e1 != e2 else "equal" if got[0] else "cancel")
+    assert seen == {"unequal", "equal", "cancel"}
 
 
 def _count_calls(monkeypatch, names):
