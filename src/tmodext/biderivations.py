@@ -33,11 +33,12 @@ values and clears when full.
 The plan fixes the canonical slots and drives one reduction, run over two
 coefficient domains: the domain's own scalars for ``reduce_canonical``,
 and linear forms in the canonical coordinates for the t-action on Ext
-(``ext_structures``).  An entry left with a coefficient outside the slots
-is an InvariantViolation, and ``reduce_canonical`` checks by products that
-the canonical form and witness recombine to the input; with the
-uniqueness of the canonical form, a fault in the loops raises instead of
-returning a wrong representative.
+(``ext_structures``).  A step or layer that does not lower the degree it
+works on, and an entry left with a coefficient outside the slots, are
+InvariantViolations (a plan that does not fit the pair ends at once), and
+``reduce_canonical`` checks by products that the canonical form and witness
+recombine to the input; with the uniqueness of the canonical form, a fault
+in the loops raises instead of returning a wrong representative.
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ class Biderivation(SlottedValue):
 
     def __post_init__(self):
         src, tgt, mat = self.source.t_matrix, self.target.t_matrix, self.matrix
-        if self.source.spec != self.target.spec or \
-                mat.spec != self.source.spec:
+        if self.source.spec is not self.target.spec or \
+                mat.spec is not self.source.spec:
             raise MixedPairs("biderivation data over mixed domains")
         if src.var != tgt.var or mat.var != src.var:
             raise MixedPairs("biderivation data over mixed twisted variables")
@@ -156,7 +157,7 @@ def assemble(delta):
 def select_regime(source, target):
     """Choose the reduction strategy for the module pair, or explain why
     none applies."""
-    if source.spec != target.spec:
+    if source.spec is not target.spec:
         raise MixedPairs("source and target over different domains")
     if source.var != target.var:
         raise MixedPairs("source and target over different twisted variables")
@@ -388,8 +389,13 @@ def _reduce_layered(arith, plan, grid, witness):
 def _reduce_entrywise(arith, plan, grid, witness):
     sign, phi, psi = plan.sign, plan.phi, plan.psi
     for r, c, bound, forward, lead in plan.entries:
-        acc = grid[r][c]
+        acc, last = grid[r][c], None
         while (deg := _degree(acc, arith.is_zero)) >= bound:
+            if last is not None and deg >= last:
+                raise InvariantViolation(f"the plan does not fit the pair: a "
+                                         f"step left entry {(r, c)} at degree "
+                                         f"{deg}")
+            last = deg
             a = acc[deg]
             k = deg - bound
             if forward:  # a / lead^(q^(sign k))

@@ -782,22 +782,20 @@ class SlottedValue:
     compared, hashed and pickled by the tuple of their fields, and shown as
     ``Name(field=value, ...)``.  The fields are the ``__slots__`` other than
     ``__dict__`` (a slot that lets ``cached_property`` cache) unless the
-    class names them in ``_fields``; class keywords give defaults.
-    ``__init__``, ``__eq__`` and ``__hash__`` are compiled once per class,
-    unless it defines its own, so that they read each field directly; hot
-    constructors may also write the slots through their descriptors."""
+    class names them in ``_fields``.  ``__init__``, ``__eq__`` and
+    ``__hash__`` are compiled once per class, unless it defines its own, so
+    that they read each field directly; hot constructors may also write the
+    slots through their descriptors."""
 
     __slots__ = ()
 
-    def __init_subclass__(cls, **defaults):
+    def __init_subclass__(cls):
         names = vars(cls).get("_fields") or tuple(
             n for n in cls.__slots__ if n != "__dict__")
         cls._fields = names
-        params = ", ".join(f"{n}=_default_{n}" if n in defaults else n
-                           for n in names)
         mine = "".join(f"self.{n}, " for n in names)
         theirs = "".join(f"other.{n}, " for n in names)
-        source = [f"def __init__(self, {params}):"]
+        source = [f"def __init__(self, {', '.join(names)}):"]
         source += [f" _set_{n}(self, {n})" for n in names]
         if hasattr(cls, "__post_init__"):
             source.append(" self.__post_init__()")
@@ -807,9 +805,7 @@ class SlottedValue:
                    " return NotImplemented",
                    "def __hash__(self):",
                    f" return hash(({mine}))"]
-        namespace = {f"_default_{n}": v for n, v in defaults.items()}
-        namespace.update((f"_set_{n}", getattr(cls, n).__set__)
-                         for n in names)
+        namespace = {f"_set_{n}": getattr(cls, n).__set__ for n in names}
         exec("\n".join(source), namespace)
         for name in ("__init__", "__eq__", "__hash__"):
             if vars(cls).get(name) is None:  # __eq__ alone sets __hash__ None
@@ -834,12 +830,13 @@ class SlottedValue:
 # Field specification.
 
 
+# The spec of each distinct set of fields built so far (FieldSpec.__new__).
+_SPECS = {}
 _NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 _RESERVED_NAMES = frozenset({"tau", "sig", "sigma", "t", "g"})
 
 
-class FieldSpec(SlottedValue, theta_payload=None, generators=(),
-                invertibles=frozenset()):
+class FieldSpec(SlottedValue):
     """Description of a coefficient domain.
 
     kind is one of "finite", "rational", "formal".  p is the
@@ -848,26 +845,41 @@ class FieldSpec(SlottedValue, theta_payload=None, generators=(),
     monic).  theta_payload (an F_{p^m} code) fixes the distinguished
     element theta for finite fields; generators/invertibles only apply to
     formal domains.  _ops is the F_{p^m} ops object and _arith the
-    domain's ops object on payloads, both derived from the fields.
+    domain's ops object on payloads, both derived from the fields.  A
+    domain is one object: FieldSpec(...) returns the spec already built for
+    equal fields, and specs compare and hash by identity.
     """
 
     __slots__ = ("kind", "p", "m", "modulus", "theta_payload", "generators",
                  "invertibles", "_ops", "_arith")
     _fields = __slots__[:-2]
 
-    def __post_init__(self):
-        ops = _get_ops(self.p, self.modulus)
-        object.__setattr__(self, "_ops", ops)
-        object.__setattr__(self, "_arith", (
-            ops if self.kind == "finite"
-            else _RationalOps(ops, self.q) if self.kind == "rational"
-            else _FormalOps(ops, self.invertibles)))
+    def __new__(cls, kind, p, m, modulus, theta_payload=None, generators=(),
+                invertibles=frozenset()):
+        key = (kind, p, m, modulus, theta_payload, generators, invertibles)
+        spec = _SPECS.get(key)
+        if spec is None:
+            ops = _get_ops(p, modulus)
+            arith = (ops if kind == "finite"
+                     else _RationalOps(ops, p ** m) if kind == "rational"
+                     else _FormalOps(ops, invertibles))
+            spec = _new(cls)
+            for name, value in zip(cls.__slots__, key + (ops, arith)):
+                object.__setattr__(spec, name, value)
+            spec = _SPECS.setdefault(key, spec)  # one winner between threads
+        return spec
 
-    def __eq__(self, other):
-        # Identity first (FieldElement._coerce, run once per operation, also
-        # inlines it); the hash is the record's, over the same fields.
-        return self is other or (other.__class__ is self.__class__
-                                 and self._key(self) == self._key(other))
+    def __init__(self, *fields, **named):
+        """Nothing: __new__ built or found the spec."""
+
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def _payload(self, c):
+        """The payload of c, an element of this domain; an element of
+        another domain raises MixedFields."""
+        if c.spec is not self:
+            raise MixedFields("elements of different coefficient domains")
+        return c.payload
 
     # -- basic data --------------------------------------------------------
 
@@ -976,9 +988,6 @@ class FieldSpec(SlottedValue, theta_payload=None, generators=(),
         return base + (")(th)" if self.kind == "rational" else ")")
 
 
-FieldSpec._key = operator.attrgetter(*FieldSpec._fields)
-
-
 def _default_theta(p, m):
     return p if m >= 2 else 1  # the codes of g and 1
 
@@ -1011,8 +1020,7 @@ class FieldElement(SlottedValue):
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.spec is not self.spec and other.spec != self.spec:
-                raise MixedFields("elements of different coefficient domains")
+            self.spec._payload(other)  # MixedFields for another domain
             return other
         if isinstance(other, int):
             return self.spec.from_int(other)

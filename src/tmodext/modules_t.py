@@ -43,7 +43,7 @@ class TModule(SlottedValue):
         m = self.t_matrix
         if not isinstance(m, SkewMatrix):
             raise InvalidModule("a module needs a matrix for the t-action")
-        if m.spec != self.spec:
+        if m.spec is not self.spec:
             raise MixedFields("module matrix over a different domain")
         if m.nrows != m.ncols:
             raise InvalidModule("the t-action matrix must be square")
@@ -222,7 +222,7 @@ def trivial(spec, s, var=TAU):
 
 def morphism_residual(f, source, target):
     """f * S_t - T_t * f for a candidate morphism f: source -> target."""
-    if source.spec != target.spec or f.spec != source.spec:
+    if source.spec is not target.spec or f.spec is not source.spec:
         raise MixedFields("morphism data over mixed domains")
     if source.var != target.var or f.var != source.var:
         raise MixedFields("morphism data over mixed twisted variables")

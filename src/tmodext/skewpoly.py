@@ -120,12 +120,13 @@ class SkewPoly(SlottedValue):
             c = spec.from_int(c)
         if deg < 0:
             raise ParseError("negative twisted-polynomial degree")
-        return cls(spec, var, ((deg, _payload(spec, c)),) if c else ())
+        c = spec._payload(c)
+        return cls(spec, var, () if spec._arith.is_zero(c) else ((deg, c),))
 
     @classmethod
     def from_pairs(cls, spec, var, pairs):
         return _from_map(spec, var, _add_into(
-            spec._arith, {}, [(d, _payload(spec, c)) for d, c in pairs]))
+            spec._arith, {}, [(d, spec._payload(c)) for d, c in pairs]))
 
     # -- structure ------------------------------------------------------------
 
@@ -164,7 +165,7 @@ class SkewPoly(SlottedValue):
         return self.degree <= 0
 
     def _check_compatible(self, other):
-        if self.spec != other.spec:
+        if self.spec is not other.spec:
             raise MixedFields("twisted polynomials over different domains")
         if self.var != other.var:
             raise MixedFields(
@@ -175,8 +176,6 @@ class SkewPoly(SlottedValue):
         if isinstance(other, SkewPoly):
             self._check_compatible(other)
             return other
-        if isinstance(other, FieldElement) and other.spec != self.spec:
-            raise MixedFields("elements of different coefficient domains")
         if isinstance(other, (FieldElement, int)):
             return SkewPoly.const(self.spec, self.var, other)
         return None
@@ -234,11 +233,9 @@ class SkewPoly(SlottedValue):
     def eval_linear(self, c):
         """Apply the polynomial to a coefficient as a twisting operator."""
         spec = self.spec
-        if c.spec != spec:
-            raise MixedFields("elements of different coefficient domains")
         arith = spec._arith
-        return spec._fe(_apply_into(arith, arith.zero, self._pairs, c.payload,
-                                    self.sign))
+        return spec._fe(_apply_into(arith, arith.zero, self._pairs,
+                                    spec._payload(c), self.sign))
 
     def adjoint(self):
         """The image under the anti-automorphism swapping tau and sigma."""
@@ -280,14 +277,6 @@ _set_var = SkewPoly.var.__set__
 _set_pairs = SkewPoly._pairs.__set__
 
 
-def _payload(spec, c):
-    """The payload of the element c of spec; an element of another domain
-    raises MixedFields."""
-    if c.spec is not spec and c.spec != spec:
-        raise MixedFields("elements of different coefficient domains")
-    return c.payload
-
-
 def _from_map(spec, var, acc):
     """The polynomial storing an accumulator's nonzero payloads, sorted."""
     is_zero = spec._arith.is_zero
@@ -327,7 +316,7 @@ class SkewMatrix(SlottedValue):
                 if not isinstance(e, SkewPoly):
                     raise DimensionMismatch("matrix entries must be twisted "
                                             "polynomials")
-                if e.spec != spec or e.var != var:
+                if e.spec is not spec or e.var != var:
                     raise MixedFields("matrix entries over mixed domains or "
                                       "variables")
         return cls(spec, var, rows)
@@ -343,7 +332,7 @@ class SkewMatrix(SlottedValue):
         col, deg), the slots distinct, and zero elsewhere."""
         maps = [[{} for _ in range(ncols)] for _ in range(nrows)]
         for (r, c, k), value in zip(slots, values):
-            maps[r][c][k] = _payload(spec, value)
+            maps[r][c][k] = spec._payload(value)
         return _from_maps(spec, var, maps)
 
     @classmethod
@@ -439,7 +428,7 @@ class SkewMatrix(SlottedValue):
     # -- arithmetic -----------------------------------------------------------
 
     def _check_compatible(self, other):
-        if self.spec != other.spec:
+        if self.spec is not other.spec:
             raise MixedFields("matrices over different domains")
         if self.var != other.var:
             raise MixedFields("matrices over different twisted variables")
@@ -501,9 +490,7 @@ class SkewMatrix(SlottedValue):
             raise DimensionMismatch(
                 f"cannot apply a {self.shape} matrix to a vector of length "
                 f"{len(vec)}")
-        if any(c.spec != spec for c in vec):
-            raise MixedFields("elements of different coefficient domains")
-        arith, xs = spec._arith, [c.payload for c in vec]
+        arith, xs = spec._arith, [spec._payload(c) for c in vec]
         out = []
         for row in self.entries:
             acc = arith.zero

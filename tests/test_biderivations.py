@@ -153,11 +153,11 @@ def test_mixed_fields_rejected_in_biderivation():
 
 
 def test_equal_but_distinct_specs_combine():
-    """Two parses of one header give distinct, equal specs: everything built
-    over one combines with everything built over the other.  Unequal specs
+    """Two parses of one header give one spec object: everything built over
+    one parse combines with everything built over the other.  Unequal specs
     still raise at every site that compares them."""
     one, two = parse_field("GF(3^2)"), parse_field("GF(3^2)")
-    assert one is not two and one == two and hash(one) == hash(two)
+    assert one is two and one == two and hash(one) == hash(two)
     assert len({one, two, parse_field("GF(3^2; mod=g^2+2*g+2)")}) == 2
     assert one != "GF(3^2)"
     assert parse_element(one, "g") * parse_element(two, "g + 1") == \
@@ -499,6 +499,37 @@ def test_unreduced_coefficient_raises_invariant_violation(monkeypatch, loop):
     with pytest.raises(InvariantViolation,
                        match="outside the canonical slots"):
         reduce_canonical(scope["delta"])
+
+
+def test_forced_entrywise_tie_ends_at_once():
+    """A forced diagonal-pairs plan whose (0, 1) entry ties at degree 2
+    cannot lower that entry; the loop raises instead of stepping forever.
+    It runs in a child with a timeout, so that a regression fails rather
+    than hangs."""
+    script = textwrap.dedent(f"""
+        import sys
+        sys.path.insert(0, {os.path.dirname(os.path.dirname(
+            tmodext.__file__))!r})
+        from tmodext import (Biderivation, InvariantViolation, make_finite,
+                             parse_matrix, reduce_canonical, tmodule)
+        from tmodext.biderivations import DIAGONAL_PAIRS
+        F4 = make_finite(2, 2)
+        src = tmodule(F4, parse_matrix(F4, "[[g + tau^3, 0], "
+                                           "[tau, g + tau^2]]"))
+        tgt = tmodule(F4, parse_matrix(F4, "[[g + tau^2, 0], [1, g + tau]]"))
+        delta = Biderivation(src, tgt, parse_matrix(
+            F4, "[[tau^5, tau^4], [tau^3, g*tau^6]]"))
+        try:
+            reduce_canonical(delta, DIAGONAL_PAIRS)
+        except InvariantViolation as exc:
+            print(type(exc).__name__, exc)
+    """)
+    done = subprocess.run([sys.executable, "-I", "-c", script],
+                          capture_output=True, text=True, timeout=10)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "InvariantViolation the plan does not fit the pair: a step left "
+        "entry (0, 1) at degree 4"]
 
 
 def test_reversed_regime_obstruction_over_rational():

@@ -73,3 +73,29 @@ def test_every_private_helper_is_used_in_the_package():
             for name, line in _private_definitions(tree)
             if name not in used]
     assert dead == []
+
+
+def _names_spec(node):
+    """Whether node is the name ``spec`` or an attribute ``.spec``."""
+    return (isinstance(node, ast.Name) and node.id == "spec") or \
+        (isinstance(node, ast.Attribute) and node.attr == "spec")
+
+
+def test_domains_are_compared_by_identity():
+    """A coefficient domain is one object, so no ``==`` or ``!=`` has a
+    spec on either side; such a comparison would hide a second object."""
+    compared = [f"{module}:{node.lineno}"
+                for module, tree in _trees().items()
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Compare)
+                and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+                and any(map(_names_spec, [node.left, *node.comparators]))]
+    assert compared == []
+
+
+def test_no_assert_statements():
+    """Invariants are exceptions, which ``python -O`` keeps."""
+    asserts = [f"{module}:{node.lineno}"
+               for module, tree in _trees().items()
+               for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert asserts == []

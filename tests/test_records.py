@@ -10,6 +10,7 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -17,6 +18,7 @@ import tmodext
 from tmodext import (
     Biderivation,
     ExtStructure,
+    FieldSpec,
     assemble,
     ext_structure,
     ga_sequence,
@@ -25,6 +27,7 @@ from tmodext import (
     make_finite,
     make_formal,
     make_rational,
+    parse_field,
     parse_matrix,
     parse_module,
     reduce_canonical,
@@ -151,6 +154,52 @@ def test_field_specs_reduce_to_their_key_fields():
                                     ("a", "th"), frozenset({"a"}))
     copied = pickle.loads(pickle.dumps(spec))
     assert copied == spec and copied._arith is not None
+
+
+def test_a_domain_is_one_object():
+    """Equal fields give one spec object, however it is reached, so every
+    domain check is an identity test; unequal fields give another."""
+    spec = parse_field("GF(3^2)")
+    element = spec.gen()
+    for twin in (parse_field("GF(3^2)"), parse_field("GF(3^2; mod=g^2+1)"),
+                 make_finite(3, 2), FieldSpec(*spec.__reduce__()[1]),
+                 copy.copy(spec), copy.deepcopy(spec),
+                 pickle.loads(pickle.dumps(spec))):
+        assert twin is spec
+    for twin in (copy.copy(element), copy.deepcopy(element),
+                 pickle.loads(pickle.dumps(element))):
+        assert twin == element and twin.spec is spec
+    others = (parse_field("GF(3^2; mod=g^2+2*g+2)"),
+              parse_field("GF(3^2; theta=g+1)"), parse_field("GF(3^2)(th)"))
+    assert len({id(o) for o in (spec,) + others}) == 4
+    assert make_formal(3, generators=("a", "b")) is \
+        parse_field("FTF(3; gens=a,b,th)")
+    assert make_formal(3, generators=("b", "a")) is not \
+        make_formal(3, generators=("a", "b"))
+
+
+def test_threads_building_one_domain_get_one_object():
+    """The registry keeps the first spec built for a header, so threads
+    that race to build a new domain all get the same object."""
+    def build(header, barrier, specs):
+        barrier.wait()
+        specs.append(parse_field(header))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for p in (11, 13, 17, 19):
+            barrier, specs = threading.Barrier(8), []
+            threads = [threading.Thread(target=build, args=(
+                f"GF({p}^2; theta=g+1)", barrier, specs)) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert len(specs) == 8 and len({id(s) for s in specs}) == 1
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_records_keep_their_cached_properties():

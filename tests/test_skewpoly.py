@@ -529,9 +529,21 @@ def test_constructors_refuse_elements_of_another_domain():
     with pytest.raises(MixedFields):
         SkewMatrix.from_slots(F9, TAU, 1, 2, [(0, 0, 0), (0, 1, 2)],
                               [F9.gen(), F8.gen()])
-    twin = make_finite(3, 2)  # equal to F9, not the same object
+    twin = make_finite(3, 2)  # a second call gives F9 itself
     assert SkewPoly.from_pairs(F9, TAU, [(1, twin.gen())]) == \
         SkewPoly.term(F9, TAU, F9.gen(), 1)
+
+
+def test_constructors_refuse_the_zero_of_another_domain():
+    """A foreign zero raises as a foreign nonzero element does; before, it
+    was taken for the zero of the polynomial's own domain."""
+    f9, zero = make_finite(3, 2), make_finite(2, 2).zero()
+    with pytest.raises(MixedFields, match="different coefficient domains"):
+        SkewPoly.term(f9, TAU, zero, 1)
+    with pytest.raises(MixedFields, match="different coefficient domains"):
+        SkewPoly.const(f9, TAU, zero)
+    with pytest.raises(MixedFields, match="different coefficient domains"):
+        SkewMatrix.from_const(f9, TAU, [[zero]])
 
 
 # ---------------------------------------------------------------------------
