@@ -29,7 +29,9 @@ field from m and q:
   multiplication, inversion and the Frobenius are lookups, and addition
   is one Zech-logarithm lookup (XOR when p = 2);
 * m >= 2 and q > ZECH_LIMIT: polynomial products reduced modulo the
-  modulus, on the codes' base-p digits.
+  modulus, on the codes' base-p digits (``_PolyOps``, which also serves
+  field set-up: Rabin's test, the search for a primitive element and the
+  build of the Zech tables).
 
 ZECH_LIMIT = 2^12 keeps a table build to about 10 ms at most.
 
@@ -59,6 +61,20 @@ from .errors import (
     PolynomialTooLarge,
 )
 
+
+def _power(one, base, n, mul=operator.mul):
+    """base^n (n >= 0) by squaring, from the unit one, under the product
+    mul: the one square-and-multiply, for elements, codes, polynomials and
+    matrices."""
+    while n:
+        if n & 1:
+            one = mul(one, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+    return one
+
+
 # ---------------------------------------------------------------------------
 # Polynomials over F_p on ascending integer coefficient tuples (used for
 # moduli and for the arithmetic of F_{p^m}).
@@ -69,17 +85,6 @@ def _poly_trim(coeffs):
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
-
-
-def _poly_mul_fp(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _poly_trim(out)
 
 
 def _poly_mod_fp(a, mod, p):
@@ -96,27 +101,6 @@ def _poly_mod_fp(a, mod, p):
     return _poly_trim(a)
 
 
-def _poly_divmod_fp(a, b, p):
-    a = [x % p for x in _poly_trim(a)]
-    b = _poly_trim(b)
-    if not b:
-        raise DivisionByZero("polynomial division by zero")
-    db = len(b) - 1
-    binv = pow(b[-1], p - 2, p)
-    q = [0] * max(0, len(a) - db)
-    while a and len(a) - 1 >= db:
-        c = (a[-1] * binv) % p
-        off = len(a) - 1 - db
-        if c:
-            q[off] = c
-            for j in range(db + 1):
-                a[off + j] = (a[off + j] - c * b[j]) % p
-        a.pop()
-        while a and a[-1] == 0 and len(a) - 1 >= db:
-            a.pop()
-    return _poly_trim(q), _poly_trim(a)
-
-
 # The most trial divisors a field's set-up may try: the isqrt(p) integers
 # that test p for primality.  p^(m//2), the divisors a brute-force test of a
 # degree-m modulus would try, is held to it too, so that the same headers
@@ -127,23 +111,18 @@ MAX_FIELD_SEARCH = 2 ** 16
 def _is_irreducible_fp(f, p):
     """Rabin's test: a monic f of degree m >= 2 is irreducible over F_p iff
     it divides x^(p^m) - x and is coprime to x^(p^(m/r)) - x for every
-    prime r dividing m."""
+    prime r dividing m.  x is the code p in F_p[g]/(f)."""
     m = len(f) - 1
     if m <= 1 or not f[0]:  # x divides f
         return m == 1
-
-    def frobenius_minus_x(k):  # x^(p^k) - x mod f
-        h = list(_fp_pow((0, 1), p ** k, f, p)) + [0, 0]
-        h[1] = (h[1] - 1) % p
-        return _poly_trim(h)
-
-    if frobenius_minus_x(m):
+    ring, ops = _PolyOps(p, f), _PrimeOps(p)
+    if ring.pow(p, p ** m) != p:
         return False
+    sparse_f = tuple((e, c) for e, c in enumerate(f) if c)
     for r in _prime_factors(m):
-        a, b = f, frobenius_minus_x(m // r)
-        while b:
-            a, b = b, _poly_divmod_fp(a, b, p)[1]
-        if len(a) > 1:
+        h = _digits(ring.sub(ring.pow(p, p ** (m // r)), p), p, m)
+        h = tuple((e, c) for e, c in enumerate(h) if c)
+        if _rp_gcd(sparse_f, h, ops) != ((0, 1),):
             return False
     return True
 
@@ -155,21 +134,10 @@ def default_modulus(p, m):
     if m == 1:
         return (0, 1)
     for n in range(p ** m):
-        digits = []
-        k = n
-        for _ in range(m):
-            digits.append(k % p)
-            k //= p
-        f = tuple(digits) + (1,)
+        f = tuple(_digits(n, p, m)) + (1,)
         if _is_irreducible_fp(f, p):
             return f
     raise ParseError(f"no irreducible polynomial of degree {m} over GF({p})")
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    return all(n % d for d in range(2, isqrt(n) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -197,17 +165,6 @@ def _encode(digits, p):
     for c in reversed(digits):
         code = code * p + c
     return code
-
-
-def _fp_pow(a, n, mod, p):
-    """a ** n in F_p[g]/(mod), on ascending coefficient tuples."""
-    result, base = (1,), a
-    while n:
-        if n & 1:
-            result = _poly_mod_fp(_poly_mul_fp(result, base, p), mod, p)
-        base = _poly_mod_fp(_poly_mul_fp(base, base, p), mod, p)
-        n >>= 1
-    return result
 
 
 def _prime_factors(n):
@@ -284,17 +241,31 @@ class _ExtOps(_PrimeOps):
 
 
 class _PolyOps(_ExtOps):
-    """F_{p^m} with q above ZECH_LIMIT: polynomial products reduced modulo
-    the modulus, on the codes' base-p digits."""
+    """Arithmetic in F_p[g]/(modulus) on codes: polynomial products reduced
+    modulo the modulus, on the codes' base-p digits.  It is F_{p^m} when
+    the modulus is irreducible, and serves the fields with q above
+    ZECH_LIMIT; field set-up runs it on any monic modulus, reducible ones
+    included (Rabin's test)."""
+
+    def _mul_digits(self, a, b):
+        """a * b mod the modulus, on digit sequences: the product is
+        summed over the integers and reduced mod p once, by _poly_mod_fp."""
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return _poly_mod_fp(out, self.mod, self.p)
 
     def mul(self, a, b):
         p, m = self.p, self.m
-        return _encode(_poly_mod_fp(_poly_mul_fp(
-            _digits(a, p, m), _digits(b, p, m), p), self.mod, p), p)
+        return _encode(self._mul_digits(_digits(a, p, m), _digits(b, p, m)),
+                       p)
 
     def pow(self, a, n):
         p = self.p
-        return _encode(_fp_pow(_digits(a, p, self.m), n, self.mod, p), p)
+        return _encode(_power((1,), _digits(a, p, self.m), n,
+                              self._mul_digits), p)
 
     def inv(self, a):
         if not a:
@@ -372,12 +343,14 @@ def _alpha_powers(p, modulus):
     alpha = _primitive_element(p, modulus)
     out = [1] * n
     if p == 2:
-        # Horner in g on codes: shift one degree up, fold g^m back by XOR.
+        # Horner in g on codes: shift one degree up, fold g^m back by XOR;
+        # alpha's bits are walked from its top set bit down.
         top, mod_code = 1 << m, _encode(modulus, 2)
+        bits = _digits(alpha, 2, alpha.bit_length())[::-1]
         x = 1
         for k in range(1, n):
             acc = 0
-            for a in reversed(alpha):
+            for a in bits:
                 acc <<= 1
                 if acc & top:
                     acc ^= mod_code
@@ -387,9 +360,9 @@ def _alpha_powers(p, modulus):
         return out
     # x -> x * alpha is F_p-linear: column j of its matrix holds the
     # digits of g^j * alpha.
-    cols = [_poly_mod_fp(_poly_mul_fp((0,) * j + (1,), alpha, p), modulus, p)
-            for j in range(m)]
-    rows = list(zip(*(c + (0,) * (m - len(c)) for c in cols)))
+    ring = _PolyOps(p, modulus)
+    rows = list(zip(*(_digits(ring.mul(p ** j, alpha), p, m)
+                      for j in range(m))))
     place = [p ** i for i in range(m)]
     x = [1] + [0] * (m - 1)
     for k in range(1, n):
@@ -399,15 +372,14 @@ def _alpha_powers(p, modulus):
 
 
 def _primitive_element(p, modulus):
-    """The generator of F_{p^m}^* whose code is smallest, as digits
-    (trailing zeros trimmed)."""
+    """The code of the generator of F_{p^m}^* whose code is smallest."""
     m = len(modulus) - 1
     n = p ** m - 1
+    ring = _PolyOps(p, modulus)
     cofactors = [n // r for r in _prime_factors(n)]
     for code in range(2, p ** m):
-        a = _poly_trim(_digits(code, p, m))
-        if all(_fp_pow(a, e, modulus, p) != (1,) for e in cofactors):
-            return a
+        if all(ring.pow(code, e) != 1 for e in cofactors):
+            return code
     raise ParseError(f"GF({p}^{m}) has no primitive element")
 
 
@@ -542,15 +514,14 @@ def _rp_rem(a, b, ops):
     da, db = a[-1][0], b[-1][0]
     if da - db <= 2 * len(a) * db * da.bit_length():
         return _rp_divmod(a, b, ops)[1]
+
+    def mul_mod(x, y):
+        return _rp_divmod(_rp_mul(x, y, ops), b, ops)[1]
+
     th = _rp_divmod(((1, ops.one),), b, ops)[1]
     out = ()
     for e, c in a:
-        power, base = ((0, ops.one),), th
-        while e:
-            if e & 1:
-                power = _rp_divmod(_rp_mul(power, base, ops), b, ops)[1]
-            base = _rp_divmod(_rp_mul(base, base, ops), b, ops)[1]
-            e >>= 1
+        power = _power(((0, ops.one),), th, e, mul_mod)
         out = _rp_add(out, _rp_scale(power, c, ops), ops)
     return out
 
@@ -996,17 +967,6 @@ def _default_theta(p, m):
 # Elements.
 
 
-def _power(one, base, n):
-    """base^n (n >= 0) by squaring, from the unit one."""
-    while n:
-        if n & 1:
-            one = one * base
-        n >>= 1
-        if n:
-            base = base * base
-    return one
-
-
 class FieldElement(SlottedValue):
     __slots__ = ("spec", "payload")
 
@@ -1260,7 +1220,7 @@ def _check_pm(p, m):
         raise CarrierTooLarge(f"setting up the field would try more than "
                               f"MAX_FIELD_SEARCH = {MAX_FIELD_SEARCH} trial "
                               f"divisors")
-    if not _is_prime(p):
+    if _prime_factors(p) != [p]:
         raise ParseError(f"{p} is not prime")
     if m < 1:
         raise ParseError("extension degree must be at least 1")

@@ -72,12 +72,6 @@ def random_biderivation(source, target, rng, max_deg=None):
         source.spec, source.var, rng, target.dim, source.dim, max_deg))
 
 
-def apply_matrix(mat, vec):
-    """Apply a twisted-polynomial matrix to a coefficient vector, entries
-    acting as twisting operators."""
-    return mat.eval_linear(vec)
-
-
 # ---------------------------------------------------------------------------
 # Enumeration of Ext groups through canonical coordinates.
 
@@ -136,7 +130,7 @@ def verify_structure(structure, samples=200, seed=0, mode="sample"):
         acted = Biderivation(source, target,
                              target.t_matrix * delta.matrix)
         direct = structure.coords_of(acted)
-        via_pi = apply_matrix(structure.pi, coords)
+        via_pi = structure.pi.eval_linear(coords)
         if direct != via_pi:
             mismatches += 1
     checks.append(Check(
@@ -183,14 +177,14 @@ def verify_ga(seq, seed=0):
     images = set()
     theta = spec.theta()
     for coords in coordinate_vectors(spec, r):
-        acted = apply_matrix(structure.pi, coords)
+        acted = structure.pi.eval_linear(coords)
         if seq.g is not None:
-            gv = apply_matrix(seq.g, coords)
+            gv = seq.g.eval_linear(coords)
             images.add(gv)
             vanishes = all(not coords[a] for a in pure)
             if (all(not x for x in gv)) != vanishes:
                 kernel_bad += 1
-            if apply_matrix(seq.g, acted) != tuple(theta * x for x in gv):
+            if seq.g.eval_linear(acted) != tuple(theta * x for x in gv):
                 equivariance_bad += 1
     if seq.g is not None:
         checks.append(Check(
@@ -212,10 +206,8 @@ def verify_ga(seq, seed=0):
         sub_r = seq.sub_pi.nrows
         incl_bad = 0
         for coords in coordinate_vectors(spec, sub_r):
-            left = apply_matrix(structure.pi,
-                                apply_matrix(seq.inclusion, coords))
-            right = apply_matrix(seq.inclusion,
-                                 apply_matrix(seq.sub_pi, coords))
+            left = structure.pi.eval_linear(seq.inclusion.eval_linear(coords))
+            right = seq.inclusion.eval_linear(seq.sub_pi.eval_linear(coords))
             if left != right:
                 incl_bad += 1
         checks.append(Check(

@@ -827,6 +827,4 @@ def parse_apoly(spec, text):
                 f"coefficient {c} of t^{k} is not fixed by the twist; "
                 "t-polynomial coefficients must lie in the base field")
         coeffs.append(c)
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
     return tuple(coeffs)

@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,13 +31,14 @@ from tmodext.coefficients import (
     _ftf_normal,
     _is_irreducible_fp,
     _mono_mul,
-    _poly_divmod_fp,
+    _poly_mod_fp,
     _PolyOps,
     _rat_normal,
     _rp_add,
     _rp_divmod,
     _rp_gcd,
     _rp_mul,
+    _rp_rem,
     _rp_scale,
     _ZechOps,
     default_modulus,
@@ -75,7 +77,7 @@ def test_default_moduli_are_the_first_irreducibles():
 def _irreducible_by_trial_division(f, p):
     """The reference: no monic polynomial of degree 1..m//2 divides the
     monic f of degree m >= 1."""
-    return not any(not _poly_divmod_fp(f, lower + (1,), p)[1]
+    return not any(not _poly_mod_fp(f, lower + (1,), p)
                    for d in range(1, (len(f) - 1) // 2 + 1)
                    for lower in itertools.product(range(p), repeat=d))
 
@@ -623,6 +625,34 @@ def _count_calls(monkeypatch, names):
         monkeypatch.setattr(coefficients, name,
                             wrap(name, getattr(coefficients, name)))
     return counts
+
+
+def _sparse_terms(spec, exponents):
+    """Up to four terms {exponent: nonzero code} of a polynomial in th."""
+    return st.dictionaries(exponents, st.integers(1, spec.p ** spec.m - 1),
+                           max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([make_finite(3), F9]).flatmap(lambda spec: st.tuples(
+    st.just(spec),
+    _sparse_terms(spec, st.integers(0, 10 ** 4)),
+    st.integers(2000, 10 ** 4),
+    st.integers(1, 4).flatmap(lambda d: st.tuples(
+        st.just(d), _sparse_terms(spec, st.integers(0, d - 1)))),
+    st.integers(1, spec.p ** spec.m - 1))))
+def test_remainder_by_powering_agrees_with_long_division(case):
+    """a of degree 2000..10^4 and b of degree 1..4 are far enough apart
+    that _rp_rem reduces th^e mod b by binary powering."""
+    spec, a_terms, top, (d, b_terms), lead = case
+    ops = spec._ops
+    a = tuple(sorted({**a_terms, top: lead}.items()))
+    b = tuple(sorted(b_terms.items())) + ((d, lead),)
+    with mock.patch.object(coefficients, "_power",
+                           wraps=coefficients._power) as power:
+        rem = _rp_rem(a, b, ops)
+    assert power.called
+    assert rem == _rp_divmod(a, b, ops)[1]
 
 
 def test_single_term_products_take_the_shortcut(monkeypatch):

@@ -1,6 +1,7 @@
 """Static checks of the package source with the stdlib ast module: every
-imported name is used, and every private module-level function or
-constant is used somewhere in the package."""
+imported name is used, every private module-level function or constant is
+used somewhere in the package, domains are compared by identity, no
+``assert`` statement is left, and square-and-multiply is written once."""
 
 import ast
 from pathlib import Path
@@ -99,3 +100,23 @@ def test_no_assert_statements():
                for module, tree in _trees().items()
                for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert asserts == []
+
+
+def _halves_in_a_loop(func):
+    """Whether a ``while`` loop in func holds ``n >>= 1``."""
+    return any(isinstance(node, ast.AugAssign)
+               and isinstance(node.op, ast.RShift)
+               and isinstance(node.value, ast.Constant)
+               and node.value.value == 1
+               for loop in ast.walk(func) if isinstance(loop, ast.While)
+               for node in ast.walk(loop))
+
+
+def test_one_square_and_multiply():
+    """Square-and-multiply is written once: element, code, polynomial,
+    matrix and th^e mod b powers all call coefficients._power."""
+    halving = [f"{module[:-3]}.{node.name}"
+               for module, tree in _trees().items()
+               for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and _halves_in_a_loop(node)]
+    assert halving == ["coefficients._power"]

@@ -5,6 +5,8 @@ import dataclasses
 import pytest
 
 from tmodext import (
+    SIGMA,
+    TAU,
     Biderivation,
     CarrierTooLarge,
     Check,
@@ -23,11 +25,15 @@ from tmodext import (
     parse_matrix,
     parse_poly,
     six_term,
+    tmodule,
     verify_duality,
     verify_ga,
     verify_sixterm,
     verify_structure,
 )
+from tmodext import oracle
+from tmodext.ext_structures import GaSequence
+from tmodext.homological import hom_space
 from tmodext.oracle import coordinate_vectors
 
 F2 = parse_field("GF(2)")
@@ -133,6 +139,23 @@ def test_verify_ga_sequences():
             "inclusion-equivariance"]
 
 
+def test_verify_ga_rejects_a_mistwisted_action():
+    """Pi_t with tau added at (0, 0) breaks g(t*x) = theta*g(x) on the
+    pure row; the kernel, the image and the inclusion still check out."""
+    S = _structure(F8, "g + tau^3", "g + tau^2")
+    seq = ga_sequence(S)
+    r = S.rank
+    bump = SkewMatrix.from_rows(F8, TAU, [
+        [parse_poly(F8, "tau") if (i, j) == (0, 0) else SkewPoly.zero(F8, TAU)
+         for j in range(r)] for i in range(r)])
+    broken = GaSequence(dataclasses.replace(S, pi=S.pi + bump), seq.pure,
+                        seq.g, seq.inclusion, seq.sub_pi)
+    assert verify_ga(seq, seed=1).ok
+    failed = [c.name for c in verify_ga(broken, seed=1).checks
+              if not c.passed]
+    assert failed == ["t-equivariance"]
+
+
 def test_verify_sixterm_bundle():
     E = _drin(F2, "1 + tau^2")
     F = _drin(F2, "1 + tau^3")
@@ -172,6 +195,44 @@ def test_verify_sixterm_reads_each_side_its_own_maps(monkeypatch, broken,
     assert all(ok for name, ok in passed.items() if name.startswith(other))
 
 
+def test_verify_sixterm_rejects_ext_maps_that_skip_reduction(monkeypatch):
+    """Criterion 9's bundle with co_ext_middle returning the unreduced
+    biderivation: inner shifts of one class land on different matrices."""
+    E = _drin(F2, "1 + tau^2")
+    F = _drin(F2, "1 + tau^3")
+    bundle = six_term(Biderivation(E, F, parse_matrix(F2, "[[1]]")),
+                      carlitz(F2))
+    monkeypatch.setattr(SixTerm, "co_ext_middle", lambda b, eta: Biderivation(
+        b.partner, b.middle, (-b.inclusion) * eta.matrix))
+    checks = {c.name: c
+              for c in verify_sixterm(bundle, seed=9, inner_samples=20).checks}
+    assert not checks["ext-maps-well-defined"].passed
+    assert checks["ext-maps-well-defined"].detail == \
+        "40 inner shifts, 17 class changes"
+
+
+def test_verify_sixterm_enumerates_uncertified_hom_nodes(monkeypatch):
+    """A two-dimensional partner: no rank certificate covers the Hom nodes
+    between it and the two-dimensional middle, so they come from the
+    bounded search and _node_hom's enumeration of its span."""
+    E = _drin(F2, "1 + tau^2")
+    F = _drin(F2, "1 + tau")
+    G = tmodule(F2, parse_matrix(F2, "[[1 + tau^3, 0], [0, 1 + tau^3]]"))
+    bundle = six_term(Biderivation(E, F, parse_matrix(F2, "[[0]]")), G)
+    assert not hom_space(G, bundle.middle).complete
+    shapes = []
+    node_hom = oracle._node_hom
+
+    def recorded(source, target):
+        shapes.append((source.dim, target.dim))
+        return node_hom(source, target)
+
+    monkeypatch.setattr(oracle, "_node_hom", recorded)
+    rep = verify_sixterm(bundle, seed=1, inner_samples=5)
+    assert rep.ok, [c for c in rep.checks if not c.passed]
+    assert shapes.count((2, 2)) == 2
+
+
 def test_verify_duality_passes_and_is_deterministic():
     rep1 = verify_duality(_drin(F8, "g + tau^3"), _drin(F8, "g + tau^2"),
                           classes=30, seed=2)
@@ -182,6 +243,24 @@ def test_verify_duality_passes_and_is_deterministic():
     assert [c.name for c in rep1.checks] == [
         "inner-transport", "action-transport", "double-adjoint",
         "anti-homomorphism", "class-transport", "action-classes"]
+
+
+def test_verify_duality_rejects_a_mistwisted_adjoint(monkeypatch):
+    """An adjoint twisting coefficient i by +s*i instead of -s*i.  Over
+    GF(p^2) twist(a, i) == twist(a, -i), so GF(2^3) is needed to see it."""
+    def mistwisted(self):
+        var = SIGMA if self.var == TAU else TAU
+        return SkewPoly.from_pairs(self.spec, var, [
+            (i, self.coefficient(i).twist(self.sign * i))
+            for i in range(self.degree + 1)])
+
+    monkeypatch.setattr(SkewPoly, "adjoint", mistwisted)
+    rep = verify_duality(_drin(F8, "g + tau^3"), _drin(F8, "g + tau^2"),
+                         classes=30, seed=2)
+    failed = [c.name for c in rep.checks if not c.passed]
+    assert failed == ["inner-transport", "action-transport",
+                      "anti-homomorphism", "class-transport",
+                      "action-classes"]
 
 
 def test_verify_duality_needs_finite_field():
