@@ -7,18 +7,22 @@ stable JSON documents.  Exit codes: 0 success, 1 domain error, 2 usage or
 parse error, 3 verification failure.
 
 Each subcommand is one row of ``_COMMANDS`` (name, handler, help, flags),
-and each flag is declared once in ``_FLAGS``.  A command's parser, with its
-flags, is built only when argparse chooses that command.  Help takes
-shutil's terminal width without importing shutil, whose import (bz2, lzma,
-zlib, fnmatch) costs a fresh process more than most commands.
+and each flag is declared once in ``_FLAGS``.  ``_read`` reads a well-formed
+command line straight off those tables: the command, then its flags by
+their full names.  Anything else (help, abbreviations, ``--x=v``, a missing
+or malformed value) goes to argparse, the one source of help text and
+usage-error wording, which is imported only then; a command's argparse
+parser, with its flags, is built only when argparse chooses that command.
+Help takes shutil's terminal width without importing shutil, whose import
+(bz2, lzma, zlib, fnmatch) costs a fresh process more than most commands.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+import types
 
 from .biderivations import Biderivation, assemble, reduce_canonical
 from .coefficients import parse_field
@@ -57,29 +61,18 @@ def _columns():
         return 80
 
 
-class _HelpFormatter(argparse.HelpFormatter):
-    def __init__(self, prog):
-        super().__init__(prog, width=_columns() - 2)
-
-
-class _ArgumentParser(argparse.ArgumentParser):
-    def __init__(self, **kwargs):
-        super().__init__(formatter_class=_HelpFormatter, **kwargs)
-
-    def error(self, message):
-        raise UsageError(message)
-
-
 class _CommandParser:
     """One command's entry in argparse's command map: it keeps what
-    add_parser passes (prog, description, flag names, handler) and builds
-    the command's parser when argparse hands it the command's arguments."""
+    add_parser passes (parser class, prog, description, flag names,
+    handler) and builds the command's parser when argparse hands it the
+    command's arguments."""
 
-    def __init__(self, *, flags, handler, **kwargs):
-        self._flags, self._handler, self._kwargs = flags, handler, kwargs
+    def __init__(self, *, parser_class, flags, handler, **kwargs):
+        self._parser_class, self._flags = parser_class, flags
+        self._handler, self._kwargs = handler, kwargs
 
     def parse_known_args(self, args, namespace):
-        parser = _ArgumentParser(**self._kwargs)
+        parser = self._parser_class(**self._kwargs)
         parser.set_defaults(func=self._handler)
         for flag in self._flags:
             parser.add_argument("--" + flag.split("/")[0], **_FLAGS[flag])
@@ -422,9 +415,11 @@ def _count(text):
     try:
         value = int(text)
     except ValueError:
+        import argparse
         raise argparse.ArgumentTypeError(
             f"invalid int value: {text!r}") from None
     if value < 0:
+        import argparse
         raise argparse.ArgumentTypeError(
             f"expected a non-negative integer, got {value}")
     return value
@@ -435,7 +430,8 @@ def _count(text):
 _FLAGS = {
     "field": dict(required=True,
                   help="coefficient field header, e.g. GF(3)(th)"),
-    "json": dict(action="store_true", help="emit JSON instead of text"),
+    "json": dict(action="store_true", default=False,
+                 help="emit JSON instead of text"),
     "out": dict(metavar="FILE",
                 help="write the output to FILE and print nothing"),
     "phi": dict(required=True, help="source module expression"),
@@ -521,8 +517,62 @@ _COMMANDS = (
 )
 
 
+def _read(argv):
+    """The namespace argparse builds for a well-formed command line: a
+    command name, then that command's flags by their full names, each
+    value flag followed by a value that does not start with "-" and passes
+    the flag's type and choices, every required flag given.  None for
+    anything else, which argparse then reads and reports."""
+    row = next((row for row in _COMMANDS if argv and row[0] == argv[0]), None)
+    if row is None:
+        return None
+    name, handler, _, flags = row
+    by_option = {"--" + flag.split("/")[0]: flag
+                 for flag in (*_COMMON_FLAGS, *flags.split())}
+    given, tokens = {}, iter(argv[1:])
+    for option in tokens:
+        flag = by_option.get(option)
+        if flag is None:
+            return None
+        kwargs = _FLAGS[flag]
+        if kwargs.get("action") == "store_true":
+            given[flag] = True
+            continue
+        text = next(tokens, "-")  # a missing value reads as a flag
+        if text.startswith("-"):
+            return None
+        try:
+            value = kwargs.get("type", str)(text)
+        except Exception:  # argparse reports it, or lets it escape
+            return None
+        if value not in kwargs.get("choices", (value,)):
+            return None
+        given[flag] = value
+    values = {}
+    for flag in by_option.values():
+        kwargs = _FLAGS[flag]
+        if kwargs.get("required") and flag not in given:
+            return None
+        values[flag.split("/")[0]] = given.get(flag, kwargs.get("default"))
+    return types.SimpleNamespace(command=name, func=handler, **values)
+
+
 def _build_parser():
-    parser = _ArgumentParser(
+    """argparse's parser of the command line, for what _read leaves."""
+    import argparse
+
+    class HelpFormatter(argparse.HelpFormatter):
+        def __init__(self, prog):
+            super().__init__(prog, width=_columns() - 2)
+
+    class ArgumentParser(argparse.ArgumentParser):
+        def __init__(self, **kwargs):
+            super().__init__(formatter_class=HelpFormatter, **kwargs)
+
+        def error(self, message):
+            raise UsageError(message)
+
+    parser = ArgumentParser(
         prog="tmodext",
         description="Exact Ext-group computations for Drinfeld modules and "
                     "Anderson t-modules over twisted polynomial rings.")
@@ -531,17 +581,19 @@ def _build_parser():
     for name, handler, help_text, flags in _COMMANDS:
         sub.add_parser(name, help=help_text, description=help_text,
                        flags=(*_COMMON_FLAGS, *flags.split()),
-                       handler=handler)
+                       handler=handler, parser_class=ArgumentParser)
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:  # --help exits with code 0
-            return int(exc.code or 0)
+        args = _read(argv)
+        if args is None:
+            try:
+                args = _build_parser().parse_args(argv)
+            except SystemExit as exc:  # --help exits with code 0
+                return int(exc.code or 0)
         return args.func(args)
     except TmodError as exc:
         print(f"error: {exc}", file=sys.stderr)

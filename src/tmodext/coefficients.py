@@ -87,20 +87,6 @@ def _poly_trim(coeffs):
     return tuple(c)
 
 
-def _poly_mod_fp(a, mod, p):
-    """Remainder of a modulo a monic polynomial."""
-    a = [x % p for x in a]
-    dm = len(mod) - 1
-    while len(a) > dm:
-        c = a[-1]
-        if c:
-            off = len(a) - 1 - dm
-            for j in range(dm + 1):
-                a[off + j] = (a[off + j] - c * mod[j]) % p
-        a.pop()
-    return _poly_trim(a)
-
-
 # The most trial divisors a field's set-up may try: the isqrt(p) integers
 # that test p for primality.  p^(m//2), the divisors a brute-force test of a
 # degree-m modulus would try, is held to it too, so that the same headers
@@ -168,13 +154,15 @@ def _encode(digits, p):
 
 
 def _prime_factors(n):
-    out, d = [], 2
+    """The distinct prime factors of n, ascending ([] below 2), by trial
+    division by 2 and then by odd numbers only."""
+    out, d, step = [], 2, 1
     while d * d <= n:
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
-        d += 1
+        d, step = d + step, 2
     return out + ([n] if n > 1 else [])
 
 
@@ -247,15 +235,34 @@ class _PolyOps(_ExtOps):
     ZECH_LIMIT; field set-up runs it on any monic modulus, reducible ones
     included (Rabin's test)."""
 
+    def __init__(self, p, modulus):
+        super().__init__(p, modulus)
+        # The modulus is sparse as a rule (GF(2^32)'s has 5 terms of 33),
+        # so a reduction subtracts only its nonzero terms below the top.
+        self.low = tuple((j, c) for j, c in enumerate(modulus[:-1]) if c)
+
+    def reduce(self, a):
+        """The coefficients a (integers, lowest degree first) reduced mod p
+        and modulo the modulus, trailing zeros trimmed."""
+        p, m, low = self.p, self.m, self.low
+        a = [x % p for x in a]
+        while len(a) > m:
+            c = a.pop()
+            if c:
+                off = len(a) - m
+                for j, y in low:
+                    a[off + j] = (a[off + j] - c * y) % p
+        return _poly_trim(a)
+
     def _mul_digits(self, a, b):
         """a * b mod the modulus, on digit sequences: the product is
-        summed over the integers and reduced mod p once, by _poly_mod_fp."""
+        summed over the integers and reduced mod p once, by reduce."""
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
-        return _poly_mod_fp(out, self.mod, self.p)
+        return self.reduce(out)
 
     def mul(self, a, b):
         p, m = self.p, self.m
@@ -1328,5 +1335,6 @@ def parse_field(text):
     if theta_s is None:
         return make_finite(p, m, modulus)
     resolved = _resolve_modulus(p, m, modulus)
-    theta = _encode(_poly_mod_fp(_parse_g_poly(theta_s, p), resolved, p), p)
+    theta = _encode(_PolyOps(p, resolved).reduce(_parse_g_poly(theta_s, p)),
+                    p)
     return make_finite(p, m, resolved, theta)

@@ -583,9 +583,12 @@ def const_is_nilpotent(a):
 # names are in scope.
 
 
+# One token after optional whitespace; "bad" is the first character that
+# starts none.  Every position but trailing whitespace starts a match, so
+# finditer's matches run back to back.
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>\^|[+\-*/(),;\[\]=]))")
+    r"|(?P<op>\^|[+\-*/(),;\[\]=]))|\s*(?P<bad>\S)")
 
 _LBP = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
 _UNARY_BP = 25
@@ -601,18 +604,12 @@ MAX_APOLY_DEGREE = 2 ** 10
 def _tokenize(text):
     _check_literals(text)
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            tail = text[pos:].strip()
-            if not tail:
-                break
-            raise ParseError(f"unexpected character {tail[0]!r} in "
-                             f"{text.strip()!r}")
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group(kind)!r} in "
+                             f"{text.strip()!r}")
         tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
 

@@ -858,10 +858,13 @@ def _added_flags(capsys, monkeypatch, argv):
 
 
 def test_only_the_chosen_command_gets_flags(capsys, monkeypatch):
-    code, added = _added_flags(capsys, monkeypatch, [
-        "hom", "--field", F4, "--phi", "g + tau", "--psi", "g + tau",
-        "--bound", "2"])
-    assert code == 0
+    """A well-formed line is read off the flag table with no parser; a
+    usage error builds the top-level parser and the chosen command's."""
+    argv = ["hom", "--field", F4, "--phi", "g + tau", "--psi", "g + tau",
+            "--bound", "2"]
+    assert _added_flags(capsys, monkeypatch, argv) == (0, [])
+    code, added = _added_flags(capsys, monkeypatch, [*argv, "--bogus"])
+    assert code == 2
     # one parser at the top level and one for hom
     assert added.count("-h") == 2
     assert [name for name in added if name != "-h"] == [
@@ -873,6 +876,87 @@ def test_only_the_chosen_command_gets_flags(capsys, monkeypatch):
 def test_no_command_parser_without_a_command(capsys, monkeypatch, argv,
                                              code):
     assert _added_flags(capsys, monkeypatch, argv) == (code, ["-h"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["ext", "--field", Q3, "--phi", "th + tau^3", "--psi", "th + tau^2"],
+    ["ext", "--field", Q3, "--phi", "th + tau^3"],
+], ids=["well-formed", "usage-error"])
+def test_main_without_argv_is_main_of_sys_argv(capsys, monkeypatch, argv):
+    explicit = run(capsys, argv)
+    monkeypatch.setattr(sys, "argv", ["tmodext", *argv])
+    assert run(capsys, None) == explicit
+
+
+# Tokens a command line is drawn from: the flags of every command, prefixes
+# of them, --x=v forms, help, "--", and values that are empty, start with
+# "-", or fail a type or a choice.
+_OPTIONS = sorted({"--" + flag.split("/")[0] for flag in cli._FLAGS})
+_ODD_OPTIONS = ["-h", "--help", "--", "--fi", "--ph", "--d", "--se",
+                "--field=GF(3)", "--bound=2", "--json=1", "--bogus", "-x"]
+_VALUES = ["GF(3)", "th + tau", "0", "2", " 3 ", "1_0", "tau", "sigma",
+           "structure", "sixterm", "enumerate", "sample", "", "-1", "-x",
+           "--", "abc", "rho", "all", "2.5"]
+
+
+@st.composite
+def _command_lines(draw):
+    """Mostly a command and its own flags, each with a value from the pool;
+    now and then a foreign, abbreviated or odd token anywhere."""
+    name, _, _, flags = draw(st.sampled_from(cli._COMMANDS))
+    argv = [draw(st.sampled_from([name] * 6 + ["frobnicate", "-h", name[:2]]))]
+    for flag in draw(st.permutations((*cli._COMMON_FLAGS, *flags.split()))):
+        if draw(st.integers(0, 9)) == 9:
+            continue
+        option = "--" + flag.split("/")[0]
+        if draw(st.integers(0, 14)) == 14:
+            option = draw(st.sampled_from(_OPTIONS + _ODD_OPTIONS))
+        argv.append(option)
+        kwargs = cli._FLAGS[flag]
+        good = kwargs.get("choices") or (
+            ["0", "2"] if "type" in kwargs else ["GF(3)", "th + tau"])
+        if option == "--json" and draw(st.integers(0, 9)) < 9:
+            continue
+        argv.append(draw(st.sampled_from(
+            _VALUES if draw(st.integers(0, 3)) == 3 else good)))
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(_command_lines())
+@example(["verify", "--field", F9, "--phi", "g + tau", "--psi", "g + tau",
+          "--what", "ga", "--samples", " 3 ", "--seed", "1_0", "--json"])
+def test_the_reader_builds_the_namespace_argparse_builds(argv):
+    args = cli._read(argv)
+    if args is not None:
+        assert vars(args) == vars(cli._build_parser().parse_args(argv))
+
+
+def test_a_well_formed_run_leaves_argparse_unimported():
+    """In a fresh interpreter an ext run imports neither argparse nor what
+    its messages need (gettext, locale), and help is still argparse's."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    script = (
+        "import contextlib, io, sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import tmodext.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main(['ext', '--field', {Q3!r}, '--phi', "
+        "'th + tau^3', '--psi', 'th + tau^2'])\n"
+        "print(code, sorted({'argparse', 'gettext', 'locale'} "
+        "& set(sys.modules)))\n"
+        "sys.exit(cli.main(['--help']))\n")
+    result = subprocess.run([sys.executable, "-I", "-S", "-c", script],
+                            capture_output=True, text=True, timeout=60,
+                            env={"COLUMNS": "80"})
+    first, _, help_text = result.stdout.partition("\n")
+    assert (result.returncode, first, result.stderr) == (0, "0 []", "")
+    layout = _HELP_LAYOUT.get(sys.version_info[:2])
+    if layout is not None:
+        digest = hashlib.sha256(help_text.encode()).hexdigest()[:16]
+        assert digest == _HELP_SHA256[None][layout]
+    else:
+        assert help_text.startswith("usage: tmodext [-h] COMMAND ...")
 
 
 # ---------------------------------------------------------------------------

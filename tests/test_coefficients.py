@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+from math import isqrt
 from unittest import mock
 
 import pytest
@@ -31,8 +32,8 @@ from tmodext.coefficients import (
     _ftf_normal,
     _is_irreducible_fp,
     _mono_mul,
-    _poly_mod_fp,
     _PolyOps,
+    _prime_factors,
     _rat_normal,
     _rp_add,
     _rp_divmod,
@@ -74,10 +75,24 @@ def test_default_moduli_are_the_first_irreducibles():
     assert default_modulus(5, 1) == (0, 1)
 
 
+def _remainder(a, mod, p):
+    """The reference remainder of a modulo a monic mod over F_p: long
+    division on dense coefficient lists, lowest degree first."""
+    a = [x % p for x in a]
+    while len(a) >= len(mod):
+        c, off = a[-1], len(a) - len(mod)
+        for j, y in enumerate(mod):
+            a[off + j] = (a[off + j] - c * y) % p
+        a.pop()
+    while a and not a[-1]:
+        a.pop()
+    return tuple(a)
+
+
 def _irreducible_by_trial_division(f, p):
     """The reference: no monic polynomial of degree 1..m//2 divides the
     monic f of degree m >= 1."""
-    return not any(not _poly_mod_fp(f, lower + (1,), p)
+    return not any(not _remainder(f, lower + (1,), p)
                    for d in range(1, (len(f) - 1) // 2 + 1)
                    for lower in itertools.product(range(p), repeat=d))
 
@@ -135,6 +150,42 @@ def test_theta_defaults():
     assert str(parse_field("GF(5; theta=2)").theta()) == "2"
     assert str(Q3.theta()) == "th"
     assert str(FT.theta()) == "th[0]"
+
+
+def test_prime_factors_match_a_naive_reference():
+    primes = [d for d in range(2, 5000)
+              if all(d % e for e in range(2, isqrt(d) + 1))]
+    assert _prime_factors(0) == []  # so GF(0) is refused as not prime
+    for n in range(1, 5000):
+        assert _prime_factors(n) == [d for d in primes if n % d == 0], n
+    assert _prime_factors(4294967291) == [4294967291]
+    assert _prime_factors(2 ** 32 - 1) == [3, 5, 17, 257, 65537]
+
+
+def test_theta_is_reduced_modulo_the_modulus():
+    assert str(parse_field("GF(3^2; theta=g^5)").theta()) == "g"
+    assert str(parse_field("GF(2^32; theta=g^33+1)").theta()) == \
+        "1 + g + g^3 + g^4 + g^8"
+
+
+@pytest.mark.parametrize("header", ["GF(2^32)", "GF(3^9)", "GF(65521^2)"])
+def test_poly_ops_products_match_schoolbook(header):
+    """_PolyOps.mul, which subtracts only the modulus' nonzero terms,
+    against the schoolbook product reduced by long division."""
+    spec = parse_field(header)
+    p, m = spec.p, spec.m
+    ring, q = _PolyOps(p, spec.modulus), p ** m
+    rng = random.Random(header)
+    pairs = [(0, q - 1), (1, q - 1), (q - 1, q - 1)] + [
+        (rng.randrange(q), rng.randrange(q)) for _ in range(200)]
+    for a, b in pairs:
+        da = [a // p ** i % p for i in range(m)]
+        db = [b // p ** i % p for i in range(m)]
+        product = [sum(da[i] * db[k - i] for i in range(m) if 0 <= k - i < m)
+                   for k in range(2 * m - 1)]
+        want = sum(c * p ** i
+                   for i, c in enumerate(_remainder(product, spec.modulus, p)))
+        assert ring.mul(a, b) == want, (a, b)
 
 
 # ---------------------------------------------------------------------------

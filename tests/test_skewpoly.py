@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -606,6 +607,50 @@ def test_parser_division_golden():
     assert str(parse_poly(Q3, "tau/th")) == "(1/th^3)*tau"
     with pytest.raises(ParseError):
         parse_poly(Q3, "1/tau")
+
+
+def _tokens_one_match_at_a_time(text):
+    """The reference tokenizer: one anchored match per token, and the
+    first non-space character of an unmatched tail is the bad one."""
+    skewpoly._check_literals(text)
+    tokens, pos = [], 0
+    while pos < len(text):
+        m = re.compile(_TOKEN).match(text, pos)
+        if not m:
+            tail = text[pos:].strip()
+            if not tail:
+                break
+            raise ParseError(f"unexpected character {tail[0]!r} in "
+                             f"{text.strip()!r}")
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
+        pos = m.end()
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+_TOKEN = (r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+          r"|(?P<op>\^|[+\-*/(),;\[\]=]))")
+
+
+def _outcome(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+# Digits, names and operators, ASCII and Unicode whitespace, a non-ASCII
+# digit and letter, and characters no token starts with.
+_TOKEN_ALPHABET = ("07th_xZ+-*/^(),;[]= \t\n\u00a0\u2003\x1c"
+                   "$.'\u0663\u00e9")
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet=_TOKEN_ALPHABET, max_size=30))
+def test_tokenizer_matches_one_match_per_token(text):
+    assert _outcome(skewpoly._tokenize, text) == \
+        _outcome(_tokens_one_match_at_a_time, text)
 
 
 def test_parse_value_matrix_vs_scalar():
