@@ -10,11 +10,13 @@ Three kinds of domain share one element interface:
 Twisting an element by i means raising it to the q-th power i times
 (taking q-th roots for negative i).
 
-Each domain's arithmetic is one ops object on raw payloads, chosen once
-per ``FieldSpec``: zero, is_zero, add, neg, mul, inv and twist(a, i).
-``FieldElement`` wraps each of its calls in one element, and the
-twisted-polynomial kernels of ``skewpoly`` call it on payloads directly,
-so their inner loops build no element.
+Each domain is one ops object on raw payloads, chosen once per
+``FieldSpec``.  It does the arithmetic (zero, one, is_zero, add, neg, mul,
+inv and twist(a, i)), makes constants (const(c), the payload of an
+F_{p^m} code c; theta, the payload of th or th[0], in the two fraction
+domains) and prints (render(a), the text of a payload).  ``FieldElement``
+wraps each of its calls in one element, and ``skewpoly`` calls it on
+payloads directly, so its inner loops and its printing build no element.
 
 Every scalar of F_{p^m} (a finite element, a coefficient of F_q(th) or of
 a formal twist domain) is an int: the code sum(c_i * p^i) of its
@@ -52,6 +54,7 @@ from math import isqrt
 
 from .errors import (
     CarrierTooLarge,
+    DimensionMismatch,
     DivisionByZero,
     FiniteFieldRequired,
     MixedFields,
@@ -129,8 +132,8 @@ def default_modulus(p, m):
 # ---------------------------------------------------------------------------
 # Arithmetic of F_{p^m} on integer codes (see the module docstring).  Each
 # ops object offers add, sub, neg, mul, inv, frob(a, i) = a ** (p**i),
-# from_int, zero and one; with is_zero and twist = frob it is also the ops
-# object of the finite-field domain, whose q is p.
+# from_int, zero and one; with is_zero, twist = frob, const and render it is
+# also the ops object of the finite-field domain, whose q is p.
 
 # The largest q = p^m (m >= 2) served by log/Zech tables; building them
 # costs a few microseconds per element.
@@ -202,6 +205,12 @@ class _PrimeOps:
     def from_int(self, n):
         return n % self.p
 
+    def const(self, c):
+        return c
+
+    def render(self, a):
+        return str(a)
+
 
 class _ExtOps(_PrimeOps):
     """What both extension-field paths share: digitwise addition on codes
@@ -226,6 +235,9 @@ class _ExtOps(_PrimeOps):
     def neg(self, a):
         p = self.p
         return _encode([-x % p for x in _digits(a, p, self.m)], p)
+
+    def render(self, a):
+        return _render_g(_digits(a, self.p, self.m))
 
 
 class _PolyOps(_ExtOps):
@@ -615,10 +627,18 @@ def _ftf_normal(num_terms, den_mono, ops):
 
 class _FractionOps:
     """What both fraction domains share: a numerator is a sorted tuple of
-    (key, coefficient) terms, empty exactly for zero."""
+    (key, coefficient) terms, empty exactly for zero; the constant c is
+    (((key, c),), den) for the constant key and the den of 1."""
 
-    def __init__(self, ops, zero, one):
-        self.ops, self.zero, self.one = ops, zero, one
+    def __init__(self, ops, key, den):
+        self.ops, self.key, self.den = ops, key, den
+        self.zero = ((), den)
+        self.one = self.const(ops.one)
+
+    def const(self, c):
+        if c == self.ops.zero:
+            return self.zero
+        return (((self.key, c),), self.den)
 
     def is_zero(self, a):
         return not a[0]
@@ -632,9 +652,8 @@ class _RationalOps(_FractionOps):
     """F_{p^m}(th): num/den in lowest terms, den monic, both sparse."""
 
     def __init__(self, ops, q):
-        unit = ((0, ops.one),)
-        super().__init__(ops, ((), unit), (unit, unit))
-        self.q = q
+        super().__init__(ops, 0, ((0, ops.one),))
+        self.q, self.theta = q, (((1, ops.one),), self.den)
 
     def add(self, a, b):
         ops, (n1, d1), (n2, d2) = self.ops, a, b
@@ -691,14 +710,26 @@ class _RationalOps(_FractionOps):
         return (tuple((e // step, c) for e, c in n),
                 tuple((e // step, c) for e, c in d))
 
+    def _poly(self, terms):
+        render = self.ops.render
+        return _render_terms([(render(c), _power_text("th", e))
+                              for e, c in terms], (" + ",))
+
+    def render(self, a):
+        num, den = a
+        return _fraction(self._poly(num),
+                         "" if den == self.den else self._poly(den))
+
 
 class _FormalOps(_FractionOps):
     """Formal twist domains: den is a monomial in invertible symbols, and
     the i-th twist shifts every symbol index by i."""
 
     def __init__(self, ops, invertibles):
-        super().__init__(ops, ((), ()), ((((), ops.one),), ()))
+        super().__init__(ops, (), ())
         self.invertibles = invertibles
+        th = ((("th", 0), 1),)  # the monomial th[0]
+        self.theta = (((th, ops.one),), ())
 
     def add(self, a, b):
         (n1, d1), (n2, d2) = a, b
@@ -745,6 +776,15 @@ class _FormalOps(_FractionOps):
         n, d = a
         num = tuple(sorted((_mono_shift(m, i), c) for m, c in n))
         return (num, _mono_shift(d, i))
+
+    def render(self, a):
+        render, terms = self.ops.render, []
+        for mono, c in a[0]:
+            cs = render(c)
+            if not mono and " + " in cs:  # a constant sum is grouped too
+                cs = f"({cs})"
+            terms.append((cs, _render_mono(mono)))
+        return _fraction(_render_terms(terms, (" + ",)), _render_mono(a[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -861,10 +901,6 @@ class FieldSpec(SlottedValue):
 
     # -- basic data --------------------------------------------------------
 
-    @property
-    def q(self):
-        return self.p if self.kind == "finite" else self.p ** self.m
-
     def _require_finite(self, what):
         if self.kind != "finite":
             raise FiniteFieldRequired(f"{what} a finite coefficient field")
@@ -888,32 +924,17 @@ class FieldSpec(SlottedValue):
         return self._fe(self._arith.one)
 
     def from_int(self, n):
-        ops = self._ops
-        c = ops.from_int(n)
-        if self.kind == "finite":
-            return self._fe(c)
-        if c == ops.zero:
-            return self.zero()
-        if self.kind == "rational":
-            return self._fe((((0, c),), ((0, ops.one),)))
-        return self._fe(((((), c),), ()))
+        return self._fe(self._arith.const(self._ops.from_int(n)))
 
     def gen(self):
         if self.kind == "formal" or self.m < 2:
             raise ParseError("the name 'g' requires a finite scalar field of "
                              "extension degree at least 2")
-        g = self.p  # the code of g
-        if self.kind == "finite":
-            return self._fe(g)
-        return self._fe((((0, g),), ((0, self._ops.one),)))
+        return self._fe(self._arith.const(self.p))  # p is the code of g
 
     def theta(self):
-        ops = self._ops
-        if self.kind == "finite":
-            return self._fe(self.theta_payload)
-        if self.kind == "rational":
-            return self._fe((((1, ops.one),), ((0, ops.one),)))
-        return self.symbol("th", 0)
+        theta = self.theta_payload  # None but in finite fields
+        return self._fe(self._arith.theta if theta is None else theta)
 
     def symbol(self, name, idx):
         if self.kind != "formal":
@@ -948,21 +969,25 @@ class FieldSpec(SlottedValue):
         """The element of F_{p^m} with coordinates coords (ascending in g)
         over F_p; the inverse of FieldElement.fp_coords."""
         self._require_finite("F_p coordinates require")
-        return self._fe(_encode([c % self.p for c in coords], self.p))
+        coords = [c % self.p for c in coords]
+        if len(coords) > self.m:
+            raise DimensionMismatch(f"{len(coords)} coordinates over F_p for "
+                                    f"a field of degree {self.m}")
+        return self._fe(_encode(coords, self.p))
 
     # -- rendering ----------------------------------------------------------
 
     def header(self):
         base = ("FTF(" if self.kind == "formal" else "GF(") + str(self.p)
         if self.m > 1:
-            base += f"^{self.m}; mod={_render_gpoly(self.modulus)}"
+            base += f"^{self.m}; mod={_render_g(self.modulus, '+')}"
         if self.kind == "formal":
             base += f"; gens={','.join(self.generators)}"
             if self.invertibles:
                 base += f"; inv={','.join(sorted(self.invertibles))}"
         elif self.kind == "finite" and self.theta_payload != _default_theta(
                 self.p, self.m):
-            base += f"; theta={_render_ff(self.theta_payload, self.p, self.m)}"
+            base += f"; theta={self._ops.render(self.theta_payload)}"
         return base + (")(th)" if self.kind == "rational" else ")")
 
 
@@ -1078,12 +1103,7 @@ class FieldElement(SlottedValue):
     # -- rendering ------------------------------------------------------------
 
     def __str__(self):
-        spec = self.spec
-        if spec.kind == "finite":
-            return _render_ff(self.payload, spec.p, spec.m)
-        if spec.kind == "rational":
-            return _render_rational(self.payload, spec)
-        return _render_formal(self.payload, spec)
+        return self.spec._arith.render(self.payload)
 
     __repr__ = __str__
 
@@ -1096,103 +1116,60 @@ _set_payload = FieldElement.payload.__set__
 # Rendering helpers (ascending degrees throughout).
 
 
-def _render_gpoly(coeffs, sep="+"):
+def _power_text(name, e):
+    """name^e as printed: "" for e = 0, the bare name for e = 1."""
+    return "" if not e else name if e == 1 else f"{name}^{_printable(e)}"
+
+
+def _render_terms(terms, grouped, sep=" + "):
+    """The one term printer: the sum of the (coefficient text, power text)
+    terms, the power "" for a constant, which prints bare.  1*x prints as
+    x, and c*x as (c)*x where c holds one of the marks in grouped."""
     parts = []
-    for j, c in enumerate(coeffs):
-        if not c:
-            continue
-        if j == 0:
-            parts.append(str(c))
-        else:
-            base = "g" if j == 1 else f"g^{_printable(j)}"
-            parts.append(base if c == 1 else f"{c}*{base}")
-    return sep.join(parts) if parts else "0"
-
-
-def _render_ff(code, p, m):
-    return _render_gpoly(_digits(code, p, m), " + ")
-
-
-def _render_rp(poly, spec):
-    ops = spec._ops
-    parts = []
-    for j, c in poly:
-        cs = _render_ff(c, spec.p, spec.m)
-        if j == 0:
+    for cs, power in terms:
+        if not power:
             parts.append(cs)
-            continue
-        base = "th" if j == 1 else f"th^{_printable(j)}"
-        if c == ops.one:
-            parts.append(base)
-        elif " + " in cs:
-            parts.append(f"({cs})*{base}")
+        elif cs == "1":
+            parts.append(power)
+        elif grouped and any(map(cs.__contains__, grouped)):
+            parts.append(f"({cs})*{power}")
         else:
-            parts.append(f"{cs}*{base}")
-    return " + ".join(parts) if parts else "0"
+            parts.append(f"{cs}*{power}")
+    return sep.join(parts) or "0"
 
 
-def _render_rational(payload, spec):
-    num, den = payload
-    ops = spec._ops
-    ns = _render_rp(num, spec)
-    if den == ((0, ops.one),):
-        return ns
-    ds = _render_rp(den, spec)
-    if " + " in ns:
-        ns = f"({ns})"
-    if " + " in ds or "*" in ds:
-        ds = f"({ds})"
-    return f"{ns}/{ds}"
+def _render_g(digits, sep=" + "):
+    """The polynomial in g with the given coefficients."""
+    return _render_terms([(str(c), _power_text("g", j))
+                          for j, c in enumerate(digits) if c], (), sep)
+
+
+def _fraction(num, den):
+    """num/den of two texts, with a sum, or a product below the bar, in
+    parentheses; num alone for the denominator ""."""
+    if not den:
+        return num
+    if " + " in num:
+        num = f"({num})"
+    if " + " in den or "*" in den:
+        den = f"({den})"
+    return f"{num}/{den}"
 
 
 def _render_mono(mono):
-    factors = []
-    for (sym, idx), e in mono:
-        base = f"{sym}[{_printable(idx)}]"
-        factors.append(base if e == 1 else f"{base}^{_printable(e)}")
-    return "*".join(factors)
-
-
-def _render_formal_terms(terms, spec):
-    ops = spec._ops
-    parts = []
-    for mono, coeff in terms:
-        cs = _render_ff(coeff, spec.p, spec.m)
-        if not mono:
-            parts.append(cs if " + " not in cs else f"({cs})")
-            continue
-        ms = _render_mono(mono)
-        if coeff == ops.one:
-            parts.append(ms)
-        elif " + " in cs:
-            parts.append(f"({cs})*{ms}")
-        else:
-            parts.append(f"{cs}*{ms}")
-    return " + ".join(parts) if parts else "0"
-
-
-def _render_formal(payload, spec):
-    num, den = payload
-    ns = _render_formal_terms(num, spec)
-    if not den:
-        return ns
-    ds = _render_mono(den)
-    if " + " in ns:
-        ns = f"({ns})"
-    if "*" in ds:
-        ds = f"({ds})"
-    return f"{ns}/{ds}"
+    return "*".join(_power_text(f"{sym}[{_printable(idx)}]", e)
+                    for (sym, idx), e in mono)
 
 
 # ---------------------------------------------------------------------------
-# Factories and header parsing.
+# Factories and header parsing.  Each make_* tests p and m (_check_pm) and
+# builds its domain; parse_field tests them before it reads the rest of a
+# header and then builds the domain itself, so that no test runs twice.
 
 
 def make_finite(p, m=1, modulus=None, theta=None):
     _check_pm(p, m)
-    modulus = _resolve_modulus(p, m, modulus)
-    payload = theta if theta is not None else _default_theta(p, m)
-    return FieldSpec("finite", p, m, modulus, theta_payload=payload)
+    return _finite(p, m, _resolve_modulus(p, m, modulus), theta)
 
 
 def make_rational(p, m=1, modulus=None):
@@ -1202,6 +1179,17 @@ def make_rational(p, m=1, modulus=None):
 
 def make_formal(p, m=1, generators=(), invertibles=(), modulus=None):
     _check_pm(p, m)
+    return _formal(p, m, generators, invertibles, modulus)
+
+
+def _finite(p, m, modulus, theta):
+    """GF(p^m) over a resolved modulus; theta None is the default."""
+    payload = theta if theta is not None else _default_theta(p, m)
+    return FieldSpec("finite", p, m, modulus, theta_payload=payload)
+
+
+def _formal(p, m, generators, invertibles, modulus):
+    """The formal domain, its generators tested before its modulus."""
     gens = list(generators)
     if "th" not in gens:
         gens.append("th")
@@ -1321,20 +1309,17 @@ def parse_field(text):
         modulus = _parse_g_poly(mod, p) if mod is not None else None
         gen_names = tuple(s.strip() for s in gens.split(",")) if gens else ()
         inv_names = tuple(s.strip() for s in inv.split(",")) if inv else ()
-        return make_formal(p, m, gen_names, inv_names, modulus)
+        return _formal(p, m, gen_names, inv_names, modulus)
 
     mod = take("mod")
     modulus = _parse_g_poly(mod, p) if mod is not None else None
-    if th_suffix:
-        if opts:
-            raise ParseError(f"unknown field options {sorted(opts)}")
-        return make_rational(p, m, modulus)
-    theta_s = take("theta")
+    theta = None if th_suffix else take("theta")
     if opts:
         raise ParseError(f"unknown field options {sorted(opts)}")
-    if theta_s is None:
-        return make_finite(p, m, modulus)
-    resolved = _resolve_modulus(p, m, modulus)
-    theta = _encode(_PolyOps(p, resolved).reduce(_parse_g_poly(theta_s, p)),
-                    p)
-    return make_finite(p, m, resolved, theta)
+    modulus = _resolve_modulus(p, m, modulus)
+    if th_suffix:
+        return FieldSpec("rational", p, m, modulus)
+    if theta is not None:  # its text, reduced to a code
+        theta = _encode(_PolyOps(p, modulus).reduce(_parse_g_poly(theta, p)),
+                        p)
+    return _finite(p, m, modulus, theta)

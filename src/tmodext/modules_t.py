@@ -173,9 +173,7 @@ def tmodule(spec, matrix):
 
 
 def carlitz(spec, var=TAU):
-    theta = SkewPoly.const(spec, var, spec.theta())
-    return TModule(spec, SkewMatrix.from_rows(
-        spec, var, [[theta + SkewPoly.term(spec, var, 1, 1)]]))
+    return carlitz_power(spec, 1, var)
 
 
 def _carlitz_matrix(spec, e, var):

@@ -19,6 +19,8 @@ from .coefficients import (
     _printable,
     _new,
     _power,
+    _power_text,
+    _render_terms,
 )
 from .errors import (
     DimensionMismatch,
@@ -39,10 +41,6 @@ def twist_sign(var):
     if var == SIGMA:
         return -1
     raise ValueError(f"unknown variable {var!r}")
-
-
-def _var_display(var):
-    return "tau" if var == TAU else "sig"
 
 
 # ---------------------------------------------------------------------------
@@ -247,29 +245,16 @@ class SkewPoly(SlottedValue):
     # -- rendering ------------------------------------------------------------
 
     def __str__(self):
-        if not self._pairs:
-            return "0"
-        vname = _var_display(self.var)
-        fe, one = self.spec._fe, self.spec._arith.one
-        parts = []
-        for deg, c in self._pairs:
-            cs = str(fe(c))
-            if deg == 0:
-                parts.append(cs)
-                continue
-            base = vname if deg == 1 else f"{vname}^{_printable(deg)}"
-            if c == one:
-                parts.append(base)
-            elif (" + " in cs) or ("*" in cs) or ("/" in cs):
-                parts.append(f"({cs})*{base}")
-            else:
-                parts.append(f"{cs}*{base}")
-        return " + ".join(parts)
+        render = self.spec._arith.render
+        name = "tau" if self.var == TAU else "sig"
+        return _render_terms([(render(c), _power_text(name, deg))
+                              for deg, c in self._pairs], (" + ", "*", "/"))
 
     __repr__ = __str__
 
     def to_json(self):
-        return [[_printable(deg), str(c)] for deg, c in self.coeffs]
+        render = self.spec._arith.render
+        return [[_printable(deg), render(c)] for deg, c in self._pairs]
 
 
 _set_spec = SkewPoly.spec.__set__
@@ -329,7 +314,11 @@ class SkewMatrix(SlottedValue):
     @classmethod
     def from_slots(cls, spec, var, nrows, ncols, slots, values):
         """The nrows x ncols matrix holding each value at its slot (row,
-        col, deg), the slots distinct, and zero elsewhere."""
+        col, deg), the slots distinct, and zero elsewhere; one value per
+        slot."""
+        if len(values) != len(slots):
+            raise DimensionMismatch(f"{len(values)} values for {len(slots)} "
+                                    f"slots")
         maps = [[{} for _ in range(ncols)] for _ in range(nrows)]
         for (r, c, k), value in zip(slots, values):
             maps[r][c][k] = spec._payload(value)

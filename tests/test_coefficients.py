@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tmodext import (
+    DimensionMismatch,
     DivisionByZero,
     FieldElement,
     FiniteFieldRequired,
@@ -142,6 +143,57 @@ def test_parse_field_rejections():
         parse_field("nonsense")
     with pytest.raises(ParseError):
         parse_field("GF(3^0)")
+
+
+@pytest.mark.parametrize("header", [
+    "GF(4294967291)", "GF(3^2)(th)", "FTF(3^2; gens=a,th; inv=a)",
+    "GF(5^2; mod=g^2+2; theta=2*g+1)",
+])
+def test_a_header_tests_p_and_m_once(header):
+    with mock.patch.object(coefficients, "_check_pm",
+                           wraps=coefficients._check_pm) as check:
+        parse_field(header)
+    assert check.call_count == 1
+
+
+@pytest.mark.parametrize("options", ["", "; theta=g+1"])
+def test_a_header_tests_its_modulus_once(options):
+    """Rabin's test runs once on a mod= modulus, theta= or not."""
+    with mock.patch.object(coefficients, "_is_irreducible_fp",
+                           wraps=coefficients._is_irreducible_fp) as rabin:
+        spec = parse_field(f"GF(3^3; mod=g^3+2*g+1{options})")
+    assert rabin.call_count == 1
+    assert spec.modulus == (1, 2, 0, 1)
+
+
+@pytest.mark.parametrize("header, message", [
+    ("GF(4^2; mod=x; theta=y)", "4 is not prime"),
+    ("GF(3; mod=g^2+1; theta=y)", "a mod= option requires an extension"),
+    ("GF(3^2; mod=x; theta=y)", "bad term 'x'"),
+    ("GF(3^2; mod=g^2+g+1; theta=y)", "modulus is not irreducible"),
+    ("GF(3^2; mod=g^2+1; theta=y)", "bad term 'y'"),
+    ("GF(3^2; mod=g^2+g+1; theta=y)(th)", "unknown field options"),
+    ("FTF(3^2; mod=x; gens=tau)", "bad term 'x'"),
+    ("FTF(3^2; mod=g^2+g+1; gens=tau)", "invalid generator name 'tau'"),
+    ("FTF(3^2; mod=g^2+g+1; gens=a; inv=b)", "invertible symbols ['b']"),
+    ("FTF(3^2; mod=g^2+g+1; gens=a)", "modulus is not irreducible"),
+])
+def test_a_header_with_several_faults_reports_the_first(header, message):
+    """Faults are reported in reading order: p and m, the options, the
+    modulus text, generators, the modulus itself, then theta."""
+    with pytest.raises(ParseError) as err:
+        parse_field(header)
+    assert str(err.value).startswith(message)
+
+
+def test_from_fp_coords_refuses_more_than_m_coordinates():
+    """Shorter vectors are zero-padded; a longer one would be a code outside
+    the field, printed like a field element but equal to none."""
+    assert F9.from_fp_coords([2]) == F9.from_int(2)
+    assert F9.from_fp_coords([]) == F9.zero()
+    for spec, coords in ((F9, [1, 2, 1]), (make_finite(3), [1, 1])):
+        with pytest.raises(DimensionMismatch):
+            spec.from_fp_coords(coords)
 
 
 def test_theta_defaults():

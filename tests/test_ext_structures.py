@@ -6,6 +6,7 @@ import pytest
 
 from tmodext import (
     Biderivation,
+    DimensionMismatch,
     FieldSpec,
     InvariantViolation,
     UnsupportedRegime,
@@ -308,6 +309,19 @@ def test_coordinates_round_trip():
         assert [str(c) for c in coords] == [
             "1" if k == index else "0" for k in range(S.rank)]
         assert S.from_coords(coords).matrix == d.matrix
+
+
+def test_coordinates_of_the_wrong_length_are_refused():
+    """from_coords, like act_coords, takes exactly one coordinate per basis
+    slot; 1 or 5 of them over a rank-3 structure raise."""
+    S = ext_structure(_drin(F9, "g + tau^3"), _drin(F9, "g + tau^2"))
+    assert S.rank == 3
+    for n in (0, 1, 2, 4, 5):
+        coords = [F9.one()] * n
+        with pytest.raises(DimensionMismatch):
+            S.from_coords(coords)
+        with pytest.raises(DimensionMismatch):
+            S.act_coords(coords)
 
 
 # Per domain: a rank-3 over rank-2 Drinfeld pair, a matrix source and a

@@ -1,7 +1,8 @@
 """Static checks of the package source with the stdlib ast module: every
 imported name is used, every private module-level function or constant is
 used somewhere in the package, domains are compared by identity, no
-``assert`` statement is left, and square-and-multiply is written once."""
+``assert`` statement is left, and square-and-multiply and the joining of
+printed terms are each written once."""
 
 import ast
 from pathlib import Path
@@ -120,3 +121,25 @@ def test_one_square_and_multiply():
                for node in ast.walk(tree)
                if isinstance(node, ast.FunctionDef) and _halves_in_a_loop(node)]
     assert halving == ["coefficients._power"]
+
+
+def _joins_terms(func):
+    """Whether func calls ``.join`` on a string holding "+", or on sep."""
+    return any(isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "join"
+               and ((isinstance(node.func.value, ast.Constant)
+                     and "+" in str(node.func.value.value))
+                    or (isinstance(node.func.value, ast.Name)
+                        and node.func.value.id == "sep"))
+               for node in ast.walk(func))
+
+
+def test_one_term_printer():
+    """Every printed sum (elements of each domain, the modulus in a header,
+    twisted polynomials) is joined by coefficients._render_terms."""
+    joining = [f"{module[:-3]}.{node.name}"
+               for module, tree in _trees().items()
+               for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and _joins_terms(node)]
+    assert joining == ["coefficients._render_terms"]

@@ -24,6 +24,7 @@ from tmodext import (
     make_formal,
     make_rational,
     parse_apoly,
+    parse_field,
     parse_matrix,
     parse_poly,
     parse_value,
@@ -679,6 +680,76 @@ def test_poly_render_parse_round_trip():
         f = parse_poly(spec, text)
         assert parse_poly(spec, str(f)) == f
         assert str(parse_poly(spec, str(f))) == str(f)
+
+
+# ---------------------------------------------------------------------------
+# Printing: every sum goes through one term printer, each caller with its
+# own parenthesis rule.  The texts are goldens, one per rule: the CLI and
+# the README print them.
+
+Q9 = parse_field("GF(3^2)(th)")
+FT9 = parse_field("FTF(3^2; gens=a,th; inv=a)")
+# The formal constant 1 + g, which no text names: g is refused there.
+_ONE_PLUS_G = FT9._fe(((((), 4),), ()))
+
+_PRINTED = [
+    ("finite-sum", lambda: parse_element(F9, "1 + 2*g"), "1 + 2*g"),
+    ("finite-unit-power", lambda: parse_element(F9, "g"), "g"),
+    ("poly-ops-element", lambda: F2_13.gen() ** 14, "g + g^2 + g^4 + g^5"),
+    ("mod-header", lambda: parse_field("GF(3^3; mod=g^3+2*g+1)").header(),
+     "GF(3^3; mod=1+2*g+g^3)"),
+    ("theta-header", lambda: parse_field("GF(5^2; theta=2*g+1)").header(),
+     "GF(5^2; mod=2+g^2; theta=1 + 2*g)"),
+    ("prime-theta-header", lambda: parse_field("GF(5; theta=3)").header(),
+     "GF(5; theta=3)"),
+    ("rational-constant-sum", lambda: parse_element(Q9, "1 + g"), "1 + g"),
+    ("rational-constant-sum-in-a-sum",
+     lambda: parse_element(Q9, "th + g + 1"), "1 + g + th"),
+    ("rational-sum-coefficient", lambda: parse_element(Q9, "(1 + g)*th^2"),
+     "(1 + g)*th^2"),
+    ("rational-unit-coefficient", lambda: parse_element(Q9, "th + 2*th^3"),
+     "th + 2*th^3"),
+    ("rational-fraction", lambda: parse_element(Q9, "(1 + th)/(g + th^2)"),
+     "(1 + th)/(g + th^2)"),
+    ("rational-over-a-power", lambda: parse_element(Q9, "g/th^3"), "g/th^3"),
+    ("formal-constant-sum", lambda: _ONE_PLUS_G, "(1 + g)"),
+    ("formal-constant-sum-in-a-sum",
+     lambda: _ONE_PLUS_G + FT9.symbol("a", 0), "(1 + g) + a[0]"),
+    ("formal-sum-coefficient", lambda: _ONE_PLUS_G * FT9.symbol("a", 1),
+     "(1 + g)*a[1]"),
+    ("formal-constant-sum-over-a-monomial",
+     lambda: _ONE_PLUS_G / FT9.symbol("a", 0), "((1 + g))/a[0]"),
+    ("formal-fraction",
+     lambda: parse_element(FT9, "(1 + th[1])/(a[0]*a[2])"),
+     "(1 + th[1])/(a[0]*a[2])"),
+    ("formal-powers", lambda: parse_element(FT9, "2*a[-1]^2*th[3]"),
+     "2*a[-1]^2*th[3]"),
+    ("poly-product-coefficient",
+     lambda: parse_poly(F9, "1 + 2*g*tau + tau^2"), "1 + (2*g)*tau + tau^2"),
+    ("poly-quotient-coefficient", lambda: parse_poly(Q9, "tau/th"),
+     "(1/th^9)*tau"),
+    ("poly-sum-coefficient", lambda: parse_poly(Q9, "(th + 1)*tau"),
+     "(1 + th)*tau"),
+    ("poly-constant-sum", lambda: parse_poly(Q9, "th + 1 + tau"),
+     "1 + th + tau"),
+    ("poly-formal-coefficients",
+     lambda: parse_poly(FT9, "a[0]*a[1]*tau + th[2]*tau^2"),
+     "(a[0]*a[1])*tau + th[2]*tau^2"),
+    ("sig", lambda: parse_poly(F9, "g*sig + sig^3", SIGMA), "g*sig + sig^3"),
+    ("json", lambda: parse_poly(Q9, "th + (1 + th)/th*tau^2").to_json(),
+     [[0, "th"], [2, "(1 + th)/th"]]),
+    ("finite-zero", F9.zero, "0"),
+    ("rational-zero", Q9.zero, "0"),
+    ("formal-zero", FT9.zero, "0"),
+    ("poly-zero", lambda: SkewPoly.zero(Q9, TAU), "0"),
+]
+
+
+@pytest.mark.parametrize("value, text", [row[1:] for row in _PRINTED],
+                         ids=[row[0] for row in _PRINTED])
+def test_printed_texts_are_pinned(value, text):
+    value = value()
+    assert (value if isinstance(value, list) else str(value)) == text
 
 
 def test_parse_apoly_requires_twist_fixed_coefficients():
