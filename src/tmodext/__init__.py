@@ -47,6 +47,7 @@ from .modules_t import (
     carlitz_power,
     check_morphism,
     drinfeld,
+    inner_matrix,
     morphism_residual,
     parse_module,
     tmodule,
@@ -58,7 +59,6 @@ from .biderivations import (
     ReductionResult,
     assemble,
     canonical_slots,
-    inner_matrix,
     reduce_canonical,
     select_regime,
 )

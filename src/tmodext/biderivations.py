@@ -43,7 +43,7 @@ in the loops raises instead of returning a wrong representative.
 
 from __future__ import annotations
 
-from .coefficients import SlottedValue, _count
+from .coefficients import SlottedValue, _Additive, _count
 from .errors import (
     CarrierTooLarge,
     InvariantViolation,
@@ -70,7 +70,7 @@ TRIANGULAR_TARGET_REVERSED = "triangular-target-reversed"
 DIAGONAL_PAIRS = "diagonal-pairs"
 
 
-class Biderivation(SlottedValue):
+class Biderivation(_Additive, SlottedValue):
     __slots__ = ("source", "target", "matrix")
 
     def __post_init__(self):
@@ -105,16 +105,6 @@ class Biderivation(SlottedValue):
 
     def __neg__(self):
         return Biderivation(self.source, self.target, -self.matrix)
-
-    def __sub__(self, other):
-        if not isinstance(other, Biderivation):
-            return NotImplemented
-        return self + (-other)
-
-
-def inner_matrix(source, target, u):
-    """delta^(U) = U*Phi_t - Psi_t*U."""
-    return u * source.t_matrix - target.t_matrix * u
 
 
 # ---------------------------------------------------------------------------

@@ -844,6 +844,19 @@ class SlottedValue:
     __delattr__ = __setattr__
 
 
+class _Additive:
+    """a - b as a + (-b) and n - a as -a + n for every value type; each
+    type's own ``__add__`` coerces the other operand and refuses mixing."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+
 # ---------------------------------------------------------------------------
 # Field specification.
 
@@ -860,8 +873,8 @@ class FieldSpec(SlottedValue):
     kind is one of "finite", "rational", "formal".  p is the
     characteristic, m the extension degree of the scalar field F_{p^m},
     and modulus its defining polynomial over F_p (ascending coefficients,
-    monic).  theta_payload (an F_{p^m} code) fixes the distinguished
-    element theta for finite fields; generators/invertibles only apply to
+    monic).  theta_payload (an F_{p^m} code; by default g, or 1 if m = 1)
+    fixes theta for finite fields; generators/invertibles only apply to
     formal domains.  _ops is the F_{p^m} ops object and _arith the
     domain's ops object on payloads, both derived from the fields.  A
     domain is one object: FieldSpec(...) returns the spec already built for
@@ -874,6 +887,8 @@ class FieldSpec(SlottedValue):
 
     def __new__(cls, kind, p, m, modulus, theta_payload=None, generators=(),
                 invertibles=frozenset()):
+        if theta_payload is None and kind == "finite":
+            theta_payload = _default_theta(p, m)
         key = (kind, p, m, modulus, theta_payload, generators, invertibles)
         spec = _SPECS.get(key)
         if spec is None:
@@ -999,7 +1014,7 @@ def _default_theta(p, m):
 # Elements.
 
 
-class FieldElement(SlottedValue):
+class FieldElement(_Additive, SlottedValue):
     __slots__ = ("spec", "payload")
 
     # -- structure ----------------------------------------------------------
@@ -1031,18 +1046,6 @@ class FieldElement(SlottedValue):
 
     def __neg__(self):
         return self.spec._fe(self.spec._arith.neg(self.payload))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -1169,7 +1172,7 @@ def _render_mono(mono):
 
 def make_finite(p, m=1, modulus=None, theta=None):
     _check_pm(p, m)
-    return _finite(p, m, _resolve_modulus(p, m, modulus), theta)
+    return FieldSpec("finite", p, m, _resolve_modulus(p, m, modulus), theta)
 
 
 def make_rational(p, m=1, modulus=None):
@@ -1180,12 +1183,6 @@ def make_rational(p, m=1, modulus=None):
 def make_formal(p, m=1, generators=(), invertibles=(), modulus=None):
     _check_pm(p, m)
     return _formal(p, m, generators, invertibles, modulus)
-
-
-def _finite(p, m, modulus, theta):
-    """GF(p^m) over a resolved modulus; theta None is the default."""
-    payload = theta if theta is not None else _default_theta(p, m)
-    return FieldSpec("finite", p, m, modulus, theta_payload=payload)
 
 
 def _formal(p, m, generators, invertibles, modulus):
@@ -1322,4 +1319,4 @@ def parse_field(text):
     if theta is not None:  # its text, reduced to a code
         theta = _encode(_PolyOps(p, modulus).reduce(_parse_g_poly(theta, p)),
                         p)
-    return _finite(p, m, modulus, theta)
+    return FieldSpec("finite", p, m, modulus, theta)

@@ -37,7 +37,7 @@ from .biderivations import (
 )
 from .coefficients import SlottedValue
 from .errors import CarrierTooLarge, InvariantViolation, UnsupportedRegime
-from .modules_t import TModule, tmodule
+from .modules_t import TModule, tmodule, trivial
 from .skewpoly import SkewMatrix, SkewPoly, _from_maps, _matmul_into
 
 
@@ -267,8 +267,6 @@ class GaSequence(SlottedValue):
         return len(self.pure)
 
     def quotient(self):
-        from .modules_t import trivial
-
         if not self.pure:
             return None
         return trivial(self.structure.spec, len(self.pure),

@@ -15,7 +15,6 @@ from .biderivations import (
     Biderivation,
     _memoized,
     assemble,
-    inner_matrix,
     reduce_canonical,
     reduction_plan,
 )
@@ -27,7 +26,8 @@ from .errors import (
     UnboundedSearch,
     UnsupportedRegime,
 )
-from .modules_t import check_morphism
+from .ext_structures import ext_structure
+from .modules_t import check_morphism, inner_matrix
 from .skewpoly import SkewMatrix, SkewPoly
 
 
@@ -361,8 +361,6 @@ class SixTerm(SlottedValue):
 
     @cached_property
     def _omega(self):
-        from .ext_structures import ext_structure
-
         return ext_structure(self.middle, self.partner)
 
     def omega_structure(self):

@@ -218,8 +218,15 @@ def trivial(spec, s, var=TAU):
 # Morphisms.
 
 
+def inner_matrix(source, target, u):
+    """delta^(U) = U*Phi_t - Psi_t*U, the inner biderivation of U; it is also
+    the residual of U as a candidate morphism source -> target, so Hom is
+    its kernel."""
+    return u * source.t_matrix - target.t_matrix * u
+
+
 def morphism_residual(f, source, target):
-    """f * S_t - T_t * f for a candidate morphism f: source -> target."""
+    """inner_matrix(source, target, f) for a candidate morphism f."""
     if source.spec is not target.spec or f.spec is not source.spec:
         raise MixedFields("morphism data over mixed domains")
     if source.var != target.var or f.var != source.var:
@@ -229,7 +236,7 @@ def morphism_residual(f, source, target):
             f"a morphism from a {source.dim}-dimensional module to a "
             f"{target.dim}-dimensional one must be a "
             f"{target.dim}x{source.dim} matrix, got {f.nrows}x{f.ncols}")
-    return f * source.t_matrix - target.t_matrix * f
+    return inner_matrix(source, target, f)
 
 
 def check_morphism(f, source, target):

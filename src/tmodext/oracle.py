@@ -15,12 +15,12 @@ import random
 from .biderivations import (
     Biderivation,
     canonical_slots,
-    inner_matrix,
     reduce_canonical,
 )
 from .coefficients import SlottedValue
 from .errors import CarrierTooLarge
-from .homological import class_of
+from .homological import class_of, hom_space
+from .modules_t import inner_matrix
 from .skewpoly import SkewMatrix, SkewPoly
 
 ENUMERATION_LIMIT = 2 ** 20
@@ -223,8 +223,6 @@ def verify_ga(seq, seed=0):
 
 
 def _node_hom(source, target):
-    from .homological import hom_space
-
     space = hom_space(source, target)
     if space.complete and not space.basis:
         return [SkewMatrix.zeros(source.spec, source.var, target.dim,

@@ -14,6 +14,7 @@ import re
 from .coefficients import (
     FieldElement,
     SlottedValue,
+    _Additive,
     _check_literals,
     _count,
     _printable,
@@ -98,7 +99,7 @@ def _matmul_into(arith, accs, a, b, s):
 # Twisted polynomials.
 
 
-class SkewPoly(SlottedValue):
+class SkewPoly(_Additive, SlottedValue):
     # _pairs: ((degree, payload), ...) ascending, nonzero payloads
     __slots__ = ("spec", "var", "_pairs")
 
@@ -194,21 +195,7 @@ class SkewPoly(SlottedValue):
         return SkewPoly(self.spec, self.var,
                         tuple((d, neg(c)) for d, c in self._pairs))
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
-        if isinstance(other, SkewMatrix):
-            return NotImplemented
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -283,7 +270,7 @@ def _from_maps(spec, var, maps):
 # Matrices of twisted polynomials.
 
 
-class SkewMatrix(SlottedValue):
+class SkewMatrix(_Additive, SlottedValue):
     __slots__ = ("spec", "var", "entries")  # entries: row tuples of SkewPoly
 
     # -- construction --------------------------------------------------------
@@ -435,11 +422,6 @@ class SkewMatrix(SlottedValue):
 
     def __neg__(self):
         return self.map_entries(lambda e: -e)
-
-    def __sub__(self, other):
-        if not isinstance(other, SkewMatrix):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, SkewMatrix):

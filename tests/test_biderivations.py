@@ -2,6 +2,7 @@
 
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -12,14 +13,19 @@ from hypothesis import given, settings, strategies as st
 import tmodext
 import tmodext.biderivations as biderivations
 from tmodext import (
+    SIGMA,
     TAU,
     Biderivation,
+    DimensionMismatch,
+    InvalidModule,
     InvariantViolation,
     MixedFields,
     MixedPairs,
     NotAQthPower,
+    ParseError,
     SkewMatrix,
     SkewPoly,
+    TModule,
     UnsupportedRegime,
     assemble,
     canonical_slots,
@@ -35,6 +41,7 @@ from tmodext import (
     parse_element,
     parse_field,
     parse_matrix,
+    parse_module,
     parse_poly,
     reduce_canonical,
     select_regime,
@@ -569,3 +576,103 @@ def test_assemble_block_shapes():
     assert built.middle.dim == 3
     assert built.inclusion.shape == (3, 1)
     assert built.projection.shape == (2, 3)
+
+
+# ---------------------------------------------------------------------------
+# Subtraction, the same identity on every value type.
+
+
+def _values(spec):
+    """Two values of each type over spec, keyed by type name."""
+    src = drinfeld(spec, parse_poly(spec, "g + tau^2"))
+    tgt = drinfeld(spec, parse_poly(spec, "g + tau"))
+    return {
+        "element": (parse_element(spec, "g"), parse_element(spec, "g + 1")),
+        "poly": (parse_poly(spec, "g + tau"), parse_poly(spec, "1 + tau^2")),
+        "matrix": (parse_matrix(spec, "[[g, tau]]"),
+                   parse_matrix(spec, "[[1, g*tau^2]]")),
+        "biderivation": (
+            Biderivation(src, tgt, parse_matrix(spec, "[[tau]]")),
+            Biderivation(src, tgt, parse_matrix(spec, "[[g + tau^3]]"))),
+    }
+
+
+_OTHER_F9 = parse_field("GF(3^2; mod=g^2+2*g+2)")
+
+
+@pytest.mark.parametrize("kind, mixed", [
+    ("element", MixedFields), ("poly", MixedFields), ("matrix", MixedFields),
+    ("biderivation", MixedPairs)])
+def test_subtraction_is_adding_the_negative(kind, mixed):
+    """The values of another domain are refused as by +, and so is an
+    operand of no supported type on either side."""
+    a, b = _values(F9)[kind]
+    assert a - b == a + (-b)
+    assert (a - b) + b == a and (a - a).is_zero()
+    if kind in ("element", "poly"):
+        assert 2 - a == -a + 2 and a - 2 == a + (-2)
+    with pytest.raises(mixed):
+        a - _values(_OTHER_F9)[kind][0]
+    for bad in ("a", 1.5) + ((1,) if kind in ("matrix", "biderivation")
+                             else ()):
+        with pytest.raises(TypeError):
+            a - bad
+        with pytest.raises(TypeError):
+            bad - a
+
+
+# ---------------------------------------------------------------------------
+# Refusals.
+
+
+SRC9 = drinfeld(F9, parse_poly(F9, "g + tau^2"))
+TGT9 = drinfeld(F9, parse_poly(F9, "g + tau"))
+
+
+_REFUSALS = {
+    "biderivation-over-sig": (
+        lambda: Biderivation(SRC9, TGT9, parse_matrix(F9, "[[sig]]", SIGMA)),
+        MixedPairs, "biderivation data over mixed twisted variables"),
+    "regime-tau-sig": (
+        lambda: select_regime(SRC9, drinfeld(
+            F9, parse_poly(F9, "g + sig", SIGMA))),
+        MixedPairs, "source and target over different twisted variables"),
+    "unknown-regime": (
+        lambda: biderivations.reduction_plan(SRC9, TGT9, "no-such-regime"),
+        UnsupportedRegime, "unknown regime 'no-such-regime'"),
+    "sum-of-two-pairs": (
+        lambda: Biderivation.zero(SRC9, TGT9) + Biderivation.zero(TGT9, SRC9),
+        MixedPairs, "biderivations between different module pairs"),
+    "matrix-no-rows": (
+        lambda: SkewMatrix.from_rows(F9, TAU, []),
+        DimensionMismatch, "empty matrix"),
+    "matrix-ragged": (
+        lambda: SkewMatrix.from_rows(F9, TAU, [[SkewPoly.zero(F9, TAU)], [
+            SkewPoly.zero(F9, TAU), SkewPoly.zero(F9, TAU)]]),
+        DimensionMismatch, "ragged matrix rows"),
+    "matrix-int-entry": (
+        lambda: SkewMatrix.from_rows(F9, TAU, [[1]]),
+        DimensionMismatch, "matrix entries must be twisted polynomials"),
+    "module-of-an-int": (
+        lambda: TModule(F9, 5),
+        InvalidModule, "a module needs a matrix for the t-action"),
+    "module-not-square": (
+        lambda: TModule(F9, parse_matrix(F9, "[[g, tau]]")),
+        InvalidModule, "the t-action matrix must be square"),
+    "carlitz-option": (
+        lambda: parse_module(F9, "carlitz d=2"),
+        ParseError, "unknown carlitz option 'd'"),
+    "carlitz-trailing-text": (
+        lambda: parse_module(F9, "carlitz e=2 x"),
+        ParseError, "unexpected text after carlitz: 'x'"),
+    "tmodule-option": (
+        lambda: parse_module(F9, "tmodule e=2 g + tau"),
+        ParseError, "unknown tmodule option 'e'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSALS))
+def test_refusals(case):
+    build, error, message = _REFUSALS[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()

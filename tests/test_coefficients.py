@@ -13,6 +13,7 @@ from tmodext import (
     DimensionMismatch,
     DivisionByZero,
     FieldElement,
+    FieldSpec,
     FiniteFieldRequired,
     MixedFields,
     NonMonomialDenominator,
@@ -202,6 +203,16 @@ def test_theta_defaults():
     assert str(parse_field("GF(5; theta=2)").theta()) == "2"
     assert str(Q3.theta()) == "th"
     assert str(FT.theta()) == "th[0]"
+
+
+def test_a_bare_finite_spec_has_the_default_theta():
+    """FieldSpec("finite", ...) without a theta payload is the domain
+    make_finite builds, theta included."""
+    for p, m in ((3, 1), (3, 2)):
+        bare = FieldSpec("finite", p, m, default_modulus(p, m))
+        assert bare is make_finite(p, m)
+    assert str(FieldSpec("finite", 3, 1, (0, 1)).theta()) == "1"
+    assert str(FieldSpec("finite", 3, 2, F9.modulus).theta()) == "g"
 
 
 def test_prime_factors_match_a_naive_reference():

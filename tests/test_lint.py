@@ -1,8 +1,8 @@
 """Static checks of the package source with the stdlib ast module: every
 imported name is used, every private module-level function or constant is
 used somewhere in the package, domains are compared by identity, no
-``assert`` statement is left, and square-and-multiply and the joining of
-printed terms are each written once."""
+``assert`` statement is left, and square-and-multiply, the joining of
+printed terms, subtraction and the inner map are each written once."""
 
 import ast
 from pathlib import Path
@@ -143,3 +143,33 @@ def test_one_term_printer():
                for node in ast.walk(tree)
                if isinstance(node, ast.FunctionDef) and _joins_terms(node)]
     assert joining == ["coefficients._render_terms"]
+
+
+def test_subtraction_is_written_once():
+    """a - b is a + (-b) for every value type: only coefficients._Additive
+    defines __sub__ or __rsub__."""
+    defining = [f"{module[:-3]}.{node.name}"
+                for module, tree in _trees().items()
+                for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                if any(isinstance(item, ast.FunctionDef)
+                       and item.name in ("__sub__", "__rsub__")
+                       for item in node.body)]
+    assert defining == ["coefficients._Additive"]
+
+
+def test_one_inner_map():
+    """delta^(U) and the residual of a candidate morphism are one map:
+    modules_t.inner_matrix is its only definition, and morphism_residual
+    calls it."""
+    trees = _trees()
+    defined = [module[:-3] for module, tree in trees.items()
+               for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)
+               and node.name == "inner_matrix"]
+    assert defined == ["modules_t"]
+    residual = next(node for node in ast.walk(trees["modules_t.py"])
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name == "morphism_residual")
+    assert any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "inner_matrix"
+               for node in ast.walk(residual))
