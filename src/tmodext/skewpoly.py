@@ -368,9 +368,6 @@ class SkewMatrix(_Additive, SlottedValue):
     def is_zero(self):
         return all(e.is_zero() for row in self.entries for e in row)
 
-    def is_constant(self):
-        return all(e.is_constant() for row in self.entries for e in row)
-
     @property
     def max_degree(self):
         return max((e.degree for row in self.entries for e in row),
@@ -676,9 +673,7 @@ class _Parser:
         if op == "-":
             return self.combine(tok, left, right, lambda a, b: a - b,
                                 "subtract")
-        if op == "*":
-            return left * right
-        self.fail(tok, f"unexpected operator {op!r}")
+        return left * right  # "*", the last operator of _LBP
 
     def combine(self, tok, left, right, fn, verb):
         if isinstance(left, SkewMatrix) != isinstance(right, SkewMatrix):

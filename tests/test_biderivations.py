@@ -38,14 +38,17 @@ from tmodext import (
     make_formal,
     make_rational,
     morphism_residual,
+    parse_apoly,
     parse_element,
     parse_field,
     parse_matrix,
     parse_module,
     parse_poly,
+    parse_value,
     reduce_canonical,
     select_regime,
     tmodule,
+    trivial,
 )
 from tmodext.oracle import random_biderivation, random_matrix
 
@@ -627,6 +630,7 @@ def test_subtraction_is_adding_the_negative(kind, mixed):
 
 SRC9 = drinfeld(F9, parse_poly(F9, "g + tau^2"))
 TGT9 = drinfeld(F9, parse_poly(F9, "g + tau"))
+FF = parse_field("FTF(3; gens=a,th; inv=a)")
 
 
 _REFUSALS = {
@@ -668,6 +672,66 @@ _REFUSALS = {
     "tmodule-option": (
         lambda: parse_module(F9, "tmodule e=2 g + tau"),
         ParseError, "unknown tmodule option 'e'"),
+    "parse-juxtaposed": (
+        lambda: parse_poly(F9, "1 2"),
+        ParseError, "unexpected '2' at position 2 in '1 2'"),
+    "parse-scalar-plus-matrix": (
+        lambda: parse_value(F9, "1 + [[1]]"),
+        ParseError,
+        "cannot add a scalar and a matrix at position 2 in '1 + [[1]]'"),
+    "parse-divide-by-matrix": (
+        lambda: parse_value(F9, "1/[[1]]"),
+        ParseError, "cannot divide by a matrix at position 1 in '1/[[1]]'"),
+    "parse-symbol-index": (
+        lambda: parse_value(FF, "a[b]"),
+        ParseError,
+        "symbol index must be an integer at position 2 in 'a[b]'"),
+    "parse-nested-matrix": (
+        lambda: parse_value(F9, "[[[[1]]]]"),
+        ParseError, "nested matrix entries in '[[[[1]]]]'"),
+    "parse-g-over-formal": (
+        lambda: parse_value(FF, "g"),
+        ParseError, "the name 'g' requires a finite scalar field of "
+                    "extension degree at least 2"),
+    "parse-poly-of-a-matrix": (
+        lambda: parse_poly(F9, "[[1]]"),
+        ParseError, "expected a scalar, got a matrix: '[[1]]'"),
+    "parse-element-of-a-matrix": (
+        lambda: parse_element(F9, "[[1]]"),
+        ParseError, "expected a coefficient, got a matrix: '[[1]]'"),
+    "parse-apoly-of-a-matrix": (
+        lambda: parse_apoly(F9, "[[t]]"),
+        ParseError, "expected a t-polynomial, got a matrix: '[[t]]'"),
+    "header-duplicate-generators": (
+        lambda: parse_field("FTF(3; gens=a,a)"),
+        ParseError, "duplicate generator names"),
+    "header-empty-modulus": (
+        lambda: parse_field("GF(3^2; mod=)"),
+        ParseError, "empty polynomial"),
+    "header-malformed-modulus": (
+        lambda: parse_field("GF(3^2; mod=g^2++1)"),
+        ParseError, "malformed polynomial 'g^2++1'"),
+    "header-option-without-value": (
+        lambda: parse_field("GF(3^2; mod)"),
+        ParseError, "malformed option 'mod' in field header"),
+    "header-duplicate-option": (
+        lambda: parse_field("GF(3^2; mod=g^2+1; mod=g^2+1)"),
+        ParseError, "duplicate option 'mod' in field header"),
+    "header-ftf-th-suffix": (
+        lambda: parse_field("FTF(3)(th)"),
+        ParseError, "FTF headers do not take a (th) suffix"),
+    "header-ftf-option": (
+        lambda: parse_field("FTF(3; theta=1)"),
+        ParseError, "unknown field options ['theta']"),
+    "modulus-not-monic": (
+        lambda: make_finite(3, 2, (1, 0, 0, 1)),
+        ParseError, "modulus must be monic of degree 2"),
+    "trivial-of-dimension-zero": (
+        lambda: trivial(F9, 0),
+        InvalidModule, "dimension must be positive"),
+    "drinfeld-of-a-matrix": (
+        lambda: drinfeld(F9, parse_matrix(F9, "[[g, 0], [0, g]]")),
+        InvalidModule, "a Drinfeld module is one-dimensional"),
 }
 
 

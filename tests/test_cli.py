@@ -766,6 +766,26 @@ def test_bad_counts_are_usage_errors(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+_SIXTERM_VERIFY = ["verify", "--what", "sixterm", "--field", "GF(2)",
+                   "--phi", "1 + tau^2", "--psi", "1 + tau^3"]
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    pytest.param(["adjoint", "--field", "GF(3)"], 2,
+                 "adjoint needs --phi or --delta", id="adjoint-no-input"),
+    pytest.param(_SIXTERM_VERIFY, 2, "--delta is required here",
+                 id="sixterm-no-delta"),
+    pytest.param(_SIXTERM_VERIFY + ["--delta", "[[1]]"], 2,
+                 "a module expression is required here", id="sixterm-no-g"),
+    pytest.param(["ext-tmod", "--field", F9, "--phi",
+                  "[[g + tau^3, 0], [tau, g + tau^2]]", "--psi", "g + tau"],
+                 1, "ext-tmod needs a source with an invertible leading "
+                    "coefficient matrix", id="ext-tmod-singular-leading"),
+])
+def test_refusals_of_well_formed_command_lines(capsys, argv, code, message):
+    assert run(capsys, argv) == (code, "", f"error: {message}\n")
+
+
 def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, ["--help"])
     assert code == 0

@@ -130,6 +130,7 @@ def test_headers_round_trip():
     for spec in (F4, F8, F9, F16, Q3, FT):
         assert parse_field(spec.header()) == spec
     assert F9.header() == "GF(3^2; mod=1+g^2)"
+    assert parse_field("GF(3^2; mod=g^2-2)").header() == "GF(3^2; mod=1+g^2)"
     assert F16.header() == "GF(2^4; mod=1+g+g^4)"
     assert Q3.header() == "GF(3)(th)"
     assert FT.header() == "FTF(3; gens=a,b,th; inv=a)"

@@ -1,8 +1,9 @@
 """Static checks of the package source with the stdlib ast module: every
 imported name is used, every private module-level function or constant is
 used somewhere in the package, domains are compared by identity, no
-``assert`` statement is left, and square-and-multiply, the joining of
-printed terms, subtraction and the inner map are each written once."""
+``assert`` statement is left, square-and-multiply, the joining of
+printed terms, subtraction and the inner map are each written once, and the
+oracle compares classes and shifts them in one place each."""
 
 import ast
 from pathlib import Path
@@ -173,3 +174,26 @@ def test_one_inner_map():
     assert any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                and node.func.id == "inner_matrix"
                for node in ast.walk(residual))
+
+
+def _adds_an_inner_map(func):
+    """Whether func adds the result of an inner_matrix call to something."""
+    return any(isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+               and any(isinstance(side, ast.Call)
+                       and isinstance(side.func, ast.Name)
+                       and side.func.id == "inner_matrix"
+                       for side in (node.left, node.right))
+               for node in ast.walk(func))
+
+
+def test_one_class_equality_seam():
+    """The oracle compares classes through homological.class_of and
+    ExtStructure.coords_of, so it never names reduce_canonical, and
+    oracle._shifted is the one place that adds an inner biderivation to a
+    class."""
+    tree = _trees()["oracle.py"]
+    named = _loaded_names(tree) | {name for name, _ in _imported(tree)}
+    assert "reduce_canonical" not in named
+    adding = [node.name for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and _adds_an_inner_map(node)]
+    assert adding == ["_shifted"]

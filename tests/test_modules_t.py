@@ -142,7 +142,7 @@ def test_act_golden():
     assert str(C.act(parse_apoly(Q3, "t^2")).entry(0, 0)) == \
         "th^2 + (th + th^3)*tau + tau^2"
     assert C.act(parse_apoly(Q3, "t")) == C.t_matrix
-    assert C.act(parse_apoly(Q3, "1")).entry(0, 0).is_constant
+    assert C.act(parse_apoly(Q3, "1")).entry(0, 0).is_constant()
 
 
 def test_act_is_multiplicative():

@@ -16,6 +16,7 @@ from tmodext import (
     SixTerm,
     SkewPoly,
     carlitz,
+    check_morphism,
     class_of,
     drinfeld,
     enumerate_ext,
@@ -32,7 +33,7 @@ from tmodext import (
     verify_structure,
 )
 from tmodext import oracle
-from tmodext.ext_structures import GaSequence
+from tmodext.ext_structures import ExtStructure, GaSequence
 from tmodext.homological import hom_space
 from tmodext.oracle import coordinate_vectors
 
@@ -100,6 +101,35 @@ def test_verify_structure_rejects_twisted_matrix():
     assert "action-samples" in failed
 
 
+
+def _failed(report):
+    return [c.name for c in report.checks if not c.passed]
+
+
+def _pi_off_theta(structure, monkeypatch):
+    """Pi_t + I: its constant part is (theta + 1)*I + nilpotent."""
+    return dataclasses.replace(structure, pi=structure.pi + SkewMatrix.identity(
+        structure.spec, TAU, structure.rank))
+
+
+def _coords_unreduced(structure, monkeypatch):
+    """coords_of reading the slots of delta itself, not of its class."""
+    monkeypatch.setattr(ExtStructure, "coords_of", lambda self, delta: tuple(
+        delta.matrix.entry(r, c).coefficient(k) for (r, c, k) in self.basis))
+    return structure
+
+
+@pytest.mark.parametrize("plant, failed", [
+    pytest.param(_pi_off_theta, ["constant-structure", "action-samples"],
+                 id="pi-off-theta"),
+    pytest.param(_coords_unreduced, ["action-samples", "inner-invariance"],
+                 id="coords-unreduced"),
+])
+def test_verify_structure_planted_faults(monkeypatch, plant, failed):
+    S = _structure(F9, "g + tau^3", "g + tau^2")
+    rep = verify_structure(plant(S, monkeypatch), samples=50, seed=7)
+    assert _failed(rep) == failed
+
 def test_structure_verification_needs_finite_field():
     S = _structure(Q3, "th + tau^3", "th + tau^2")
     with pytest.raises(FiniteFieldRequired):
@@ -155,6 +185,38 @@ def test_verify_ga_rejects_a_mistwisted_action():
               if not c.passed]
     assert failed == ["t-equivariance"]
 
+
+
+def _pure_row_misplaced(seq):
+    """pure names a row of the sub-t-module instead of the pure row."""
+    rest = [a for a in range(seq.structure.rank) if a not in seq.pure]
+    return GaSequence(seq.structure, (rest[0],), seq.g, seq.inclusion,
+                      seq.sub_pi)
+
+
+def _pure_row_twice(seq):
+    """pure lists its row twice, so s counts it twice."""
+    return GaSequence(seq.structure, seq.pure * 2, seq.g, seq.inclusion,
+                      seq.sub_pi)
+
+
+def _sub_action_shifted(seq):
+    """The sub-t-module's action plus the identity."""
+    return GaSequence(seq.structure, seq.pure, seq.g, seq.inclusion,
+                      seq.sub_pi + SkewMatrix.identity(
+                          seq.structure.spec, TAU, seq.sub_pi.nrows))
+
+
+@pytest.mark.parametrize("plant, failed", [
+    pytest.param(_pure_row_misplaced, ["kernel"], id="pure-row-misplaced"),
+    pytest.param(_pure_row_twice, ["image-count"], id="pure-row-twice"),
+    pytest.param(_sub_action_shifted, ["inclusion-equivariance"],
+                 id="sub-action-shifted"),
+])
+def test_verify_ga_planted_faults(plant, failed):
+    seq = ga_sequence(_structure(F4, "g + tau^3", "g + tau^2"))
+    assert seq.pure == (0,)
+    assert _failed(verify_ga(plant(seq), seed=1)) == failed
 
 def test_verify_sixterm_bundle():
     E = _drin(F2, "1 + tau^2")
@@ -233,6 +295,88 @@ def test_verify_sixterm_enumerates_uncertified_hom_nodes(monkeypatch):
     assert shapes.count((2, 2)) == 2
 
 
+
+def test_node_hom_is_the_span_of_the_bounded_basis():
+    """Hom(phi, phi) for phi = 1 + tau^3 over GF(2) has the bounded basis
+    1, tau, tau^2; the node is all 8 of their F_2-combinations."""
+    phi = _drin(F2, "1 + tau^3")
+    one, tau, tau2 = (parse_matrix(F2, f"[[{x}]]")
+                      for x in ("1", "tau", "tau^2"))
+    assert hom_space(phi, phi).basis == (one, tau, tau2)
+    node = oracle._node_hom(phi, phi)
+    assert len(node) == 8
+    assert set(node) == {a * one + b * tau + c * tau2
+                         for a in (0, 1) for b in (0, 1) for c in (0, 1)}
+    for f in node:
+        check_morphism(f, phi, phi)
+
+
+def _criterion_nine_bundle():
+    E = _drin(F2, "1 + tau^2")
+    F = _drin(F2, "1 + tau^3")
+    return six_term(Biderivation(E, F, parse_matrix(F2, "[[1]]")),
+                    carlitz(F2))
+
+
+_ONE = parse_matrix(F2, "[[1]]")
+
+
+def _maps(**maps):
+    """A plant replacing SixTerm maps; each takes (bundle, input)."""
+    def plant(bundle, monkeypatch):
+        for name, fn in maps.items():
+            monkeypatch.setattr(SixTerm, name, fn)
+    return plant
+
+
+def _two_element_node(side, **maps):
+    """A plant giving the side's first Hom node the two elements 0 and 1
+    (as if it were Hom(G, sub) or Hom(quot, G) = F_2), and replacing
+    SixTerm maps as _maps does."""
+    def plant(bundle, monkeypatch):
+        pair = ((bundle.partner, bundle.sub) if side == "co"
+                else (bundle.quotient, bundle.partner))
+        node_hom = oracle._node_hom
+        monkeypatch.setattr(oracle, "_node_hom", lambda s, t: (
+            [0 * _ONE, _ONE] if (s, t) == pair else node_hom(s, t)))
+        _maps(**maps)(bundle, monkeypatch)
+    return plant
+
+
+@pytest.mark.parametrize("plant, failed", [
+    pytest.param(_two_element_node(
+        "co", co_hom_sub=lambda b, f: 0 * b.inclusion),
+        ["co-hom-injective"], id="co-hom-sub-zero-on-two-elements"),
+    pytest.param(_maps(co_hom_sub=lambda b, f: b.inclusion),
+                 ["co-exact-hom-middle"], id="co-hom-sub-not-linear"),
+    pytest.param(_maps(co_connect=lambda b, f: class_of(
+        Biderivation(b.partner, b.sub, _ONE))),
+        ["co-exact-hom-quot", "co-exact-ext-sub"], id="co-connect-constant"),
+    pytest.param(_maps(co_ext_middle=lambda b, eta: Biderivation.zero(
+        b.partner, b.middle)),
+        ["co-exact-ext-sub", "co-exact-ext-middle"], id="co-ext-middle-zero"),
+    pytest.param(_two_element_node(
+        "contra", contra_hom_quot=lambda b, g: 0 * b.projection),
+        ["contra-hom-injective"], id="contra-hom-quot-zero-on-two-elements"),
+    pytest.param(_maps(contra_hom_quot=lambda b, g: b.projection),
+                 ["contra-exact-hom-middle"], id="contra-hom-quot-not-linear"),
+    pytest.param(_maps(contra_connect=lambda b, g: class_of(
+        Biderivation(b.quotient, b.partner, _ONE))),
+        ["contra-exact-hom-sub", "contra-exact-ext-quot"],
+        id="contra-connect-constant"),
+    pytest.param(_maps(contra_ext_middle=lambda b, eta: Biderivation.zero(
+        b.middle, b.partner)),
+        ["contra-exact-ext-quot", "contra-exact-ext-middle"],
+        id="contra-ext-middle-zero"),
+    pytest.param(_maps(contra_ext_middle=lambda b, eta: Biderivation(
+        b.middle, b.partner, eta.matrix * (-b.projection))),
+        ["ext-maps-well-defined"], id="contra-ext-middle-unreduced"),
+])
+def test_verify_sixterm_planted_faults(monkeypatch, plant, failed):
+    bundle = _criterion_nine_bundle()
+    plant(bundle, monkeypatch)
+    assert _failed(verify_sixterm(bundle, seed=1, inner_samples=5)) == failed
+
 def test_verify_duality_passes_and_is_deterministic():
     rep1 = verify_duality(_drin(F8, "g + tau^3"), _drin(F8, "g + tau^2"),
                           classes=30, seed=2)
@@ -262,6 +406,32 @@ def test_verify_duality_rejects_a_mistwisted_adjoint(monkeypatch):
                       "anti-homomorphism", "class-transport",
                       "action-classes"]
 
+
+
+def _sigma_adjoint_negated(self, adjoint=SkewPoly.adjoint):
+    """The adjoint of a sigma-polynomial negated: tau -> sigma is right,
+    but the way back is not its inverse."""
+    return -adjoint(self) if self.var == SIGMA else adjoint(self)
+
+
+def _untransposed_adjoint(self):
+    """Entrywise adjoint without the transposition."""
+    return SkewMatrix(self.spec, SIGMA if self.var == TAU else TAU, tuple(
+        tuple(p.adjoint() for p in row) for row in self.entries))
+
+
+@pytest.mark.parametrize("cls, adjoint, failed", [
+    pytest.param(SkewPoly, _sigma_adjoint_negated, ["double-adjoint"],
+                 id="not-an-involution"),
+    pytest.param(SkewMatrix, _untransposed_adjoint, ["anti-homomorphism"],
+                 id="untransposed"),
+])
+def test_verify_duality_planted_faults(monkeypatch, cls, adjoint, failed):
+    """Over GF(3^2), where -1 != 1."""
+    monkeypatch.setattr(cls, "adjoint", adjoint)
+    rep = verify_duality(_drin(F9, "g + tau^3"), _drin(F9, "g + tau^2"),
+                         classes=30, seed=2)
+    assert _failed(rep) == failed
 
 def test_verify_duality_needs_finite_field():
     with pytest.raises(FiniteFieldRequired):
