@@ -800,10 +800,11 @@ class SlottedValue:
     compared, hashed and pickled by the tuple of their fields, and shown as
     ``Name(field=value, ...)``.  The fields are the ``__slots__`` other than
     ``__dict__`` (a slot that lets ``cached_property`` cache) unless the
-    class names them in ``_fields``.  ``__init__``, ``__eq__`` and
-    ``__hash__`` are compiled once per class, unless it defines its own, so
-    that they read each field directly; hot constructors may also write the
-    slots through their descriptors."""
+    class names them in ``_fields``.  Only ``__init__`` is compiled, once
+    per class, so that it writes each slot directly (hot constructors may
+    also write the slots through their descriptors); ``__eq__`` and
+    ``__hash__`` read the fields through one getter.  A class's own
+    ``__init__``, ``__eq__`` or ``__hash__`` is kept."""
 
     __slots__ = ()
 
@@ -811,23 +812,25 @@ class SlottedValue:
         names = vars(cls).get("_fields") or tuple(
             n for n in cls.__slots__ if n != "__dict__")
         cls._fields = names
-        mine = "".join(f"self.{n}, " for n in names)
-        theirs = "".join(f"other.{n}, " for n in names)
         source = [f"def __init__(self, {', '.join(names)}):"]
         source += [f" _set_{n}(self, {n})" for n in names]
         if hasattr(cls, "__post_init__"):
             source.append(" self.__post_init__()")
-        source += ["def __eq__(self, other):",
-                   " if other.__class__ is self.__class__:",
-                   f"  return ({mine}) == ({theirs})",
-                   " return NotImplemented",
-                   "def __hash__(self):",
-                   f" return hash(({mine}))"]
         namespace = {f"_set_{n}": getattr(cls, n).__set__ for n in names}
         exec("\n".join(source), namespace)
-        for name in ("__init__", "__eq__", "__hash__"):
+        get = operator.attrgetter(*names)
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return get(self) == get(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash(get(self))
+
+        for method in (namespace["__init__"], __eq__, __hash__):
+            name = method.__name__
             if vars(cls).get(name) is None:  # __eq__ alone sets __hash__ None
-                method = namespace[name]
                 method.__qualname__ = f"{cls.__qualname__}.{name}"
                 setattr(cls, name, method)
 

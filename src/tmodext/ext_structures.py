@@ -24,8 +24,6 @@ element is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .biderivations import (
     DIAGONAL_PAIRS,
     MAX_PI_ENTRIES,
@@ -37,7 +35,7 @@ from .biderivations import (
 )
 from .coefficients import SlottedValue
 from .errors import CarrierTooLarge, InvariantViolation, UnsupportedRegime
-from .modules_t import TModule, tmodule, trivial
+from .modules_t import tmodule, trivial
 from .skewpoly import SkewMatrix, SkewPoly, _from_maps, _matmul_into
 
 
@@ -100,8 +98,25 @@ class _FormOps:
 # The structure object.
 
 
-@dataclass(frozen=True)
-class ExtStructure:
+class _DataclassFields:
+    """``ExtStructure.__dataclass_fields__``, so that ``dataclasses.replace``,
+    ``fields`` and ``is_dataclass`` treat a structure as a frozen dataclass.
+    The first read imports ``dataclasses`` (only a caller that has imported
+    it reads the attribute), takes the field table of a frozen dataclass
+    with the same fields and caches it on the class.  It goes once the
+    benchmark set-up in ``perfbench/`` stops calling ``dataclasses.replace``
+    on a structure."""
+
+    def __get__(self, instance, owner):
+        import dataclasses
+
+        table = dataclasses.make_dataclass(
+            owner.__name__, owner._fields, frozen=True).__dataclass_fields__
+        owner.__dataclass_fields__ = table
+        return table
+
+
+class ExtStructure(SlottedValue):
     """The Ext group of a module pair as a t-module in coordinates.
 
     ``basis`` lists the free coefficient slots (row, col, deg) of the
@@ -112,11 +127,8 @@ class ExtStructure:
     canonical slots.
     """
 
-    source: TModule
-    target: TModule
-    regime: str
-    basis: tuple
-    pi: SkewMatrix
+    __slots__ = ("source", "target", "regime", "basis", "pi")
+    __dataclass_fields__ = _DataclassFields()
 
     @property
     def spec(self):

@@ -625,7 +625,8 @@ class _Parser:
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise ParseError(f"expression nests deeper than {MAX_NESTING} "
-                             f"levels at position {self.peek()[2]}")
+                             f"levels at position {self.peek()[2]} "
+                             f"(MAX_NESTING = {MAX_NESTING})")
         tok = self.next()
         value = self.nud(tok)
         while True:

@@ -1,7 +1,8 @@
 """The package's records are immutable values: compared, hashed, copied,
-pickled and shown by their fields.  Every record but ExtStructure is a
-SlottedValue; ExtStructure stays a dataclass, so dataclasses.replace works
-on it."""
+pickled and shown by their fields.  Every record is a SlottedValue;
+ExtStructure also keeps the face of a frozen dataclass, so
+dataclasses.replace, fields and is_dataclass work on it, without a cold
+import of tmodext loading dataclasses."""
 
 import ast
 import copy
@@ -247,3 +248,41 @@ def test_cli_import_leaves_out_shutil_and_its_archives():
     modules = set(ast.literal_eval(loaded))
     assert "tmodext.cli" in modules
     assert modules.isdisjoint({"shutil", "bz2", "lzma", "fnmatch"})
+
+
+_COLD_CHILD = """
+import sys
+sys.path.insert(0, ROOT)
+import tmodext.cli
+print(sorted(sys.modules))
+import dataclasses
+from tmodext import ext_structure, make_finite, parse_module
+F3 = make_finite(3)
+S = ext_structure(parse_module(F3, "1 + tau^2"), parse_module(F3, "1 + tau"))
+assert dataclasses.is_dataclass(S)
+print([f.name for f in dataclasses.fields(S)])
+R = dataclasses.replace(S, pi=S.pi + S.pi)
+assert type(R) is type(S) and R.pi == S.pi + S.pi and R != S
+assert dataclasses.replace(R, pi=S.pi) == S
+try:
+    dataclasses.replace(S, bogus=1)
+except TypeError:
+    print("bogus refused")
+"""
+
+
+def test_cli_import_leaves_out_dataclasses_and_keeps_its_face():
+    """A fresh interpreter importing tmodext.cli loads neither dataclasses
+    nor the modules it pulls in; a caller that imports dataclasses then
+    finds ExtStructure a frozen dataclass with its five fields."""
+    root = os.path.dirname(os.path.dirname(tmodext.__file__))
+    lines = subprocess.run(
+        [sys.executable, "-I", "-S", "-c",
+         _COLD_CHILD.replace("ROOT", repr(root))],
+        capture_output=True, text=True, check=True).stdout.splitlines()
+    modules = set(ast.literal_eval(lines[0]))
+    assert "tmodext.cli" in modules
+    assert modules.isdisjoint({"dataclasses", "inspect", "ast", "dis",
+                               "tokenize"})
+    assert lines[1:] == [
+        "['source', 'target', 'regime', 'basis', 'pi']", "bogus refused"]

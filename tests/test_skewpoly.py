@@ -610,6 +610,19 @@ def test_parser_division_golden():
         parse_poly(Q3, "1/tau")
 
 
+def test_nesting_budget_names_its_constant():
+    """The parser refuses the level past MAX_NESTING, naming the constant
+    as the other budget messages do; the level below it parses."""
+    depth = skewpoly.MAX_NESTING
+    assert depth == 100
+    nested = "(" * (depth - 1) + "th" + ")" * (depth - 1)
+    assert parse_poly(Q3, nested) == parse_poly(Q3, "th")
+    with pytest.raises(ParseError) as info:
+        parse_poly(Q3, "(" + nested + ")")
+    assert str(info.value) == ("expression nests deeper than 100 levels at "
+                               "position 100 (MAX_NESTING = 100)")
+
+
 def _tokens_one_match_at_a_time(text):
     """The reference tokenizer: one anchored match per token, and the
     first non-space character of an unmatched tail is the bad one."""
