@@ -585,8 +585,7 @@ def _build_parser():
     return parser
 
 
-def main(argv=None):
-    argv = sys.argv[1:] if argv is None else list(argv)
+def _run(argv):
     try:
         args = _read(argv)
         if args is None:
@@ -598,6 +597,21 @@ def main(argv=None):
     except TmodError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, (ParseError, UsageError)) else 1
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # The reader left early (``tmodext ... | head -1``): stdout goes to
+        # devnull, so the flush at interpreter exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -109,7 +109,7 @@ def _is_irreducible_fp(f, p):
         return False
     sparse_f = tuple((e, c) for e, c in enumerate(f) if c)
     for r in _prime_factors(m):
-        h = _digits(ring.sub(ring.pow(p, p ** (m // r)), p), p, m)
+        h = _digits(ring.add(ring.pow(p, p ** (m // r)), ring.neg(p)), p, m)
         h = tuple((e, c) for e, c in enumerate(h) if c)
         if _rp_gcd(sparse_f, h, ops) != ((0, 1),):
             return False
@@ -131,7 +131,7 @@ def default_modulus(p, m):
 
 # ---------------------------------------------------------------------------
 # Arithmetic of F_{p^m} on integer codes (see the module docstring).  Each
-# ops object offers add, sub, neg, mul, inv, frob(a, i) = a ** (p**i),
+# ops object offers add, neg, mul, inv, frob(a, i) = a ** (p**i),
 # from_int, zero and one; with is_zero, twist = frob, const and render it is
 # also the ops object of the finite-field domain, whose q is p.
 
@@ -180,9 +180,6 @@ class _PrimeOps:
     def add(self, a, b):
         return (a + b) % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def neg(self, a):
         return -a % self.p
 
@@ -221,16 +218,13 @@ class _ExtOps(_PrimeOps):
         self.m = len(modulus) - 1
         self.mod = modulus
         if p == 2:
-            self.add = self.sub = operator.xor
+            self.add = operator.xor
             self.neg = operator.pos
 
     def add(self, a, b):
         p, m = self.p, self.m
         return _encode([(x + y) % p for x, y in zip(_digits(a, p, m),
                                                      _digits(b, p, m))], p)
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
 
     def neg(self, a):
         p = self.p
@@ -518,7 +512,7 @@ def _rp_divmod(a, b, ops):
                 rem[k] = ops.neg(ops.mul(f, cb))
                 heapq.heappush(heap, -k)
                 continue
-            cur = ops.sub(cur, ops.mul(f, cb))
+            cur = ops.add(cur, ops.neg(ops.mul(f, cb)))
             if cur == ops.zero:
                 del rem[k]
             else:

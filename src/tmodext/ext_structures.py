@@ -229,7 +229,14 @@ def duality_transport(source, target):
     Ext on one variable is isomorphic to Ext of the adjoint modules, in the
     opposite order, on the other variable.  For a reversed pair (source rank
     below target rank) the swapped adjoint pair is forward, so this is where
-    a reversed pair's t-module structure lives."""
+    a reversed pair's t-module structure lives; a forward pair is
+    refused."""
+    plan = reduction_plan(source, target)
+    if all(forward for _, _, _, forward, _ in plan.entries):
+        raise UnsupportedRegime(
+            f"the pair is forward ({plan.regime!r}), so its structure comes "
+            f"from ext_structure directly; duality_transport serves reversed "
+            f"pairs")
     return ext_structure(target.adjoint(), source.adjoint())
 
 
@@ -296,27 +303,15 @@ class GaSequence(SlottedValue):
 
 
 def ga_sequence(structure):
-    spec, var = structure.spec, structure.var
-    r = structure.rank
-    theta = SkewPoly.const(spec, var, spec.theta())
-    zero = SkewPoly.zero(spec, var)
-    pure = []
-    for a in range(r):
-        row = structure.pi.entries[a]
-        if all(row[b] == (theta if b == a else zero) for b in range(r)):
-            pure.append(a)
-    pure = tuple(pure)
+    spec, var, r = structure.spec, structure.var, structure.rank
+    ident = SkewMatrix.identity(spec, var, r)
+    theta_rows = (ident * spec.theta()).entries
+    pure = tuple(a for a in range(r)
+                 if structure.pi.entries[a] == theta_rows[a])
     rest = tuple(a for a in range(r) if a not in pure)
-    one = SkewPoly.const(spec, var, 1)
-    g = None
-    if pure:
-        g = SkewMatrix.from_rows(spec, var, [
-            [one if b == a else zero for b in range(r)] for a in pure])
-    inclusion = None
-    sub_pi = None
+    g = ident.submatrix(pure, range(r)) if pure else None
+    inclusion = sub_pi = None
     if rest:
-        inclusion = SkewMatrix.from_rows(spec, var, [
-            [one if rest[c] == a else zero for c in range(len(rest))]
-            for a in range(r)])
+        inclusion = ident.submatrix(range(r), rest)
         sub_pi = structure.pi.submatrix(rest, rest)
     return GaSequence(structure, pure, g, inclusion, sub_pi)

@@ -208,10 +208,7 @@ def trivial(spec, s, var=TAU):
     """The module theta*I on which t acts by scalar multiplication."""
     if s < 1:
         raise InvalidModule("dimension must be positive")
-    theta = SkewPoly.const(spec, var, spec.theta())
-    zero = SkewPoly.zero(spec, var)
-    return TModule(spec, SkewMatrix.from_rows(spec, var, [
-        [theta if i == j else zero for j in range(s)] for i in range(s)]))
+    return TModule(spec, SkewMatrix.identity(spec, var, s) * spec.theta())
 
 
 # ---------------------------------------------------------------------------

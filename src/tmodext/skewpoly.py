@@ -486,31 +486,13 @@ class SkewMatrix(_Additive, SlottedValue):
 # Constant (degree-zero) matrix helpers over FieldElement grids.
 
 
-def const_mul(a, b):
-    """The product a*b of two FieldElement grids, skipping zeros as matrix
-    products do: entry (i, j) sums a[i][k] * b[k][j] over the k where both
-    are nonzero, in ascending k, and is the field's zero if there is none."""
-    if len(a[0]) != len(b):
-        raise DimensionMismatch("constant matrix shapes do not compose")
-    spec = a[0][0].spec
-    a, b = (SkewMatrix.from_const(spec, TAU, grid) for grid in (a, b))
-    return (a * b).coefficient_matrix(0)
-
-
-def const_identity(spec, n):
-    one, zero = spec.one(), spec.zero()
-    return tuple(tuple(one if i == j else zero for j in range(n))
-                 for i in range(n))
-
-
 def const_inverse(a):
     """Inverse of a square FieldElement grid by Gauss-Jordan elimination."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise DimensionMismatch("only square matrices can be inverted")
-    spec = a[0][0].spec
-    work = [list(row) + list(ident_row)
-            for row, ident_row in zip(a, const_identity(spec, n))]
+    ident = SkewMatrix.identity(a[0][0].spec, TAU, n).coefficient_matrix(0)
+    work = [list(row) + list(ident_row) for row, ident_row in zip(a, ident)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if work[r][col]), None)
         if pivot is None:
@@ -531,14 +513,17 @@ def const_is_nilpotent(a):
     The index of a nilpotent n x n matrix is at most n, so a is nilpotent
     iff a^(2^k) = 0 for the least 2^k >= n.  The powers a, a^2, a^4, ...
     are tested in turn: the first zero one proves nilpotence, and a nonzero
-    one whose exponent has reached n disproves it.  So a zero matrix costs
-    n^2 zero tests and no product, and any other at most ceil(log2 n)."""
+    one whose exponent has reached n disproves it.  So a zero grid costs
+    n^2 zero tests and builds no matrix, and any other is squared as one
+    degree-0 SkewMatrix at most ceil(log2 n) times."""
+    if not any(c for row in a for c in row):
+        return True
     n = len(a)
-    power, exponent = a, 1
-    while any(c for row in power for c in row):
+    power, exponent = SkewMatrix.from_const(a[0][0].spec, TAU, a), 1
+    while not power.is_zero():
         if exponent >= n:
             return False
-        power = const_mul(power, power)
+        power = power * power
         exponent *= 2
     return True
 

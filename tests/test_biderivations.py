@@ -33,6 +33,8 @@ from tmodext import (
     carlitz_power,
     check_morphism,
     drinfeld,
+    ext_product,
+    ext_structure,
     inner_matrix,
     make_finite,
     make_formal,
@@ -47,10 +49,13 @@ from tmodext import (
     parse_value,
     reduce_canonical,
     select_regime,
+    six_term,
     tmodule,
     trivial,
+    verify_structure,
 )
 from tmodext.oracle import random_biderivation, random_matrix
+from tmodext.skewpoly import twist_sign
 
 F9 = make_finite(3, 2)
 F4 = make_finite(2, 2)
@@ -630,6 +635,7 @@ def test_subtraction_is_adding_the_negative(kind, mixed):
 
 SRC9 = drinfeld(F9, parse_poly(F9, "g + tau^2"))
 TGT9 = drinfeld(F9, parse_poly(F9, "g + tau"))
+SIG9 = drinfeld(F9, parse_poly(F9, "g + sig", SIGMA))
 FF = parse_field("FTF(3; gens=a,th; inv=a)")
 
 
@@ -732,6 +738,67 @@ _REFUSALS = {
     "drinfeld-of-a-matrix": (
         lambda: drinfeld(F9, parse_matrix(F9, "[[g, 0], [0, g]]")),
         InvalidModule, "a Drinfeld module is one-dimensional"),
+    "biderivation-wrong-shape": (
+        lambda: Biderivation(SRC9, TGT9, parse_matrix(F9, "[[1, 1]]")),
+        MixedPairs, "a biderivation here is a 1x1 matrix, got 1x2"),
+    "morphism-tau-sig": (
+        lambda: morphism_residual(parse_matrix(F9, "[[1]]"), SRC9, SIG9),
+        MixedFields, "morphism data over mixed twisted variables"),
+    "morphism-wrong-shape": (
+        lambda: morphism_residual(parse_matrix(F9, "[[1, 1]]"), SRC9, TGT9),
+        DimensionMismatch, "a morphism from a 1-dimensional module to a "
+                           "1-dimensional one must be a 1x1 matrix, got 1x2"),
+    "product-empty-side": (
+        lambda: ext_product([], [TGT9]),
+        UnsupportedRegime,
+        "the product needs at least one module on each side"),
+    "product-carlitz-factor": (
+        lambda: ext_product([SRC9], [carlitz_power(F9, 2)]),
+        UnsupportedRegime,
+        "the product construction takes dimension-one Drinfeld modules"),
+    "poly-tau-sig": (
+        lambda: parse_poly(F9, "tau") + parse_poly(F9, "sig", SIGMA),
+        MixedFields, "cannot combine a tau-polynomial with a "
+                     "sigma-polynomial"),
+    "poly-negative-degree": (
+        lambda: SkewPoly.term(F9, TAU, 1, -1),
+        ParseError, "negative twisted-polynomial degree"),
+    "matrix-tau-sig": (
+        lambda: parse_matrix(F9, "[[tau]]")
+        + parse_matrix(F9, "[[sig]]", SIGMA),
+        MixedFields, "matrices over different twisted variables"),
+    "matrix-sum-shapes": (
+        lambda: parse_matrix(F9, "[[1]]") + parse_matrix(F9, "[[1, 1]]"),
+        DimensionMismatch, "cannot add a (1, 1) matrix and a (1, 2) matrix"),
+    "matrix-power-not-square": (
+        lambda: parse_matrix(F9, "[[1, 1]]") ** 2,
+        DimensionMismatch, "only square matrices have powers"),
+    "block-row-heights": (
+        lambda: SkewMatrix.block([[SkewMatrix.identity(F9, TAU, 1),
+                                   SkewMatrix.identity(F9, TAU, 2)]]),
+        DimensionMismatch, "block row heights disagree"),
+    "block-column-widths": (
+        lambda: SkewMatrix.block([[SkewMatrix.identity(F9, TAU, 1)],
+                                  [SkewMatrix.identity(F9, TAU, 2)]]),
+        DimensionMismatch, "block column widths disagree"),
+    "symbol-over-a-finite-field": (
+        lambda: F9.symbol("a", 0),
+        ParseError,
+        "indexed symbol a[0] requires a formal-twist coefficient domain"),
+    "symbol-unknown-name": (
+        lambda: FC.symbol("z", 0),
+        ParseError, "unknown symbol 'z'; generators are c, th"),
+    "twist-sign-of-another-variable": (
+        lambda: twist_sign("x"),
+        ValueError, "unknown variable 'x'"),
+    "sixterm-class-of-another-pair": (
+        lambda: six_term(Biderivation.zero(SRC9, TGT9), TGT9).co_ext_middle(
+            Biderivation.zero(SRC9, TGT9)),
+        InvariantViolation, "the class given at this six-term node is not a "
+                            "biderivation between the node's modules"),
+    "verify-unknown-mode": (
+        lambda: verify_structure(ext_structure(SRC9, TGT9), mode="bogus"),
+        ValueError, "unknown verification mode 'bogus'"),
 }
 
 

@@ -1025,15 +1025,19 @@ _USAGE_ERRORS = {  # case -> (argv, stderr)
 }
 
 
-def _in_child(argv, env):
-    """(exit code, stdout, stderr) of main(argv) in a fresh interpreter
-    whose environment is exactly env."""
+def _child_command(argv):
+    """The command line of a fresh interpreter that exits with main(argv)."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     script = (f"import sys\nsys.path.insert(0, {src!r})\n"
               f"from tmodext.cli import main\nsys.exit(main({argv!r}))\n")
-    result = subprocess.run([sys.executable, "-I", "-S", "-c", script],
-                            capture_output=True, text=True, timeout=60,
-                            env=env)
+    return [sys.executable, "-I", "-S", "-c", script]
+
+
+def _in_child(argv, env):
+    """(exit code, stdout, stderr) of main(argv) in a fresh interpreter
+    whose environment is exactly env."""
+    result = subprocess.run(_child_command(argv), capture_output=True,
+                            text=True, timeout=60, env=env)
     return result.returncode, result.stdout, result.stderr
 
 
@@ -1061,6 +1065,23 @@ def test_help_is_the_same_under_every_locale(name):
 def test_usage_errors_are_the_same_under_every_locale(case):
     argv, err = _USAGE_ERRORS[case]
     assert _in_both_locales(argv) == (2, "", err)
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_a_closed_stdout_pipe_exits_one_and_prints_nothing(json_flag):
+    """`tmodext ext ... | head -1`: the reader has gone before the output
+    is flushed.  main returns 1 and no traceback reaches stderr."""
+    argv = ["ext", "--field", Q3, "--phi", "th + tau^3", "--psi",
+            "th + tau^2", *json_flag]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(_child_command(argv), stdout=write_end,
+                                stderr=subprocess.PIPE, text=True,
+                                timeout=60)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (1, "")
 
 
 # ---------------------------------------------------------------------------

@@ -354,7 +354,7 @@ def test_scalar_field_laws_twists_and_round_trip(abc):
 def test_zech_tables_agree_with_polynomial_products(case):
     spec, a, b, i = case
     tables, poly = spec._ops, _PolyOps(spec.p, spec.modulus)
-    for op in ("add", "sub", "mul"):
+    for op in ("add", "mul"):
         assert getattr(tables, op)(a, b) == getattr(poly, op)(a, b)
     assert tables.neg(a) == poly.neg(a)
     assert tables.frob(a, i) == poly.frob(a, i)

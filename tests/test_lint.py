@@ -148,14 +148,17 @@ def test_one_term_printer():
 
 def test_subtraction_is_written_once():
     """a - b is a + (-b) for every value type: only coefficients._Additive
-    defines __sub__ or __rsub__."""
-    defining = [f"{module[:-3]}.{node.name}"
-                for module, tree in _trees().items()
-                for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
-                if any(isinstance(item, ast.FunctionDef)
-                       and item.name in ("__sub__", "__rsub__")
-                       for item in node.body)]
-    assert defining == ["coefficients._Additive"]
+    defines __sub__ or __rsub__, and no class that defines add (a field's
+    ops object) defines sub beside it."""
+    classes = [(f"{module[:-3]}.{node.name}",
+                {item.name for item in node.body
+                 if isinstance(item, ast.FunctionDef)})
+               for module, tree in _trees().items()
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    assert [name for name, methods in classes
+            if methods & {"__sub__", "__rsub__"}] == ["coefficients._Additive"]
+    assert [name for name, methods in classes
+            if {"add", "sub"} <= methods] == []
 
 
 def test_one_inner_map():
