@@ -230,14 +230,22 @@ def duality_transport(source, target):
     opposite order, on the other variable.  For a reversed pair (source rank
     below target rank) the swapped adjoint pair is forward, so this is where
     a reversed pair's t-module structure lives; a forward pair is
-    refused."""
-    plan = reduction_plan(source, target)
-    if all(forward for _, _, _, forward, _ in plan.entries):
-        raise UnsupportedRegime(
-            f"the pair is forward ({plan.regime!r}), so its structure comes "
-            f"from ext_structure directly; duality_transport serves reversed "
-            f"pairs")
-    return ext_structure(target.adjoint(), source.adjoint())
+    refused.  The pair's own plan is consulted only once the adjoint pair
+    has been refused, so a pair with no regime of its own whose adjoint
+    pair has one is still served."""
+    try:
+        return ext_structure(target.adjoint(), source.adjoint())
+    except UnsupportedRegime as refusal:
+        try:
+            plan = reduction_plan(source, target)
+        except UnsupportedRegime:
+            raise refusal from None
+        if all(forward for _, _, _, forward, _ in plan.entries):
+            raise UnsupportedRegime(
+                f"the pair is forward ({plan.regime!r}), so its structure "
+                f"comes from ext_structure directly; duality_transport "
+                f"serves reversed pairs") from None
+        raise
 
 
 def ext_product(sources, targets):

@@ -520,12 +520,12 @@ def const_is_nilpotent(a):
         return True
     n = len(a)
     power, exponent = SkewMatrix.from_const(a[0][0].spec, TAU, a), 1
-    while not power.is_zero():
-        if exponent >= n:
-            return False
+    while exponent < n:
         power = power * power
         exponent *= 2
-    return True
+        if power.is_zero():
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

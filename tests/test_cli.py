@@ -276,6 +276,16 @@ def test_ext_dual_output(capsys):
     assert "th[0] + (b[-6]*b[-4]*b[-2]/(a[-8]*a[-5]))*sig^6" in out
 
 
+def test_ext_dual_of_an_upper_triangular_target(capsys):
+    # no regime on tau; the swapped adjoint pair is forward on sigma
+    code, out, _ = run(capsys, [
+        "ext-dual", "--field", Q3, "--phi", "th + tau",
+        "--psi", "[[th + tau^2, tau], [0, th + tau^2]]"])
+    assert code == 0
+    assert "regime: matrix-source" in out
+    assert " [sig, th + sig^2, 0, 2*sig]," in out
+
+
 # ---------------------------------------------------------------------------
 # Calculator commands.
 

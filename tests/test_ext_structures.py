@@ -102,6 +102,24 @@ def test_duality_transport_rejects_forward_input():
         "pairs")
 
 
+def test_duality_transport_serves_a_pair_with_no_regime_of_its_own():
+    # an upper-triangular target has no regime on tau, but the swapped
+    # adjoint pair has a rank-2 matrix source with leading matrix I over a
+    # rank-1 target, which is forward on sigma
+    source = _drin(Q3, "th + tau")
+    target = tmodule(Q3, parse_matrix(
+        Q3, "[[th + tau^2, tau], [0, th + tau^2]]"))
+    with pytest.raises(UnsupportedRegime, match="lower triangular"):
+        ext_structure(source, target)
+    D = duality_transport(source, target)
+    assert (D.regime, D.var) == ("matrix-source", "sigma")
+    assert str(D.pi) == (
+        "[[th, 0, 0, 0],\n"
+        " [sig, th + sig^2, 0, 2*sig],\n"
+        " [0, 0, th, 0],\n"
+        " [0, 0, sig, th + sig^2]]")
+
+
 # ---------------------------------------------------------------------------
 # Triangular sources.
 
