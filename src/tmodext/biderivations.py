@@ -37,8 +37,11 @@ and linear forms in the canonical coordinates for the t-action on Ext
 works on, and an entry left with a coefficient outside the slots, are
 InvariantViolations (a plan that does not fit the pair ends at once), and
 ``reduce_canonical`` checks by products that the canonical form and witness
-recombine to the input; with the uniqueness of the canonical form, a fault
-in the loops raises instead of returning a wrong representative.
+recombine to the input (with the inner map of ``modules_t``); with the
+uniqueness of the canonical form, a fault in the loops raises instead of
+returning a wrong representative.  A reduction that took no step left an
+empty witness and a grid equal to the input, which is that identity for a
+zero witness, so the input itself is returned.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from .errors import (
     SingularLeading,
     UnsupportedRegime,
 )
-from .modules_t import TModule
+from .modules_t import TModule, _inner_into
 from .skewpoly import (
     SkewMatrix,
     _add_into,
@@ -420,19 +423,22 @@ def _reduce_maps(arith, plan, grid):
     return witness
 
 
-def _recombines(delta, plan, witness, canonical):
-    """Whether delta - (W*Phi - Psi*W) == canonical for the witness W,
-    rebuilt from the stored pairs with one accumulator per entry and
-    compared with the canonical form's stored pairs."""
-    arith, s, w = delta.source.spec._arith, plan.sign, witness._pairs
-    accs = [[dict(e) for e in row] for row in delta.matrix._pairs]
-    _matmul_into(arith, accs, [[[(d, arith.neg(c)) for d, c in e]
-                                for e in row] for row in w], plan.phi, s)
-    _matmul_into(arith, accs, plan.psi, w, s)
+def _holds(arith, accs, pairs):
+    """Whether the grid of accumulators holds, zeros aside, the grid of
+    stored pairs."""
     return all({d: c for d, c in acc.items() if not arith.is_zero(c)}
                == dict(want)
-               for acc_row, want_row in zip(accs, canonical._pairs)
+               for acc_row, want_row in zip(accs, pairs)
                for acc, want in zip(acc_row, want_row))
+
+
+def _recombines(arith, plan, pairs, witness, canonical):
+    """Whether canonical + (W*Phi - Psi*W) == delta for the witness W,
+    summed from the stored pairs with one accumulator per entry and
+    compared with delta's stored pairs."""
+    accs = [[dict(e) for e in row] for row in canonical._pairs]
+    _inner_into(arith, accs, witness._pairs, plan.phi, plan.psi, plan.sign)
+    return _holds(arith, accs, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -448,12 +454,18 @@ def reduce_canonical(delta, regime=None):
     unique in its extension class."""
     source, target = delta.source, delta.target
     plan = reduction_plan(source, target, regime)
-    spec, var = source.spec, source.var
-    grid = [[dict(e) for e in row] for row in delta.matrix._pairs]
-    witness = _reduce_maps(spec._arith, plan, grid)
+    spec, var, arith = source.spec, source.var, source.spec._arith
+    pairs = delta.matrix._pairs
+    grid = [[dict(e) for e in row] for row in pairs]
+    witness = _reduce_maps(arith, plan, grid)
+    if not any(any(row) for row in witness) and _holds(arith, grid, pairs):
+        # no step was taken: with the witness zero, the recombination
+        # identity delta - delta^(0) = canonical is the check just made
+        return ReductionResult(delta, SkewMatrix.zeros(
+            spec, var, target.dim, source.dim), plan.regime)
     canonical = _from_maps(spec, var, grid)
     witness = _from_maps(spec, var, witness)
-    if not _recombines(delta, plan, witness, canonical):
+    if not _recombines(arith, plan, pairs, witness, canonical):
         raise InvariantViolation("reduction self-check failed: the "
                                  "canonical form and witness do not "
                                  "recombine to the input")

@@ -293,7 +293,7 @@ class SixTerm(SlottedValue):
     biderivations, returned in canonical form.
     """
 
-    # __dict__: the cached middle-node structure
+    # __dict__: the cached negated structure maps and middle-node structure
     __slots__ = ("delta", "partner", "middle", "inclusion", "projection",
                  "__dict__")
 
@@ -324,12 +324,12 @@ class SixTerm(SlottedValue):
     def co_ext_middle(self, eta):
         _require_pair(eta, self.partner, self.sub)
         return class_of(Biderivation(self.partner, self.middle,
-                                     (-self.inclusion) * eta.matrix))
+                                     self._minus_inclusion * eta.matrix))
 
     def co_ext_quot(self, xi):
         _require_pair(xi, self.partner, self.middle)
         return class_of(Biderivation(self.partner, self.quotient,
-                                     (-self.projection) * xi.matrix))
+                                     self._minus_projection * xi.matrix))
 
     # -- contravariant: Hom(quotient, G) -> Hom(middle, G) -> Hom(sub, G)
     #                   -> Ext(quotient, G) -> Ext(middle, G) -> Ext(sub, G)
@@ -350,12 +350,20 @@ class SixTerm(SlottedValue):
     def contra_ext_middle(self, eta):
         _require_pair(eta, self.quotient, self.partner)
         return class_of(Biderivation(self.middle, self.partner,
-                                     eta.matrix * (-self.projection)))
+                                     eta.matrix * self._minus_projection))
 
     def contra_ext_sub(self, xi):
         _require_pair(xi, self.middle, self.partner)
         return class_of(Biderivation(self.sub, self.partner,
-                                     xi.matrix * (-self.inclusion)))
+                                     xi.matrix * self._minus_inclusion))
+
+    @cached_property
+    def _minus_inclusion(self):
+        return -self.inclusion
+
+    @cached_property
+    def _minus_projection(self):
+        return -self.projection
 
     # -- structures -----------------------------------------------------------
 

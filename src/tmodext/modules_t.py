@@ -29,10 +29,13 @@ from .skewpoly import (
     TAU,
     SkewMatrix,
     SkewPoly,
+    _from_maps,
+    _matmul_into,
     const_is_nilpotent,
     const_inverse,
     parse_poly,
     parse_value,
+    twist_sign,
 )
 
 
@@ -215,11 +218,27 @@ def trivial(spec, s, var=TAU):
 # Morphisms.
 
 
+def _inner_into(arith, accs, u, phi, psi, s):
+    """Add U*Phi_t - Psi_t*U into the grid of accumulators accs, one per
+    entry; u, phi and psi are grids of stored (degree, payload) pairs and s
+    is the twist sign."""
+    neg = arith.neg
+    _matmul_into(arith, accs, u, phi, s)
+    _matmul_into(arith, accs, psi, [[[(d, neg(c)) for d, c in e]
+                                     for e in row] for row in u], s)
+
+
 def inner_matrix(source, target, u):
     """delta^(U) = U*Phi_t - Psi_t*U, the inner biderivation of U; it is also
     the residual of U as a candidate morphism source -> target, so Hom is
-    its kernel."""
-    return u * source.t_matrix - target.t_matrix * u
+    its kernel.  Refuses U as the two products would."""
+    phi, psi = source.t_matrix, target.t_matrix
+    u._check_product(phi)
+    psi._check_product(u)
+    accs = [[{} for _ in range(u.ncols)] for _ in range(u.nrows)]
+    _inner_into(u.spec._arith, accs, u._pairs, phi._pairs, psi._pairs,
+                twist_sign(u.var))
+    return _from_maps(u.spec, u.var, accs)
 
 
 def morphism_residual(f, source, target):

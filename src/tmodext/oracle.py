@@ -263,46 +263,39 @@ def verify_sixterm(bundle, seed=0, inner_samples=20):
           b.contra_ext_middle, b.contra_ext_sub)),
     )
     checks = []
-    first_ext = []  # per side: the classes of Ext0 and the map out of it
+    first_ext = []  # per side: the graph of the map out of Ext0, the map
 
-    def image(elems, fn):
-        return {fn(e).matrix for e in elems}
-
-    def kernel(elems, fn):
-        return {e.matrix for e in elems if fn(e).is_zero()}
+    def key(x):
+        return x.matrix if isinstance(x, Biderivation) else x
 
     for prefix, nodes, hom_label, pairs, maps in sides:
-        hom_in, hom_out, connect, ext_in, ext_out = maps
         hom = [_node_hom(*pair) for pair in pairs]
         ext = [[class_of(d) for d in enumerate_ext(*pair)] for pair in pairs]
-        first_ext.append((ext[0], ext_in))
-        im1 = {hom_in(f) for f in hom[0]}
-        checks.append(Check(f"{prefix}-hom-injective", len(im1) == len(hom[0]),
+        # each map's (element, value) pairs on its domain node, each value
+        # computed once and read for both its image and its kernel
+        graphs = [[(x, fn(x)) for x in dom]
+                  for fn, dom in zip(maps, hom + ext[:2])]
+        images = [{key(y) for _, y in g} for g in graphs]
+        kernels = [{key(x) for x, y in g if y.is_zero()} for g in graphs[1:]]
+        first_ext.append((graphs[3], maps[3]))
+        checks.append(Check(f"{prefix}-hom-injective",
+                            len(images[0]) == len(hom[0]),
                             f"{hom_label} ({len(hom[0])} elements) embeds"))
-        exact = (
-            (f"hom-{nodes[1]}", im1,
-             {h for h in hom[1] if hom_out(h).is_zero()}),
-            (f"hom-{nodes[2]}", {hom_out(h) for h in hom[1]},
-             {f for f in hom[2] if connect(f).is_zero()}),
-            (f"ext-{nodes[0]}", {connect(f).matrix for f in hom[2]},
-             kernel(ext[0], ext_in)),
-            (f"ext-{nodes[1]}", image(ext[0], ext_in),
-             kernel(ext[1], ext_out)),
-        )
-        for node, im, ker in exact:
+        labels = (f"hom-{nodes[1]}", f"hom-{nodes[2]}", f"ext-{nodes[0]}",
+                  f"ext-{nodes[1]}")
+        for node, im, ker in zip(labels, images, kernels):
             checks.append(Check(f"{prefix}-exact-{node}", im == ker,
                                 f"image {len(im)} vs kernel {len(ker)}"))
-        im5 = image(ext[1], ext_out)
         all5 = {e.matrix for e in ext[2]}
-        checks.append(Check(f"{prefix}-final-surjective", im5 == all5,
-                            f"image {len(im5)} of {len(all5)} classes"))
+        checks.append(Check(f"{prefix}-final-surjective", images[4] == all5,
+                            f"image {len(images[4])} of {len(all5)} classes"))
 
     # well-definedness under inner shifts -------------------------------------
     bad_shift = 0
     for _ in range(inner_samples):
-        for classes, ext_in in first_ext:
-            eta = rng.choice(classes)
-            if ext_in(_shifted(eta, rng, 2)) != ext_in(eta):
+        for graph, ext_in in first_ext:
+            eta, value = rng.choice(graph)
+            if ext_in(_shifted(eta, rng, 2)) != value:
                 bad_shift += 1
     checks.append(Check("ext-maps-well-defined", bad_shift == 0,
                         f"{2 * inner_samples} inner shifts, {bad_shift} "
@@ -354,13 +347,14 @@ def verify_duality(source, target, classes=100, seed=0):
             bad_inner += 1
 
         delta = random_biderivation(source, target, rng)
+        delta_ad = delta.matrix.adjoint()
         t_delta = (target.t_matrix * delta.matrix).adjoint()
-        t_ad = src_ad.t_matrix * delta.matrix.adjoint()
+        t_ad = src_ad.t_matrix * delta_ad
         gap = t_delta - t_ad
-        if gap != swapped_inner(delta.matrix.adjoint()):
+        if gap != swapped_inner(delta_ad):
             bad_action += 1
 
-        if delta.matrix.adjoint().adjoint() != delta.matrix:
+        if delta_ad.adjoint() != delta.matrix:
             bad_double += 1
 
         a = random_matrix(spec, source.var, rng, 2, 2, 2)
@@ -369,7 +363,7 @@ def verify_duality(source, target, classes=100, seed=0):
             bad_antihom += 1
 
         if not same_class(_shifted(delta, rng, 2).matrix.adjoint(),
-                          delta.matrix.adjoint()):
+                          delta_ad):
             bad_classes += 1
 
     checks.append(Check(

@@ -420,12 +420,16 @@ class SkewMatrix(_Additive, SlottedValue):
     def __neg__(self):
         return self.map_entries(lambda e: -e)
 
+    def _check_product(self, other):
+        """Refuse the product self * other unless it is defined."""
+        self._check_compatible(other)
+        if self.ncols != other.nrows:
+            raise DimensionMismatch(
+                f"cannot multiply {self.shape} by {other.shape}")
+
     def __mul__(self, other):
         if isinstance(other, SkewMatrix):
-            self._check_compatible(other)
-            if self.ncols != other.nrows:
-                raise DimensionMismatch(
-                    f"cannot multiply {self.shape} by {other.shape}")
+            self._check_product(other)
             accs = [[{} for _ in range(other.ncols)] for _ in self.entries]
             _matmul_into(self.spec._arith, accs, self._pairs, other._pairs,
                          twist_sign(self.var))

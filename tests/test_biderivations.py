@@ -516,6 +516,49 @@ def test_unreduced_coefficient_raises_invariant_violation(monkeypatch, loop):
         reduce_canonical(scope["delta"])
 
 
+# A reduction that takes no step returns its input: with no witness, the
+# recombination identity delta - delta^(0) = canonical is grid == input.
+_NO_STEP_DELTAS = {
+    "GF(3^2)": "g*tau^5 + tau^4 + 1",
+    "GF(3)(th)": "th*tau^5 + tau^4 + 1",
+    "FTF(3; gens=a,th; inv=a)": "a[0]*tau^5 + th[1]*tau^4 + 1",
+}
+
+
+def _no_step_delta(header):
+    spec = parse_field(header)
+    th = str(spec.theta())
+    src = drinfeld(spec, parse_poly(spec, f"{th} + tau^3"))
+    tgt = drinfeld(spec, parse_poly(spec, f"{th} + tau^2"))
+    return Biderivation(src, tgt, parse_matrix(
+        spec, f"[[{_NO_STEP_DELTAS[header]}]]"))
+
+
+@pytest.mark.parametrize("header", sorted(_NO_STEP_DELTAS))
+def test_canonical_input_comes_back_as_itself(header):
+    reduced = reduce_canonical(_no_step_delta(header))
+    canonical = reduced.canonical
+    assert not canonical.is_zero() and not reduced.witness.is_zero()
+    again = reduce_canonical(canonical)
+    assert again.canonical is canonical
+    assert again.witness == Biderivation.zero(canonical.source,
+                                              canonical.target).matrix
+    assert again.regime == reduced.regime
+
+
+@pytest.mark.parametrize("header", sorted(_NO_STEP_DELTAS))
+def test_no_step_exit_keeps_a_dropped_witness_update(monkeypatch, header):
+    """Steps whose witness update adds nothing leave the witness maps empty,
+    but the grid has moved off the input, so the self-check still runs and
+    raises."""
+    delta = _no_step_delta(header)
+    monkeypatch.setattr(biderivations, "_add_into",
+                        lambda arith, acc, pairs: acc)
+    with pytest.raises(InvariantViolation,
+                       match="^reduction self-check failed"):
+        reduce_canonical(delta)
+
+
 def test_forced_entrywise_tie_ends_at_once():
     """A forced diagonal-pairs plan whose (0, 1) entry ties at degree 2
     cannot lower that entry; the loop raises instead of stepping forever.
@@ -796,6 +839,18 @@ _REFUSALS = {
             Biderivation.zero(SRC9, TGT9)),
         InvariantViolation, "the class given at this six-term node is not a "
                             "biderivation between the node's modules"),
+    "inner-wrong-columns": (
+        lambda: inner_matrix(SRC9, TGT9, parse_matrix(F9, "[[1, 1]]")),
+        DimensionMismatch, "cannot multiply (1, 2) by (1, 1)"),
+    "inner-wrong-rows": (
+        lambda: inner_matrix(SRC9, TGT9, parse_matrix(F9, "[[1], [1]]")),
+        DimensionMismatch, "cannot multiply (1, 1) by (2, 1)"),
+    "inner-over-another-domain": (
+        lambda: inner_matrix(SRC9, TGT9, parse_matrix(_OTHER_F9, "[[1]]")),
+        MixedFields, "matrices over different domains"),
+    "inner-over-sig": (
+        lambda: inner_matrix(SRC9, TGT9, parse_matrix(F9, "[[sig]]", SIGMA)),
+        MixedFields, "matrices over different twisted variables"),
     "verify-unknown-mode": (
         lambda: verify_structure(ext_structure(SRC9, TGT9), mode="bogus"),
         ValueError, "unknown verification mode 'bogus'"),

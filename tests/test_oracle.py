@@ -377,6 +377,39 @@ def test_verify_sixterm_planted_faults(monkeypatch, plant, failed):
     plant(bundle, monkeypatch)
     assert _failed(verify_sixterm(bundle, seed=1, inner_samples=5)) == failed
 
+
+@pytest.mark.parametrize("inner_samples", [0, 10])
+def test_verify_sixterm_evaluates_each_map_once_per_element(monkeypatch,
+                                                            inner_samples):
+    """On oracle-verify's GF(2) bundle each of the ten SixTerm maps runs
+    once per element of its domain node, whose value serves both the image
+    there and the kernel at the node before; the map out of Ext0 runs once
+    more per inner shift, on the shifted class only."""
+    bundle = _criterion_nine_bundle()
+    G, E, X, F = bundle.partner, bundle.quotient, bundle.middle, bundle.sub
+    node_hom = oracle._node_hom
+    domains = {
+        "co_hom_sub": node_hom(G, F), "co_hom_quot": node_hom(G, X),
+        "co_connect": node_hom(G, E), "co_ext_middle": enumerate_ext(G, F),
+        "co_ext_quot": enumerate_ext(G, X),
+        "contra_hom_quot": node_hom(E, G), "contra_hom_sub": node_hom(X, G),
+        "contra_connect": node_hom(F, G),
+        "contra_ext_middle": enumerate_ext(E, G),
+        "contra_ext_sub": enumerate_ext(X, G)}
+    calls = dict.fromkeys(domains, 0)
+    for name in domains:
+        def counted(b, x, name=name, real=getattr(SixTerm, name)):
+            calls[name] += 1
+            return real(b, x)
+        monkeypatch.setattr(SixTerm, name, counted)
+    rep = verify_sixterm(bundle, seed=1, inner_samples=inner_samples)
+    assert rep.ok, [c for c in rep.checks if not c.passed]
+    shifts = dict.fromkeys(("co_ext_middle", "contra_ext_middle"),
+                           inner_samples)
+    assert calls == {name: len(dom) + shifts.get(name, 0)
+                     for name, dom in domains.items()}
+
+
 def test_verify_duality_passes_and_is_deterministic():
     rep1 = verify_duality(_drin(F8, "g + tau^3"), _drin(F8, "g + tau^2"),
                           classes=30, seed=2)

@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import random
 import re
 
 import pytest
@@ -20,6 +21,7 @@ from tmodext import (
     SingularLeading,
     SkewMatrix,
     SkewPoly,
+    inner_matrix,
     make_finite,
     make_formal,
     make_rational,
@@ -446,6 +448,46 @@ def test_kernels_agree_with_the_textbook_formulas(data):
             assert _is_normal(result)
         assert (f + (-f)).coeffs == ()
         assert (f * g + (-f) * g).coeffs == ()
+
+
+# inner_matrix sums U*Phi_t - Psi_t*U in one grid of accumulators; the
+# textbook formula builds both products and subtracts.  Over F_3(th) a sigma
+# product twists Phi_t's theta by a negative power, which has no q-th root,
+# so that pool is left out.
+def _textbook_inner(source, target, u):
+    return u * source.t_matrix - target.t_matrix * u
+
+
+@pytest.mark.parametrize("spec, var", [
+    pytest.param(spec, var, id=f"{spec.header()}-{var}")
+    for spec, var in _KERNEL_POOLS if (spec, var) != (Q3, SIGMA)])
+def test_inner_matrix_is_the_textbook_formula(spec, var):
+    rng = random.Random(29)
+    pool = _KERNEL_POOLS[spec, var]
+    theta, one = spec.theta(), spec.one()
+
+    def poly(*pairs):
+        return SkewPoly.from_pairs(spec, var, pairs)
+
+    def module(rows):
+        return tmodule(spec, SkewMatrix.from_rows(spec, var, rows))
+
+    def random_u(nrows, ncols):
+        return SkewMatrix.from_rows(spec, var, [[poly(*[
+            (rng.randrange(4), rng.choice(pool))
+            for _ in range(rng.randrange(5))]) for _ in range(ncols)]
+            for _ in range(nrows)])
+
+    rank3 = module([[poly((0, theta), (1, rng.choice(pool)), (3, one))]])
+    rank2 = module([[poly((0, theta), (2, one))]])
+    two_dim = module([[poly((0, theta), (2, rng.choice(pool))), poly()],
+                      [poly((0, one)), poly((0, theta), (3, one))]])
+    for source, target in ((rank3, rank2), (two_dim, rank2),
+                           (rank2, two_dim)):
+        for _ in range(6):
+            u = random_u(target.dim, source.dim)
+            assert inner_matrix(source, target, u) == \
+                _textbook_inner(source, target, u)
 
 
 def _elements_built(run):
