@@ -152,11 +152,21 @@ class ExtStructure(SlottedValue):
     # -- coordinates ----------------------------------------------------------
 
     def coords_of(self, delta):
-        """Coordinates of the class of a biderivation."""
-        reduced = reduce_canonical(delta, self.regime)
-        mat = reduced.canonical.matrix
-        return tuple(mat.entry(r, c).coefficient(k)
-                     for (r, c, k) in self.basis)
+        """Coordinates of the class of a biderivation.  A coefficient of the
+        canonical form at no basis slot raises InvariantViolation: the
+        coordinates would not determine the class."""
+        pairs = reduce_canonical(delta, self.regime).canonical.matrix._pairs
+        index = {slot: a for a, slot in enumerate(self.basis)}
+        coords = [self.spec.zero()] * self.rank
+        for r, row in enumerate(pairs):
+            for c, entry in enumerate(row):
+                for k, x in entry:
+                    if (r, c, k) not in index:
+                        raise InvariantViolation(
+                            f"the canonical form has a coefficient outside "
+                            f"the basis at {(r, c, k)}")
+                    coords[index[r, c, k]] = self.spec._fe(x)
+        return tuple(coords)
 
     def from_coords(self, coords):
         return Biderivation(self.source, self.target, SkewMatrix.from_slots(
@@ -184,12 +194,16 @@ def ext_structure(source, target, regime=None):
     """Compute the t-module structure on Ext(source, target); the pair's
     plan must be forward at every entry."""
     plan = reduction_plan(source, target, regime)
-    if not all(forward for _, _, _, forward, _ in plan.entries):
-        raise UnsupportedRegime(
-            f"the t-module structure is only computed for forward regimes, "
-            f"not {plan.regime!r}; reversed pairs still have canonical forms "
-            f"and a split test, and their structure is available on the "
-            f"adjoint side")
+    forward = [f for _, _, _, f, _ in plan.entries]
+    if not all(forward):
+        why = ("this plan mixes forward and reversed entries, as does its "
+               "adjoint pair's, so neither side has a structure; its classes "
+               "still have canonical forms and a split test" if any(forward)
+               else "reversed pairs still have canonical forms and a split "
+               "test, and their structure is available on the adjoint side")
+        raise UnsupportedRegime(f"the t-module structure is only computed "
+                                f"for forward regimes, not {plan.regime!r}; "
+                                f"{why}")
     spec, var = source.spec, source.var
     basis = canonical_slots(source, target, regime)
     if len(basis) ** 2 > MAX_PI_ENTRIES:

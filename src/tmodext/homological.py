@@ -16,7 +16,6 @@ from .biderivations import (
     _memoized,
     assemble,
     reduce_canonical,
-    reduction_plan,
 )
 from .coefficients import SlottedValue, _count
 from .errors import (
@@ -188,15 +187,13 @@ def is_split(delta, bound=None):
     """
     source, target = delta.source, delta.target
     try:
-        reduction_plan(source, target)
+        reduced = reduce_canonical(delta)
     except UnsupportedRegime:
         pass  # no regime: search for a witness below
+    except NotAQthPower as exc:
+        return NotSplit(None, f"a forced witness coefficient has no "
+                              f"q-th root: {exc}")
     else:
-        try:
-            reduced = reduce_canonical(delta)
-        except NotAQthPower as exc:
-            return NotSplit(None, f"a forced witness coefficient has no "
-                                  f"q-th root: {exc}")
         if reduced.canonical.is_zero():
             return SplitWitness(reduced.witness)
         return NotSplit(reduced.canonical, "nonzero canonical form")

@@ -5,8 +5,9 @@ plain reducer and direct twisted-polynomial arithmetic: structure matrices
 are validated against freshly reduced samples, quotient sequences and
 six-term sequences by enumerating every element, and adjoint transport by
 exact operator identities on random inputs.  Classes are compared through
-homological.class_of or ExtStructure.coords_of, and _shifted alone makes
-another representative of a class.
+homological.class_of or ExtStructure.coords_of, six-term Ext nodes as
+enumerate_ext lists them, and _shifted alone makes another representative
+of a class.
 """
 
 from __future__ import annotations
@@ -269,26 +270,26 @@ def verify_sixterm(bundle, seed=0, inner_samples=20):
         return x.matrix if isinstance(x, Biderivation) else x
 
     for prefix, nodes, hom_label, pairs, maps in sides:
-        hom = [_node_hom(*pair) for pair in pairs]
-        ext = [[class_of(d) for d in enumerate_ext(*pair)] for pair in pairs]
+        # the six nodes: the Hom spans, then the Ext nodes as enumerated
+        six = ([_node_hom(*pair) for pair in pairs]
+               + [enumerate_ext(*pair) for pair in pairs])
         # each map's (element, value) pairs on its domain node, each value
         # computed once and read for both its image and its kernel
-        graphs = [[(x, fn(x)) for x in dom]
-                  for fn, dom in zip(maps, hom + ext[:2])]
+        graphs = [[(x, fn(x)) for x in dom] for fn, dom in zip(maps, six)]
         images = [{key(y) for _, y in g} for g in graphs]
         kernels = [{key(x) for x, y in g if y.is_zero()} for g in graphs[1:]]
         first_ext.append((graphs[3], maps[3]))
         checks.append(Check(f"{prefix}-hom-injective",
-                            len(images[0]) == len(hom[0]),
-                            f"{hom_label} ({len(hom[0])} elements) embeds"))
+                            len(images[0]) == len(six[0]),
+                            f"{hom_label} ({len(six[0])} elements) embeds"))
         labels = (f"hom-{nodes[1]}", f"hom-{nodes[2]}", f"ext-{nodes[0]}",
                   f"ext-{nodes[1]}")
         for node, im, ker in zip(labels, images, kernels):
             checks.append(Check(f"{prefix}-exact-{node}", im == ker,
                                 f"image {len(im)} vs kernel {len(ker)}"))
-        all5 = {e.matrix for e in ext[2]}
-        checks.append(Check(f"{prefix}-final-surjective", images[4] == all5,
-                            f"image {len(images[4])} of {len(all5)} classes"))
+        last = {key(e) for e in six[5]}
+        checks.append(Check(f"{prefix}-final-surjective", images[4] == last,
+                            f"image {len(images[4])} of {len(last)} classes"))
 
     # well-definedness under inner shifts -------------------------------------
     bad_shift = 0

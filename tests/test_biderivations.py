@@ -55,7 +55,7 @@ from tmodext import (
     verify_structure,
 )
 from tmodext.oracle import random_biderivation, random_matrix
-from tmodext.skewpoly import twist_sign
+from tmodext.skewpoly import const_inverse, twist_sign
 
 F9 = make_finite(3, 2)
 F4 = make_finite(2, 2)
@@ -816,6 +816,10 @@ _REFUSALS = {
     "matrix-power-not-square": (
         lambda: parse_matrix(F9, "[[1, 1]]") ** 2,
         DimensionMismatch, "only square matrices have powers"),
+    "const-inverse-not-square": (
+        lambda: const_inverse(
+            parse_matrix(F9, "[[1, 1]]").coefficient_matrix(0)),
+        DimensionMismatch, "only square matrices can be inverted"),
     "block-row-heights": (
         lambda: SkewMatrix.block([[SkewMatrix.identity(F9, TAU, 1),
                                    SkewMatrix.identity(F9, TAU, 2)]]),

@@ -362,6 +362,15 @@ def test_zech_tables_agree_with_polynomial_products(case):
         assert tables.inv(a) == poly.inv(a)
 
 
+@pytest.mark.parametrize("spec, text", [
+    (F9, "g + 1"), (Q3, "th^2 + 1"), (FT, "a[0]*a[1]")])
+def test_negative_powers_are_powers_of_the_inverse(spec, text):
+    x = parse_element(spec, text)
+    for n in (1, 2, 5):
+        assert x ** -n == x.inverse() ** n
+    assert x ** -2 * x ** 2 == spec.one()
+
+
 def test_scalar_zero_has_no_inverse():
     for spec in SCALAR_FIELDS:
         with pytest.raises(DivisionByZero):

@@ -491,10 +491,26 @@ def test_all_forward_diagonal_pair_has_the_product_structure(case):
 
 
 def test_diagonal_pair_with_a_reversed_entry_is_refused():
+    """A plan with forward and reversed entries: its adjoint pair's plan
+    mixes them too, so neither ext_structure nor duality_transport points
+    to the other side."""
+    source = _diagonal(Q3, ["th + tau^3", "th + tau^2"])
+    target = _diagonal(Q3, ["th + tau", "th + tau^4"])
+    for build in (ext_structure, duality_transport):
+        with pytest.raises(UnsupportedRegime) as err:
+            build(source, target)
+        assert str(err.value) == (
+            "the t-module structure is only computed for forward regimes, "
+            "not 'diagonal-pairs'; this plan mixes forward and reversed "
+            "entries, as does its adjoint pair's, so neither side has a "
+            "structure; its classes still have canonical forms and a split "
+            "test")
+
+
+def test_reversed_pair_is_refused_with_advice_for_the_adjoint_side():
     with pytest.raises(UnsupportedRegime) as err:
-        ext_structure(_diagonal(Q3, ["th + tau^3", "th + tau^2"]),
-                      _diagonal(Q3, ["th + tau", "th + tau^4"]))
+        ext_structure(_drin(Q3, "th + tau"), _drin(Q3, "th + tau^2"))
     assert str(err.value) == (
         "the t-module structure is only computed for forward regimes, not "
-        "'diagonal-pairs'; reversed pairs still have canonical forms and a "
-        "split test, and their structure is available on the adjoint side")
+        "'drinfeld-reversed'; reversed pairs still have canonical forms and "
+        "a split test, and their structure is available on the adjoint side")

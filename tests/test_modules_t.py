@@ -47,6 +47,13 @@ def test_drinfeld_requires_theta_constant_term():
         drinfeld(Q3, parse_poly(Q3, "th"))  # no positive-degree term
 
 
+def test_drinfeld_takes_a_one_by_one_matrix_as_its_polynomial():
+    assert drinfeld(Q3, parse_matrix(Q3, "[[th + tau^2]]")).t_matrix == \
+        drinfeld(Q3, parse_poly(Q3, "th + tau^2")).t_matrix
+    with pytest.raises(InvalidModule):
+        drinfeld(Q3, parse_matrix(Q3, "[[1 + tau^2]]"))
+
+
 def test_tmodule_requires_nilpotent_offset():
     tmodule(Q3, parse_matrix(Q3, "[[th, 1], [0, th]]"))
     with pytest.raises(NotNilpotent):

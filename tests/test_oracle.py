@@ -11,6 +11,7 @@ from tmodext import (
     CarrierTooLarge,
     Check,
     FiniteFieldRequired,
+    InvariantViolation,
     Report,
     SkewMatrix,
     SixTerm,
@@ -32,7 +33,7 @@ from tmodext import (
     verify_sixterm,
     verify_structure,
 )
-from tmodext import oracle
+from tmodext import homological, oracle
 from tmodext.ext_structures import ExtStructure, GaSequence
 from tmodext.homological import hom_space
 from tmodext.oracle import coordinate_vectors
@@ -129,6 +130,22 @@ def test_verify_structure_planted_faults(monkeypatch, plant, failed):
     S = _structure(F9, "g + tau^3", "g + tau^2")
     rep = verify_structure(plant(S, monkeypatch), samples=50, seed=7)
     assert _failed(rep) == failed
+
+
+@pytest.mark.parametrize("mode", ["sample", "enumerate"])
+def test_verify_structure_refuses_a_basis_missing_a_slot(mode):
+    """The structure with slot (0, 0, 2) and its row and column of Pi_t
+    removed has the wrong rank; coords_of cannot read a canonical form with
+    a coefficient there, so verification raises instead of passing."""
+    S = _structure(F9, "g + tau^3", "g + tau^2")
+    keep = tuple(a for a, slot in enumerate(S.basis) if slot != (0, 0, 2))
+    fewer = dataclasses.replace(S, basis=tuple(S.basis[a] for a in keep),
+                                pi=S.pi.submatrix(keep, keep))
+    with pytest.raises(InvariantViolation) as err:
+        verify_structure(fewer, samples=50, seed=7, mode=mode)
+    assert str(err.value) == ("the canonical form has a coefficient outside "
+                              "the basis at (0, 0, 2)")
+
 
 def test_structure_verification_needs_finite_field():
     S = _structure(Q3, "th + tau^3", "th + tau^2")
@@ -343,6 +360,16 @@ def _two_element_node(side, **maps):
     return plant
 
 
+def _slots(edit):
+    """A plant making enumerate_ext build each Ext node on the slots that
+    edit makes of the true ones."""
+    def plant(bundle, monkeypatch):
+        slots = oracle.canonical_slots
+        monkeypatch.setattr(oracle, "canonical_slots",
+                            lambda s, t: edit(slots(s, t)))
+    return plant
+
+
 @pytest.mark.parametrize("plant, failed", [
     pytest.param(_two_element_node(
         "co", co_hom_sub=lambda b, f: 0 * b.inclusion),
@@ -371,6 +398,14 @@ def _two_element_node(side, **maps):
     pytest.param(_maps(contra_ext_middle=lambda b, eta: Biderivation(
         b.middle, b.partner, eta.matrix * (-b.projection))),
         ["ext-maps-well-defined"], id="contra-ext-middle-unreduced"),
+    pytest.param(_slots(lambda slots: slots + (
+        slots[-1][:2] + (slots[-1][2] + 1,),)),
+        ["co-exact-ext-sub", "co-exact-ext-middle", "co-final-surjective",
+         "contra-exact-ext-quot", "contra-exact-ext-middle",
+         "contra-final-surjective"], id="extra-slot"),
+    pytest.param(_slots(lambda slots: slots[:-1]),
+                 ["co-final-surjective", "contra-final-surjective"],
+                 id="missing-slot"),
 ])
 def test_verify_sixterm_planted_faults(monkeypatch, plant, failed):
     bundle = _criterion_nine_bundle()
@@ -408,6 +443,25 @@ def test_verify_sixterm_evaluates_each_map_once_per_element(monkeypatch,
                            inner_samples)
     assert calls == {name: len(dom) + shifts.get(name, 0)
                      for name, dom in domains.items()}
+
+
+def test_verify_sixterm_reduces_only_the_values_of_ext_maps(monkeypatch):
+    """On oracle-verify's GF(2) bundle with 4 inner shifts per side, the
+    oracle reduces 86 times: once per evaluation of a map into an Ext node
+    (78) and once per shifted class (8).  The enumerated Ext nodes are
+    compared as they are, not reduced again."""
+    calls = 0
+    reduce_canonical = homological.reduce_canonical
+
+    def counted(delta, regime=None):
+        nonlocal calls
+        calls += 1
+        return reduce_canonical(delta, regime)
+
+    monkeypatch.setattr(homological, "reduce_canonical", counted)
+    assert verify_sixterm(_criterion_nine_bundle(), seed=1,
+                          inner_samples=4).ok
+    assert calls == 86
 
 
 def test_verify_duality_passes_and_is_deterministic():

@@ -93,6 +93,7 @@ def test_degrees_and_leading():
     assert f.coefficient(0) == Q3.theta()
     assert f.coefficient(1) == Q3.zero()
     assert SkewPoly.zero(Q3, TAU).degree == -1
+    assert SkewPoly.zero(Q3, TAU).leading() is None
 
 
 # ---------------------------------------------------------------------------
