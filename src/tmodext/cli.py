@@ -19,7 +19,6 @@ Help takes shutil's terminal width without importing shutil, whose import
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import types
@@ -86,13 +85,15 @@ def _slot_text(slot):
 def _emit(args, text, payload):
     """Print the text, or the JSON payload under --json; with --out, write
     it to that file instead.  Returns exit code 0."""
-    out = json.dumps(payload, indent=2) if args.json else text
+    if args.json:
+        import json  # it imports re and enum, so only --json loads them
+        text = json.dumps(payload, indent=2)
     if args.out is None:
-        print(out)
+        print(text)
         return 0
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out + "\n")
+            fh.write(text + "\n")
     except OSError as exc:
         raise UsageError(
             f"cannot write {args.out}: {exc.strerror or exc}") from None

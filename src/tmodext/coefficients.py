@@ -48,10 +48,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import operator
-import re
 from functools import lru_cache
 from math import isqrt
 
+from ._scan import MAX_LITERAL_DIGITS, _check_literals, _scan
 from .errors import (
     CarrierTooLarge,
     DimensionMismatch,
@@ -231,7 +231,7 @@ class _ExtOps(_PrimeOps):
         return _encode([-x % p for x in _digits(a, p, self.m)], p)
 
     def render(self, a):
-        return _render_g(_digits(a, self.p, self.m))
+        return str(a) if a < self.p else _render_g(a, self.p, self.m)
 
 
 class _PolyOps(_ExtOps):
@@ -427,9 +427,6 @@ MAX_POLY_TERMS = 2 ** 16
 # can still be printed and parsed back.
 MAX_TH_EXPONENT_DIGITS = 4300
 _TH_EXPONENT_CAP = 10 ** MAX_TH_EXPONENT_DIGITS
-# The most digits an integer literal in parsed text may have: the most
-# Python converts from str to int by default.
-MAX_LITERAL_DIGITS = 4300
 _LITERAL_CAP = 10 ** MAX_LITERAL_DIGITS
 
 
@@ -447,14 +444,6 @@ def _count(n):
     """n, a count for a message: itself, or its order of magnitude when it
     has more digits than MAX_LITERAL_DIGITS, which Python does not print."""
     return n if n < _LITERAL_CAP else f"more than 10^{MAX_LITERAL_DIGITS}"
-
-
-def _check_literals(text):
-    """Refuse text holding a run of more digits than MAX_LITERAL_DIGITS,
-    before any of it is converted."""
-    if any(len(run) > MAX_LITERAL_DIGITS for run in re.findall(r"\d+", text)):
-        raise ParseError(f"an integer literal has more than "
-                         f"MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS} digits")
 
 
 def _rp_collect(terms, ops):
@@ -860,7 +849,6 @@ class _Additive:
 
 # The spec of each distinct set of fields built so far (FieldSpec.__new__).
 _SPECS = {}
-_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 _RESERVED_NAMES = frozenset({"tau", "sig", "sigma", "t", "g"})
 
 
@@ -992,7 +980,8 @@ class FieldSpec(SlottedValue):
     def header(self):
         base = ("FTF(" if self.kind == "formal" else "GF(") + str(self.p)
         if self.m > 1:
-            base += f"^{self.m}; mod={_render_g(self.modulus, '+')}"
+            mod = _encode(self.modulus, self.p)
+            base += f"^{self.m}; mod={_render_g(mod, self.p, self.m + 1, '+')}"
         if self.kind == "formal":
             base += f"; gens={','.join(self.generators)}"
             if self.invertibles:
@@ -1138,10 +1127,14 @@ def _render_terms(terms, grouped, sep=" + "):
     return sep.join(parts) or "0"
 
 
-def _render_g(digits, sep=" + "):
-    """The polynomial in g with the given coefficients."""
-    return _render_terms([(str(c), _power_text("g", j))
-                          for j, c in enumerate(digits) if c], (), sep)
+def _render_g(code, p, n, sep=" + "):
+    """The polynomial in g with the n base-p digits of code."""
+    terms = []
+    for j in range(n):
+        code, c = divmod(code, p)
+        if c:
+            terms.append((str(c), f"g^{j}" if j > 1 else "g" * j))
+    return _render_terms(terms, (), sep)
 
 
 def _fraction(num, den):
@@ -1188,7 +1181,9 @@ def _formal(p, m, generators, invertibles, modulus):
     if "th" not in gens:
         gens.append("th")
     for name in gens:
-        if not _NAME_RE.match(name) or name in _RESERVED_NAMES:
+        n = name.removesuffix("\n")  # as a $ ends a regular expression
+        if (name in _RESERVED_NAMES or not (n[:1].islower() and n.islower())
+                or [*_scan(n)] != [("name", n, 0)]):
             raise ParseError(f"invalid generator name {name!r}")
     if len(set(gens)) != len(gens):
         raise ParseError("duplicate generator names")
@@ -1226,37 +1221,27 @@ def _resolve_modulus(p, m, modulus):
     return modulus
 
 
-_FIELD_RE = re.compile(
-    r"^\s*(GF|FTF)\s*\(\s*([0-9]+)\s*(?:\^\s*([0-9]+))?\s*((?:;[^;()]*)*)\)"
-    r"\s*(\(\s*th\s*\))?\s*$")
-
-_TERM_RE = re.compile(r"^(?:(\d+)\*)?g(?:\^(\d+))?$|^(\d+)$")
-
-
 def _parse_g_poly(text, p):
     s = text.replace(" ", "")
     if not s:
         raise ParseError("empty polynomial")
-    tokens = re.findall(r"[+-]?[^+-]+", s)
-    if "".join(tokens) != s:
+    terms = s.replace("-", "+-").split("+")  # terms[0] is "" after a sign
+    if "" in terms[1:] or "-" in terms:
         raise ParseError(f"malformed polynomial {text!r}")
     coeffs = {}
-    for tok in tokens:
-        sign = 1
-        if tok[0] == "+":
-            tok = tok[1:]
-        elif tok[0] == "-":
-            sign = -1
-            tok = tok[1:]
-        m_ = _TERM_RE.match(tok)
-        if not m_:
+    for tok in filter(None, terms):
+        sign = -1 if tok[0] == "-" else 1
+        tok = tok.removeprefix("-")
+        # c*g^e (c* and ^e optional) or c, which is c*g^0, before the one
+        # final newline that a regular expression's $ allows
+        c, g, e = tok.removesuffix("\n").partition("g")
+        if not g:
+            c, e = c + "*", "^0"
+        if (c and not (c[-1] == "*" and c[:-1].isdecimal())
+                or e and not (e[0] == "^" and e[1:].isdecimal())):
             raise ParseError(f"bad term {tok!r} in polynomial {text!r}")
-        if m_.group(3) is not None:
-            deg, c = 0, int(m_.group(3))
-        else:
-            c = int(m_.group(1)) if m_.group(1) else 1
-            deg = int(m_.group(2)) if m_.group(2) else 1
-        coeffs[deg] = (coeffs.get(deg, 0) + sign * c) % p
+        deg = int(e[1:] or 1)
+        coeffs[deg] = (coeffs.get(deg, 0) + sign * int(c[:-1] or 1)) % p
     top = max(coeffs)
     return _poly_trim(tuple(coeffs.get(i, 0) for i in range(top + 1)))
 
@@ -1265,29 +1250,25 @@ def parse_field(text):
     """Parse a coefficient-domain header such as GF(3), GF(3^2; mod=g^2+1),
     GF(3)(th), or FTF(3; gens=a,b,th; inv=a)."""
     _check_literals(text)
-    m_ = _FIELD_RE.match(text)
-    if not m_:
+    head, close, tail = text.partition(")")
+    head, _, opts_s = head.partition(";")
+    words = [tok[1] for tok in _scan(head)]  # the class, "(", p and ^m
+    shape = [0 if w.isascii() and w.isdecimal() else w for w in words]
+    th_suffix = [tok[1] for tok in _scan(tail)]
+    if (not close or "(" in opts_s or shape[:1] not in (["GF"], ["FTF"])
+            or shape[1:] not in (["(", 0], ["(", 0, "^", 0])
+            or th_suffix not in ([], ["(", "th", ")"])):
         raise ParseError(f"malformed field header {text!r}")
-    klass, p_s, m_s, opts_s, th_suffix = m_.groups()
-    p = int(p_s)
-    m = int(m_s) if m_s else 1
+    klass, p, m = words[0], int(words[2]), int(words[-1]) if words[3:] else 1
     opts = {}
-    for chunk in opts_s.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if "=" not in chunk:
+    for chunk in filter(None, map(str.strip, opts_s.split(";"))):
+        key, eq, value = map(str.strip, chunk.partition("="))
+        if not eq:
             raise ParseError(f"malformed option {chunk!r} in field header")
-        key, _, value = chunk.partition("=")
-        key, value = key.strip(), value.strip()
         if key in opts:
             raise ParseError(f"duplicate option {key!r} in field header")
         opts[key] = value
     _check_pm(p, m)
-
-    def take(key):
-        return opts.pop(key, None)
-
     if "mod" in opts and m == 1:
         raise ParseError("a mod= option requires an extension degree, e.g. "
                          "GF(p^m; mod=...)")
@@ -1295,9 +1276,7 @@ def parse_field(text):
     if klass == "FTF":
         if th_suffix:
             raise ParseError("FTF headers do not take a (th) suffix")
-        mod = take("mod")
-        gens = take("gens")
-        inv = take("inv")
+        mod, gens, inv = (opts.pop(k, None) for k in ("mod", "gens", "inv"))
         if opts:
             raise ParseError(f"unknown field options {sorted(opts)}")
         modulus = _parse_g_poly(mod, p) if mod is not None else None
@@ -1305,9 +1284,9 @@ def parse_field(text):
         inv_names = tuple(s.strip() for s in inv.split(",")) if inv else ()
         return _formal(p, m, gen_names, inv_names, modulus)
 
-    mod = take("mod")
+    mod = opts.pop("mod", None)
     modulus = _parse_g_poly(mod, p) if mod is not None else None
-    theta = None if th_suffix else take("theta")
+    theta = None if th_suffix else opts.pop("theta", None)
     if opts:
         raise ParseError(f"unknown field options {sorted(opts)}")
     modulus = _resolve_modulus(p, m, modulus)

@@ -10,10 +10,11 @@ trivial module on which t acts by scalars.
 
 from __future__ import annotations
 
-import re
 from functools import cached_property
+from itertools import islice
 
-from .coefficients import SlottedValue, _check_literals
+from ._scan import _check_literals, _scan
+from .coefficients import SlottedValue
 from .errors import (
     CarrierTooLarge,
     DimensionMismatch,
@@ -267,10 +268,6 @@ def check_morphism(f, source, target):
 # Parsing.
 
 
-_KEY_RE = re.compile(r"^\s*(drinfeld|tmodule|carlitz)\b(.*)$", re.S)
-_OPT_RE = re.compile(r"^\s*([a-z]+)\s*=\s*([0-9]+)\b(.*)$", re.S)
-
-
 def parse_module(spec, text, var=TAU):
     """Parse a module description.
 
@@ -278,32 +275,30 @@ def parse_module(spec, text, var=TAU):
     ``tmodule [dim=N] EXPR``; ``carlitz [e=N]``.
     """
     _check_literals(text)
-    m = _KEY_RE.match(text)
-    if not m:
+    (_, word, at), *opt = [*islice(_scan(text), 4)] or [("end", "", 0)]
+    rest = text[at + len(word):]
+    # a keyword is a word: no letter or digit follows it
+    if word not in ("drinfeld", "tmodule", "carlitz") or rest[:1].isalnum():
         return tmodule(spec, parse_value(spec, text, var))
-    keyword, rest = m.groups()
-    if keyword == "carlitz":
-        e = 1
-        opt = _OPT_RE.match(rest)
-        if opt:
-            key, num, rest = opt.groups()
-            if key != "e":
-                raise ParseError(f"unknown carlitz option {key!r}")
-            e = int(num)
+    if word == "drinfeld":
+        return drinfeld(spec, parse_poly(spec, rest, var))
+    # an option key = N: letters a-z, digits 0-9, then no word character
+    key = num = None
+    if [v if k == "op" else k for k, v, _ in opt] == ["name", "=", "int"]:
+        (_, name, _), _, (_, digits, at) = opt
+        end = at + len(digits)
+        if (name.isalpha() and name.islower() and digits.isascii()
+                and not text[end:end + 1].replace("_", "a").isalnum()):
+            key, num, rest = name, int(digits), text[end:]
+    if word == "carlitz":
+        if key not in (None, "e"):
+            raise ParseError(f"unknown carlitz option {key!r}")
         if rest.strip():
             raise ParseError(f"unexpected text after carlitz: {rest.strip()!r}")
-        return carlitz_power(spec, e, var)
-    if keyword == "drinfeld":
-        return drinfeld(spec, parse_poly(spec, rest, var))
-    dim = None
-    opt = _OPT_RE.match(rest)
-    if opt:
-        key, num, rest = opt.groups()
-        if key != "dim":
-            raise ParseError(f"unknown tmodule option {key!r}")
-        dim = int(num)
-    value = parse_value(spec, rest, var)
-    mod = tmodule(spec, value)
-    if dim is not None and mod.dim != dim:
-        raise ParseError(f"module is {mod.dim}-dimensional, expected {dim}")
+        return carlitz_power(spec, 1 if num is None else num, var)
+    if key not in (None, "dim"):
+        raise ParseError(f"unknown tmodule option {key!r}")
+    mod = tmodule(spec, parse_value(spec, rest, var))
+    if num is not None and mod.dim != num:
+        raise ParseError(f"module is {mod.dim}-dimensional, expected {num}")
     return mod

@@ -9,13 +9,11 @@ the two variables and is an anti-automorphism.
 
 from __future__ import annotations
 
-import re
-
+from ._scan import _check_literals, _scan
 from .coefficients import (
     FieldElement,
     SlottedValue,
     _Additive,
-    _check_literals,
     _count,
     _printable,
     _new,
@@ -540,13 +538,6 @@ def const_is_nilpotent(a):
 # names are in scope.
 
 
-# One token after optional whitespace; "bad" is the first character that
-# starts none.  Every position but trailing whitespace starts a match, so
-# finditer's matches run back to back.
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>\^|[+\-*/(),;\[\]=]))|\s*(?P<bad>\S)")
-
 _LBP = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
 _UNARY_BP = 25
 # Each nesting level (parentheses, a unary minus, an operand, a matrix entry)
@@ -560,14 +551,11 @@ MAX_APOLY_DEGREE = 2 ** 10
 
 def _tokenize(text):
     _check_literals(text)
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
+    tokens = [*_scan(text), ("end", "", len(text))]
+    for kind, char, _ in tokens:
         if kind == "bad":
-            raise ParseError(f"unexpected character {m.group(kind)!r} in "
+            raise ParseError(f"unexpected character {char!r} in "
                              f"{text.strip()!r}")
-        tokens.append((kind, m.group(kind), m.start(kind)))
-    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -592,10 +580,9 @@ class _Parser:
         return tok
 
     def expect(self, value):
-        kind, val, at = self.next()
-        if kind != "op" or val != value:
-            raise ParseError(f"expected {value!r} at position {at} in "
-                             f"{self.text.strip()!r}")
+        tok = self.next()
+        if tok[:2] != ("op", value):
+            self.fail(tok, f"expected {value!r}")
 
     def fail(self, tok, why):
         raise ParseError(f"{why} at position {tok[2]} in "
@@ -616,17 +603,12 @@ class _Parser:
             raise ParseError(f"expression nests deeper than {MAX_NESTING} "
                              f"levels at position {self.peek()[2]} "
                              f"(MAX_NESTING = {MAX_NESTING})")
-        tok = self.next()
-        value = self.nud(tok)
-        while True:
-            tok = self.peek()
-            if tok[0] != "op":
-                break
-            lbp = _LBP.get(tok[1], 0)
-            if lbp <= rbp:
-                break
+        value = self.nud(self.next())
+        tok = self.peek()
+        while tok[0] == "op" and _LBP.get(tok[1], 0) > rbp:
             self.next()
             value = self.led(tok, value)
+            tok = self.peek()
         self.depth -= 1
         return value
 
@@ -738,11 +720,16 @@ def parse_value(spec, text, var=TAU):
     return _Parser(spec, var, _VAR_NAMES[var], text).parse()
 
 
-def parse_poly(spec, text, var=TAU):
-    value = parse_value(spec, text, var)
+def _scalar(spec, text, var, names, what):
+    """Parse text with names in scope, refusing a matrix as not `what`."""
+    value = _Parser(spec, var, names, text).parse()
     if isinstance(value, SkewMatrix):
-        raise ParseError(f"expected a scalar, got a matrix: {text.strip()!r}")
+        raise ParseError(f"expected {what}, got a matrix: {text.strip()!r}")
     return value
+
+
+def parse_poly(spec, text, var=TAU):
+    return _scalar(spec, text, var, _VAR_NAMES[var], "a scalar")
 
 
 def parse_matrix(spec, text, var=TAU):
@@ -754,10 +741,7 @@ def parse_matrix(spec, text, var=TAU):
 
 def parse_element(spec, text):
     """Parse a variable-free coefficient expression."""
-    value = _Parser(spec, TAU, frozenset(), text).parse()
-    if isinstance(value, SkewMatrix):
-        raise ParseError(f"expected a coefficient, got a matrix: "
-                         f"{text.strip()!r}")
+    value = _scalar(spec, text, TAU, frozenset(), "a coefficient")
     return value.coefficient(0)
 
 
@@ -765,10 +749,7 @@ def parse_apoly(spec, text):
     """Parse a commutative polynomial in t with coefficients fixed by the
     twist, returned as a dense ascending coefficient tuple.  Above degree
     MAX_APOLY_DEGREE raises PolynomialTooLarge before the tuple is built."""
-    value = _Parser(spec, TAU, frozenset({"t"}), text).parse()
-    if isinstance(value, SkewMatrix):
-        raise ParseError(f"expected a t-polynomial, got a matrix: "
-                         f"{text.strip()!r}")
+    value = _scalar(spec, text, TAU, frozenset({"t"}), "a t-polynomial")
     if value.degree > MAX_APOLY_DEGREE:
         raise PolynomialTooLarge(f"degree {_count(value.degree)} in t exceeds "
                                  f"MAX_APOLY_DEGREE = {MAX_APOLY_DEGREE}")

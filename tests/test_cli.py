@@ -989,6 +989,27 @@ def test_a_well_formed_run_leaves_argparse_unimported():
         assert help_text.startswith("usage: tmodext [-h] COMMAND ...")
 
 
+def test_a_text_run_loads_no_re_enum_json_or_argparse():
+    """In a fresh interpreter neither importing the CLI nor a text ext run
+    loads re, enum, json or argparse: the parsers scan by hand and json
+    is imported under --json only."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    script = (
+        "import contextlib, io, sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "heavy = {'re', 'enum', 'json', 'argparse'}\n"
+        "import tmodext.cli as cli\n"
+        "print(sorted(heavy & set(sys.modules)))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main(['ext', '--field', {Q3!r}, '--phi', "
+        "'th + tau^3', '--psi', 'th + tau^2'])\n"
+        "print(code, sorted(heavy & set(sys.modules)))\n")
+    result = subprocess.run([sys.executable, "-I", "-S", "-c", script],
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == \
+        (0, "[]\n0 []\n", "")
+
+
 # ---------------------------------------------------------------------------
 # Help and usage errors are the same bytes under every locale, in a fresh
 # interpreter each (the first gettext lookup of a process imports locale).

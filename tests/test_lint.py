@@ -2,8 +2,9 @@
 imported name is used, every private module-level function or constant is
 used somewhere in the package, domains are compared by identity, no
 ``assert`` statement is left, square-and-multiply, the joining of
-printed terms, subtraction and the inner map are each written once, and the
-oracle compares classes and shifts them in one place each."""
+printed terms, subtraction and the inner map are each written once, the
+oracle compares classes and shifts them in one place each, and no module
+imports re."""
 
 import ast
 from pathlib import Path
@@ -49,6 +50,24 @@ def test_every_imported_name_is_used():
             unused += [f"{module}:{line} {name}"
                        for name, line in _imported(tree) if name not in loaded]
     assert unused == []
+
+
+def _top_modules(node):
+    """The top-level modules an absolute import statement names."""
+    if isinstance(node, ast.Import):
+        return {alias.name.split(".")[0] for alias in node.names}
+    if isinstance(node, ast.ImportFrom) and not node.level:
+        return {node.module.split(".")[0]}
+    return set()
+
+
+def test_no_module_imports_re():
+    """The parsers share one hand-written scanner (_scan), so no module
+    imports re, whose import costs a cold start more than the parsing."""
+    importers = [f"{module}:{node.lineno}"
+                 for module, tree in _trees().items()
+                 for node in ast.walk(tree) if "re" in _top_modules(node)]
+    assert importers == []
 
 
 def _private_definitions(tree):
