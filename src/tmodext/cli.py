@@ -7,10 +7,12 @@ stable JSON documents.  Exit codes: 0 success, 1 domain error, 2 usage or
 parse error, 3 verification failure.
 
 Each subcommand is one row of ``_COMMANDS`` (name, handler, help, flags),
-and each flag is declared once in ``_FLAGS``.  ``_read`` reads a well-formed
-command line straight off those tables: the command, then its flags by
-their full names.  Anything else (help, abbreviations, ``--x=v``, a missing
-or malformed value) goes to argparse, the one source of help text and
+and each flag is declared once in ``_FLAGS``.  The dispatcher ``_run``
+parses --field before any other text and calls ``handler(args, spec)``
+with the parsed domain.  ``_read`` reads a well-formed command line
+straight off those tables: the command, then its flags by their full
+names.  Anything else (help, abbreviations, ``--x=v``, a missing or
+malformed value) goes to argparse, the one source of help text and
 usage-error wording, which is imported only then; a command's argparse
 parser, with its flags, is built only when argparse chooses that command.
 Help takes shutil's terminal width without importing shutil, whose import
@@ -100,10 +102,6 @@ def _emit(args, text, payload):
     return 0
 
 
-def _var(args):
-    return SIGMA if getattr(args, "var", "tau") == "sigma" else TAU
-
-
 def _module(spec, text, var=TAU):
     if text is None:
         raise UsageError("a module expression is required here")
@@ -118,7 +116,7 @@ def _delta(spec, source, target, text):
 
 def _pair(spec, args):
     """The --phi and --psi modules, in that order."""
-    var = _var(args)
+    var = getattr(args, "var", TAU)
     return _module(spec, args.phi, var), _module(spec, args.psi, var)
 
 
@@ -143,8 +141,8 @@ def _print_structure(args, spec, structure, basis, pi, ga_rank, title):
     }
     text = "\n".join([
         f"field: {spec.header()}",
-        f"source: {structure.source.describe()}",
-        f"target: {structure.target.describe()}",
+        f"source: {structure.source}",
+        f"target: {structure.target}",
         f"regime: {structure.regime}",
         "basis: " + " ".join(_slot_text(s) for s in basis),
         f"ga_rank: {ga_rank}",
@@ -160,13 +158,11 @@ def _print_ext(args, spec, structure, title="Pi_t"):
                             structure.pi, seq.s, title)
 
 
-def cmd_ext(args):
-    spec = parse_field(args.field)
+def cmd_ext(args, spec):
     return _print_ext(args, spec, ext_structure(*_pair(spec, args)))
 
 
-def cmd_ext0(args):
-    spec = parse_field(args.field)
+def cmd_ext0(args, spec):
     structure = ext_structure(*_pair(spec, args))
     seq = ga_sequence(structure)
     basis = [slot for i, slot in enumerate(structure.basis)
@@ -175,15 +171,13 @@ def cmd_ext0(args):
                             "Pi0_t")
 
 
-def cmd_ext_prod(args):
-    spec = parse_field(args.field)
+def cmd_ext_prod(args, spec):
     sources = [_module(spec, part) for part in args.phi.split(";")]
     targets = [_module(spec, part) for part in args.psi.split(";")]
     return _print_ext(args, spec, ext_product(sources, targets))
 
 
-def cmd_ext_tmod(args):
-    spec = parse_field(args.field)
+def cmd_ext_tmod(args, spec):
     source, target = _pair(spec, args)
     if not source.has_invertible_leading():
         raise UnsupportedRegime(
@@ -192,21 +186,18 @@ def cmd_ext_tmod(args):
     return _print_ext(args, spec, ext_structure(source, target))
 
 
-def cmd_ext_carlitz(args):
-    spec = parse_field(args.field)
+def cmd_ext_carlitz(args, spec):
     source = _module(spec, args.phi)
     return _print_ext(args, spec,
                       ext_structure(source, carlitz_power(spec, args.e)))
 
 
-def cmd_ext_dual(args):
-    spec = parse_field(args.field)
+def cmd_ext_dual(args, spec):
     return _print_ext(args, spec, duality_transport(*_pair(spec, args)),
                       title="Pi_t (adjoint side)")
 
 
-def cmd_ext_seq(args):
-    spec = parse_field(args.field)
+def cmd_ext_seq(args, spec):
     structure = ext_structure(*_pair(spec, args))
     seq = ga_sequence(structure)
     payload = {**seq.to_json(), "field": spec.header()}
@@ -229,20 +220,18 @@ def cmd_ext_seq(args):
 # Calculator commands.
 
 
-def cmd_adjoint(args):
-    spec = parse_field(args.field)
-    var = _var(args)
+def cmd_adjoint(args, spec):
     if args.phi is not None:
-        result = _module(spec, args.phi, var).adjoint().t_matrix
+        result = _module(spec, args.phi, args.var).adjoint().t_matrix
     elif args.delta is not None:
-        result = parse_matrix(spec, args.delta, var).adjoint()
+        result = parse_matrix(spec, args.delta, args.var).adjoint()
     else:
         raise UsageError("adjoint needs --phi or --delta")
     return _emit(args, str(result), result.to_json())
 
 
-def cmd_reduce(args):
-    result = reduce_canonical(_class(parse_field(args.field), args))
+def cmd_reduce(args, spec):
+    result = reduce_canonical(_class(spec, args))
     payload = {
         "canonical": result.canonical.matrix.to_json(),
         "witness": result.witness.to_json(),
@@ -258,8 +247,8 @@ def cmd_reduce(args):
     return _emit(args, text, payload)
 
 
-def cmd_assemble(args):
-    built = assemble(_class(parse_field(args.field), args))
+def cmd_assemble(args, spec):
+    built = assemble(_class(spec, args))
     payload = {
         "middle": built.middle.t_matrix.to_json(),
         "inclusion": built.inclusion.to_json(),
@@ -281,23 +270,20 @@ def _print_canonical(args, result):
                  {"canonical": result.matrix.to_json()})
 
 
-def cmd_baer(args):
-    spec = parse_field(args.field)
+def cmd_baer(args, spec):
     d1 = _class(spec, args)
     d2 = _delta(spec, d1.source, d1.target, args.delta2)
     return _print_canonical(args, baer_sum(d1, d2))
 
 
-def cmd_act(args):
-    spec = parse_field(args.field)
+def cmd_act(args, spec):
     delta = _class(spec, args)
     return _print_canonical(args, t_action(parse_apoly(spec, args.a), delta))
 
 
-def _print_moved(args, move, map_text, module_text):
+def _print_moved(args, spec, move, map_text, module_text):
     """Move the --delta class along a morphism, then print the result and,
     when a regime applies, its canonical form."""
-    spec = parse_field(args.field)
     delta = _class(spec, args)
     module = _module(spec, module_text)
     result = move(delta, parse_matrix(spec, map_text), module)
@@ -312,16 +298,16 @@ def _print_moved(args, move, map_text, module_text):
                               "canonical": canonical.to_json()})
 
 
-def cmd_pullback(args):
-    return _print_moved(args, pullback, args.g, args.gmod)
+def cmd_pullback(args, spec):
+    return _print_moved(args, spec, pullback, args.g, args.gmod)
 
 
-def cmd_pushout(args):
-    return _print_moved(args, pushout, args.f, args.fmod)
+def cmd_pushout(args, spec):
+    return _print_moved(args, spec, pushout, args.f, args.fmod)
 
 
-def cmd_split(args):
-    result = is_split(_class(parse_field(args.field), args), bound=args.bound)
+def cmd_split(args, spec):
+    result = is_split(_class(spec, args), bound=args.bound)
     if result.kind == "split":
         payload = {"result": "split", "witness": result.witness.to_json()}
         text = "split\nwitness:\n" + str(result.witness)
@@ -341,8 +327,8 @@ def cmd_split(args):
     return _emit(args, text, payload)
 
 
-def cmd_hom(args):
-    space = hom_space(*_pair(parse_field(args.field), args), bound=args.bound)
+def cmd_hom(args, spec):
+    space = hom_space(*_pair(spec, args), bound=args.bound)
     payload = {"basis": [f.to_json() for f in space.basis],
                "complete": space.complete,
                "bound": space.bound}
@@ -353,8 +339,7 @@ def cmd_hom(args):
     return _emit(args, "\n".join(lines), payload)
 
 
-def cmd_sixterm(args):
-    spec = parse_field(args.field)
+def cmd_sixterm(args, spec):
     delta = _class(spec, args)
     bundle = six_term(delta, _module(spec, args.g))
     structure = bundle.omega_structure()
@@ -380,8 +365,7 @@ def cmd_sixterm(args):
     return _emit(args, text, payload)
 
 
-def cmd_verify(args):
-    spec = parse_field(args.field)
+def cmd_verify(args, spec):
     what = args.what
     if what == "duality" and args.mode == "enumerate":
         raise UsageError("--mode enumerate is not available for duality")
@@ -443,7 +427,7 @@ _FLAGS = {
     "delta/sixterm": dict(help="biderivation (sixterm only)"),
     "delta2": dict(required=True,
                    help="second biderivation matrix expression"),
-    "var": dict(choices=("tau", "sigma"), default="tau",
+    "var": dict(choices=(TAU, SIGMA), default=TAU,
                 help="twisted variable for all expressions"),
     "e": dict(type=int, required=True, help="tensor-power exponent"),
     "a": dict(required=True, help="polynomial in t, e.g. 't^2 + 1'"),
@@ -594,7 +578,7 @@ def _run(argv):
                 args = _build_parser().parse_args(argv)
             except SystemExit as exc:  # --help exits with code 0
                 return int(exc.code or 0)
-        return args.func(args)
+        return args.func(args, parse_field(args.field))
     except TmodError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, (ParseError, UsageError)) else 1

@@ -216,7 +216,6 @@ class _ExtOps(_PrimeOps):
     def __init__(self, p, modulus):
         self.p = p
         self.m = len(modulus) - 1
-        self.mod = modulus
         if p == 2:
             self.add = operator.xor
             self.neg = operator.pos
@@ -1211,17 +1210,24 @@ def _check_pm(p, m):
 
 
 def _resolve_modulus(p, m, modulus):
+    """The default modulus, or the given one (dense, lowest degree first,
+    or a {degree: coefficient} dict) if monic of degree m and irreducible."""
     if modulus is None:
         return default_modulus(p, m)
-    modulus = _poly_trim(tuple(c % p for c in modulus))
-    if len(modulus) != m + 1 or modulus[-1] != 1:
+    if not isinstance(modulus, dict):
+        modulus = dict(enumerate(modulus))
+    if (max((e for e, c in modulus.items() if c % p), default=None) != m
+            or modulus[m] % p != 1):
         raise ParseError(f"modulus must be monic of degree {m}")
+    modulus = tuple(modulus.get(e, 0) % p for e in range(m + 1))
     if not _is_irreducible_fp(modulus, p):
         raise ParseError("modulus is not irreducible")
     return modulus
 
 
 def _parse_g_poly(text, p):
+    """The polynomial in g as a {degree: coefficient mod p} dict of its
+    nonzero terms, so that a high degree costs no dense coefficients."""
     s = text.replace(" ", "")
     if not s:
         raise ParseError("empty polynomial")
@@ -1242,8 +1248,7 @@ def _parse_g_poly(text, p):
             raise ParseError(f"bad term {tok!r} in polynomial {text!r}")
         deg = int(e[1:] or 1)
         coeffs[deg] = (coeffs.get(deg, 0) + sign * int(c[:-1] or 1)) % p
-    top = max(coeffs)
-    return _poly_trim(tuple(coeffs.get(i, 0) for i in range(top + 1)))
+    return {deg: c for deg, c in coeffs.items() if c}
 
 
 def parse_field(text):
@@ -1292,7 +1297,8 @@ def parse_field(text):
     modulus = _resolve_modulus(p, m, modulus)
     if th_suffix:
         return FieldSpec("rational", p, m, modulus)
-    if theta is not None:  # its text, reduced to a code
-        theta = _encode(_PolyOps(p, modulus).reduce(_parse_g_poly(theta, p)),
-                        p)
+    if theta is not None:  # its text, reduced term by term to a code
+        ring, terms, theta = _PolyOps(p, modulus), _parse_g_poly(theta, p), 0
+        for deg, c in terms.items():  # g is the code p
+            theta = ring.add(theta, ring.mul(c, ring.pow(p, deg)))
     return FieldSpec("finite", p, m, modulus, theta)

@@ -143,13 +143,10 @@ class TModule(SlottedValue):
         t-action."""
         return TModule(self.spec, self.t_matrix.adjoint())
 
-    def describe(self):
+    def __str__(self):
         if self.dim == 1:
             return str(self.t_matrix.entry(0, 0))
         return str(self.t_matrix)
-
-    def __str__(self):
-        return self.describe()
 
 
 # ---------------------------------------------------------------------------

@@ -741,6 +741,32 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("row", cli._COMMANDS,
+                         ids=[row[0] for row in cli._COMMANDS])
+def test_the_field_header_is_read_before_any_other_text(capsys, row):
+    """The dispatcher parses --field before any handler reads a module or
+    matrix, so a bad header is the one error, however malformed the rest."""
+    name, _, _, flags = row
+    argv = [name, "--field", "GF(6)"]
+    for flag in flags.split():
+        kwargs = cli._FLAGS[flag]
+        if not {"type", "choices", "action"} & kwargs.keys():  # a text flag
+            argv += ["--" + flag.split("/")[0], "th + * tau"]
+        elif kwargs.get("required"):
+            argv += ["--" + flag.split("/")[0], "1"]
+    assert run(capsys, argv) == (2, "", "error: 6 is not prime\n")
+
+
+def test_a_modulus_of_huge_degree_is_refused_at_once(capsys):
+    """The mod= polynomial is read term by term, so a degree with 4 000
+    digits is compared with m before any coefficient list is built."""
+    field = "GF(3^2; mod=g^" + "9" * 4000 + "+1)"
+    err = _refused_in_a_second(capsys, [
+        "ext", "--field", field, "--phi", "g + tau^3", "--psi", "g + tau^2"],
+        want=2)
+    assert err == "error: modulus must be monic of degree 2\n"
+
+
 def test_deep_nesting_is_a_parse_error(capsys):
     nested = "(" * 3000 + "th" + ")" * 3000
     code, out, err = run(capsys, [

@@ -232,6 +232,20 @@ def test_theta_is_reduced_modulo_the_modulus():
         "1 + g + g^3 + g^4 + g^8"
 
 
+def test_polynomials_in_g_of_huge_degree_are_read_term_by_term():
+    """A mod= polynomial above degree m is refused, after the generator
+    names, and a theta= one reduced with g^e by squaring: neither builds
+    its dense coefficients (g has order 8 in GF(3^2))."""
+    with pytest.raises(ParseError, match="modulus must be monic of degree 2"):
+        parse_field("GF(3^2; mod=g^1000000000000+1)")
+    with pytest.raises(ParseError, match="invalid generator name 'tau'"):
+        parse_field("FTF(3^2; mod=g^1000000000000+1; gens=tau)")
+    assert str(parse_field("GF(3^2; theta=g^3000000000000+g)").theta()) == \
+        "1 + g"
+    assert str(parse_field("GF(3^2; theta=g^3000000000003)").theta()) == \
+        str(parse_field("GF(3^2; theta=g^3)").theta())
+
+
 @pytest.mark.parametrize("header", ["GF(2^32)", "GF(3^9)", "GF(65521^2)"])
 def test_poly_ops_products_match_schoolbook(header):
     """_PolyOps.mul, which subtracts only the modulus' nonzero terms,

@@ -219,3 +219,24 @@ def test_one_class_equality_seam():
     adding = [node.name for node in ast.walk(tree)
               if isinstance(node, ast.FunctionDef) and _adds_an_inner_map(node)]
     assert adding == ["_shifted"]
+
+
+def _calls(node, name):
+    """The calls under node of the function called name."""
+    return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+            and name in (getattr(call.func, "id", None),
+                         getattr(call.func, "attr", None))]
+
+
+def test_the_dispatcher_reads_the_field_header_once():
+    """cli._run is the one reader of --field: cli.py calls parse_field
+    once, there, and every cmd_* handler takes (args, spec)."""
+    tree = _trees()["cli.py"]
+    functions = {node.name: node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)}
+    assert len(_calls(tree, "parse_field")) == 1
+    assert len(_calls(functions["_run"], "parse_field")) == 1
+    handlers = {name: [arg.arg for arg in node.args.args]
+                for name, node in functions.items()
+                if name.startswith("cmd_")}
+    assert list(handlers.values()) == [["args", "spec"]] * 18

@@ -299,8 +299,14 @@ def test_tokens_match_the_regex_tokenizer(text):
 @given(st.one_of(*_G_POLY, st.text(alphabet="g^*+-23 \n\t\u0663\u00b2x",
                                    max_size=8)))
 def test_polynomials_in_g_match_the_regex(text):
-    assert _outcome(coefficients._parse_g_poly, text, 3) == \
-        _outcome(_old_parse_g_poly, text, 3)
+    """_parse_g_poly reads the nonzero terms only; densified, they are the
+    old coefficient tuple."""
+    def dense(text, p):
+        terms = coefficients._parse_g_poly(text, p)
+        top = max(terms, default=-1)
+        return tuple(terms.get(e, 0) for e in range(top + 1))
+
+    assert _outcome(dense, text, 3) == _outcome(_old_parse_g_poly, text, 3)
 
 
 @settings(max_examples=300, deadline=None)
