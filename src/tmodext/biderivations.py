@@ -60,7 +60,6 @@ from .skewpoly import (
     _add_into,
     _from_maps,
     _matmul_into,
-    _mul_into,
     twist_sign,
 )
 
@@ -343,13 +342,24 @@ def _degree(acc, is_zero):
 def _step(arith, phi, psi, grid, witness, r, c, k, a, s):
     """Add u = a*v^k to the witness at (r, c) and subtract delta^(u) =
     u*Phi - Psi*u, which touches only row r and column c, from the grid;
-    phi and psi are the pair grids of Phi_t and Psi_t."""
-    minus_u, u = ((k, arith.neg(a)),), ((k, a),)
-    for l, p in enumerate(phi[c]):
-        _mul_into(arith, grid[r][l], minus_u, p, s)
-    for w, psi_row in enumerate(psi):
-        _mul_into(arith, grid[w][c], psi_row[r], u, s)
-    _add_into(arith, witness[r][c], u)
+    phi and psi are the pair grids of Phi_t and Psi_t.  The one-term
+    products go straight into the accumulators: (-a v^k)(y v^j) =
+    -a y^(q^(s k)) v^(k+j) along row r, and (x v^i)(a v^k) =
+    x a^(q^(s i)) v^(i+k) down column c."""
+    add, mul, twist = arith.add, arith.mul, arith.twist
+    minus_a, sk = arith.neg(a), s * k
+    for acc, pairs in zip(grid[r], phi[c]):
+        for j, y in pairs:
+            t = mul(minus_a, twist(y, sk))
+            cur = acc.get(j + k)
+            acc[j + k] = t if cur is None else add(cur, t)
+    for row, psi_row in zip(grid, psi):
+        acc = row[c]
+        for i, x in psi_row[r]:
+            t = mul(x, twist(a, s * i))
+            cur = acc.get(i + k)
+            acc[i + k] = t if cur is None else add(cur, t)
+    _add_into(arith, witness[r][c], ((k, a),))
 
 
 def _reduce_layered(arith, plan, grid, witness):

@@ -955,8 +955,7 @@ class FieldSpec(SlottedValue):
 
     def random_element(self, rng):
         self._require_finite("random sampling requires")
-        return self._fe(_encode([rng.randrange(self.p) for _ in range(self.m)],
-                                self.p))
+        return self._fe(_random_code(rng, self.p, self.m))
 
     # -- F_p coordinates ------------------------------------------------------
 
@@ -993,6 +992,21 @@ class FieldSpec(SlottedValue):
 
 def _default_theta(p, m):
     return p if m >= 2 else 1  # the codes of g and 1
+
+
+def _random_code(rng, p, m):
+    """A uniformly drawn code of F_{p^m}: its m digits lowest first, each by
+    rejection on p.bit_length() random bits, the stream rng.randrange(p)
+    draws."""
+    getrandbits, bits = rng.getrandbits, p.bit_length()
+    code, unit = 0, 1
+    for _ in range(m):
+        digit = getrandbits(bits)
+        while digit >= p:
+            digit = getrandbits(bits)
+        code += digit * unit
+        unit *= p
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -1299,6 +1313,9 @@ def parse_field(text):
         return FieldSpec("rational", p, m, modulus)
     if theta is not None:  # its text, reduced term by term to a code
         ring, terms, theta = _PolyOps(p, modulus), _parse_g_poly(theta, p), 0
-        for deg, c in terms.items():  # g is the code p
-            theta = ring.add(theta, ring.mul(c, ring.pow(p, deg)))
+        # g is the code p, and for m >= 2 a unit of order dividing p^m - 1
+        order = p ** m - 1 if m >= 2 else None
+        for deg, c in terms.items():
+            g_deg = ring.pow(p, deg % order if order else deg)
+            theta = ring.add(theta, ring.mul(c, g_deg))
     return FieldSpec("finite", p, m, modulus, theta)

@@ -156,17 +156,19 @@ class ExtStructure(SlottedValue):
         canonical form at no basis slot raises InvariantViolation: the
         coordinates would not determine the class."""
         pairs = reduce_canonical(delta, self.regime).canonical.matrix._pairs
-        index = {slot: a for a, slot in enumerate(self.basis)}
-        coords = [self.spec.zero()] * self.rank
+        spec = self.spec
+        where = {slot: a for a, slot in enumerate(self.basis)}.get
+        coords = [spec._arith.zero] * self.rank
         for r, row in enumerate(pairs):
             for c, entry in enumerate(row):
                 for k, x in entry:
-                    if (r, c, k) not in index:
+                    a = where((r, c, k))
+                    if a is None:
                         raise InvariantViolation(
                             f"the canonical form has a coefficient outside "
                             f"the basis at {(r, c, k)}")
-                    coords[index[r, c, k]] = self.spec._fe(x)
-        return tuple(coords)
+                    coords[a] = x
+        return tuple(map(spec._fe, coords))
 
     def from_coords(self, coords):
         return Biderivation(self.source, self.target, SkewMatrix.from_slots(

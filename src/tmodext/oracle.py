@@ -16,7 +16,7 @@ import itertools
 import random
 
 from .biderivations import Biderivation, canonical_slots
-from .coefficients import SlottedValue
+from .coefficients import SlottedValue, _random_code
 from .errors import CarrierTooLarge
 from .homological import class_of, hom_space
 from .modules_t import inner_matrix
@@ -53,15 +53,23 @@ def _guard_carrier(count, what):
 # Random data.
 
 
+# Each coefficient is one code of _random_code, the draw of random_element,
+# drawn in the order of SkewPoly.from_pairs and SkewMatrix.from_rows over
+# random elements and stored as its payload without building an element.
+
+
 def random_poly(spec, var, rng, max_deg):
-    pairs = [(d, spec.random_element(rng)) for d in range(max_deg + 1)]
-    return SkewPoly.from_pairs(spec, var, pairs)
+    spec._require_finite("random sampling requires")
+    p, m = spec.p, spec.m
+    pairs = [(d, code) for d in range(max_deg + 1)
+             if (code := _random_code(rng, p, m))]
+    return SkewPoly(spec, var, tuple(pairs))
 
 
 def random_matrix(spec, var, rng, nrows, ncols, max_deg):
-    return SkewMatrix.from_rows(spec, var, [
-        [random_poly(spec, var, rng, max_deg) for _ in range(ncols)]
-        for _ in range(nrows)])
+    return SkewMatrix(spec, var, tuple(
+        tuple(random_poly(spec, var, rng, max_deg) for _ in range(ncols))
+        for _ in range(nrows)))
 
 
 def random_biderivation(source, target, rng, max_deg=None):

@@ -54,8 +54,9 @@ from tmodext import (
     trivial,
     verify_structure,
 )
+from tmodext.ext_structures import _FormOps
 from tmodext.oracle import random_biderivation, random_matrix
-from tmodext.skewpoly import const_inverse, twist_sign
+from tmodext.skewpoly import _add_into, _mul_into, const_inverse, twist_sign
 
 F9 = make_finite(3, 2)
 F4 = make_finite(2, 2)
@@ -600,6 +601,85 @@ def test_reversed_regime_obstruction_over_rational():
     result = reduce_canonical(fine)
     assert result.regime == "drinfeld-reversed"
     assert result.canonical.matrix.max_degree < 2
+
+
+# One reduction step: u = a*v^k into the witness at (r, c) and -(u*Phi -
+# Psi*u) into the grid, as the product and sum kernels compose it.
+
+
+def _kernel_step(arith, phi, psi, grid, witness, r, c, k, a, s):
+    minus_u, u = ((k, arith.neg(a)),), ((k, a),)
+    for l, p in enumerate(phi[c]):
+        _mul_into(arith, grid[r][l], minus_u, p, s)
+    for w, psi_row in enumerate(psi):
+        _mul_into(arith, grid[w][c], psi_row[r], u, s)
+    _add_into(arith, witness[r][c], u)
+
+
+def _q3_payloads(nonzero):
+    """Payloads of sums of c*th^e, over th + 1 or not."""
+    th, one = Q3.theta(), Q3.one()
+    terms = st.lists(st.tuples(st.integers(1, 2), st.integers(0, 4)),
+                     min_size=int(nonzero), max_size=3)
+    return st.tuples(terms, st.booleans()).map(
+        lambda t: sum((Q3.from_int(c) * th ** e for c, e in t[0]),
+                      Q3.zero()) / (th + one if t[1] else one)
+    ).filter(lambda x: not (nonzero and x.is_zero())).map(
+        lambda x: x.payload)
+
+
+_F8 = make_finite(2, 3)
+_FORMS = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(-2, 2)),
+                         st.integers(1, 8), max_size=3)
+# name -> (ops object for the sign, nonzero scalar payloads, accumulator
+# payloads, signs)
+_STEP_DOMAINS = {
+    "GF(3^2)": (lambda s: F9._arith, st.integers(1, 8), st.integers(0, 8),
+                (1, -1)),
+    "GF(2^3)": (lambda s: _F8._arith, st.integers(1, 7), st.integers(0, 7),
+                (1, -1)),
+    # the twists of th by negative indices are no elements, so tau only
+    "GF(3)(th)": (lambda s: Q3._arith, _q3_payloads(True),
+                  _q3_payloads(False), (1,)),
+    "forms over GF(3^2)": (lambda s: _FormOps(F9._arith, s),
+                           st.integers(1, 8), _FORMS, (1, -1)),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_step_matches_the_kernel_composition(data):
+    """_step adds its one-term products into the accumulators itself; grid
+    and witness come out as the product and sum kernels leave them."""
+    name = data.draw(st.sampled_from(sorted(_STEP_DOMAINS)))
+    ops, nonzero, values, signs = _STEP_DOMAINS[name]
+    s = data.draw(st.sampled_from(signs))
+    arith = ops(s)
+    sdim, tdim = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+
+    def pairs():
+        degrees = data.draw(st.lists(st.integers(0, 4), unique=True,
+                                     max_size=3))
+        return [(d, data.draw(nonzero)) for d in sorted(degrees)]
+
+    def accumulators():
+        return [[data.draw(st.dictionaries(st.integers(0, 6), values,
+                                           max_size=3))
+                 for _ in range(sdim)] for _ in range(tdim)]
+
+    phi = [[pairs() for _ in range(sdim)] for _ in range(sdim)]
+    psi = [[pairs() for _ in range(tdim)] for _ in range(tdim)]
+    grid, witness = accumulators(), accumulators()
+    r, c = data.draw(st.integers(0, tdim - 1)), data.draw(
+        st.integers(0, sdim - 1))
+    k = data.draw(st.integers(0, 3))
+    a = data.draw(_FORMS.filter(bool) if "forms" in name else nonzero)
+    want_grid = [[dict(acc) for acc in row] for row in grid]
+    want_witness = [[dict(acc) for acc in row] for row in witness]
+    _kernel_step(arith, phi, psi, want_grid, want_witness, r, c, k, a, s)
+    biderivations._step(arith, phi, psi, grid, witness, r, c, k, a, s)
+    assert grid == want_grid
+    assert witness == want_witness
 
 
 # ---------------------------------------------------------------------------

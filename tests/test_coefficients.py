@@ -246,6 +246,27 @@ def test_polynomials_in_g_of_huge_degree_are_read_term_by_term():
         str(parse_field("GF(3^2; theta=g^3)").theta())
 
 
+def test_theta_exponents_are_reduced_modulo_the_order_of_g():
+    """For m >= 2, g is a unit whose order divides p^m - 1, so an exponent
+    is reduced modulo p^m - 1 before any squaring: a 4200-digit one costs
+    a few dozen products, and a multiple of p^m - 1 gives g^0 = 1.  For
+    m = 1, g is 0 and g^e is 0 for every e >= 1."""
+    parse_field("GF(2^32)")  # the modulus search, outside the timing
+    e = int("7" * 4200)
+    start = time.perf_counter()
+    spec = parse_field(f"GF(2^32; theta=g^{'7' * 4200}+1)")
+    assert time.perf_counter() - start < 0.1
+    assert spec is parse_field(f"GF(2^32; theta=g^{e % (2 ** 32 - 1)}+1)")
+    for header in ("GF(2^32)", "GF(3^2)", "GF(5^3)"):
+        spec = parse_field(header)
+        q = spec.p ** spec.m
+        for k in (1, 2, 10 ** 30):
+            reduced = parse_field(header[:-1] + f"; theta=g^{k * (q - 1)})")
+            assert str(reduced.theta()) == "1"
+    assert str(parse_field("GF(5; theta=g^4+2)").theta()) == "2"
+    assert str(parse_field("GF(5; theta=g^0+2)").theta()) == "3"
+
+
 @pytest.mark.parametrize("header", ["GF(2^32)", "GF(3^9)", "GF(65521^2)"])
 def test_poly_ops_products_match_schoolbook(header):
     """_PolyOps.mul, which subtracts only the modulus' nonzero terms,

@@ -1,6 +1,7 @@
 """Tests for the brute-force finite-field verification oracle."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -33,7 +34,7 @@ from tmodext import (
     verify_sixterm,
     verify_structure,
 )
-from tmodext import homological, oracle
+from tmodext import coefficients, homological, oracle
 from tmodext.ext_structures import ExtStructure, GaSequence
 from tmodext.homological import hom_space
 from tmodext.oracle import coordinate_vectors
@@ -523,6 +524,131 @@ def test_verify_duality_planted_faults(monkeypatch, cls, adjoint, failed):
 def test_verify_duality_needs_finite_field():
     with pytest.raises(FiniteFieldRequired):
         verify_duality(_drin(Q3, "th + tau^3"), _drin(Q3, "th + tau^2"))
+
+
+# ---------------------------------------------------------------------------
+# Seeded samples: the oracle's samplers draw what a reference built from
+# randrange and the public constructors draws, element for element.
+
+
+def _ref_element(spec, rng):
+    return spec.from_fp_coords([rng.randrange(spec.p)
+                                for _ in range(spec.m)])
+
+
+def _ref_poly(spec, var, rng, max_deg):
+    return SkewPoly.from_pairs(spec, var, [
+        (d, _ref_element(spec, rng)) for d in range(max_deg + 1)])
+
+
+def _ref_matrix(spec, var, rng, nrows, ncols, max_deg):
+    return SkewMatrix.from_rows(spec, var, [
+        [_ref_poly(spec, var, rng, max_deg) for _ in range(ncols)]
+        for _ in range(nrows)])
+
+
+def _ref_biderivation(source, target, rng, max_deg=None):
+    if max_deg is None:
+        max_deg = max(source.rank, target.rank) + 2
+    return Biderivation(source, target, _ref_matrix(
+        source.spec, source.var, rng, target.dim, source.dim, max_deg))
+
+
+def _ref_coords(spec, rank, rng):
+    return tuple(_ref_element(spec, rng) for _ in range(rank))
+
+
+_REFERENCE_SAMPLERS = {"random_poly": _ref_poly,
+                       "random_matrix": _ref_matrix,
+                       "random_biderivation": _ref_biderivation,
+                       "_random_coords": _ref_coords}
+
+
+def _draws(spec, rng, element, samplers):
+    """One of each sampler's draws, then the generator's next float, which
+    tells whether both consumed the same random bits."""
+    th = str(spec.theta())
+    src, tgt = _drin(spec, f"{th} + tau^3"), _drin(spec, f"{th} + tau")
+    return [element(spec, rng),
+            samplers["random_poly"](spec, TAU, rng, 4),
+            samplers["random_poly"](spec, SIGMA, rng, 0),
+            samplers["random_matrix"](spec, SIGMA, rng, 2, 3, 2),
+            samplers["random_biderivation"](src, tgt, rng),
+            samplers["random_biderivation"](src, tgt, rng, 1),
+            samplers["_random_coords"](spec, 4, rng),
+            rng.random()]
+
+
+@pytest.mark.parametrize("header", ["GF(5)", "GF(3^2)", "GF(2^3)",
+                                    "GF(2^13)"])
+def test_samplers_draw_what_randrange_and_the_constructors_draw(header):
+    """GF(2^13) is above ZECH_LIMIT, so its arithmetic is _PolyOps'."""
+    spec = parse_field(header)
+    assert header != "GF(2^13)" or isinstance(spec._ops,
+                                              coefficients._PolyOps)
+    ours = {name: getattr(oracle, name) for name in _REFERENCE_SAMPLERS}
+    for seed in range(20):
+        got = _draws(spec, random.Random(seed),
+                     lambda spec, rng: spec.random_element(rng), ours)
+        want = _draws(spec, random.Random(seed), _ref_element,
+                      _REFERENCE_SAMPLERS)
+        assert got == want, seed
+        assert [str(x) for x in got] == [str(x) for x in want]
+
+
+def test_samplers_need_a_finite_field():
+    src, tgt = _drin(Q3, "th + tau^3"), _drin(Q3, "th + tau")
+    rng = random.Random(0)
+    for draw in (lambda: Q3.random_element(rng),
+                 lambda: oracle.random_poly(Q3, TAU, rng, 2),
+                 lambda: oracle.random_matrix(Q3, TAU, rng, 1, 1, 2),
+                 lambda: oracle.random_biderivation(src, tgt, rng),
+                 lambda: oracle._random_coords(Q3, 2, rng)):
+        with pytest.raises(FiniteFieldRequired):
+            draw()
+
+
+def _verdict_cases():
+    """(name, verify(seed)) for every verifier that draws at random: the
+    three criterion-4 pairs over both fields, one mis-twisted structure,
+    duality over GF(2^3) and GF(3^2), and the criterion-9 bundle."""
+    cases = []
+    for spec in (F9, F8):
+        two_dim = tmodule(spec, parse_matrix(
+            spec, "[[g, 1], [0, g]] + [[1, 0], [0, 1]]*tau^2"))
+        for src, tgt in ((_drin(spec, "g + tau^3"), _drin(spec, "g + tau^2")),
+                         (_drin(spec, "g + tau^2"), _drin(spec, "g + tau")),
+                         (two_dim, _drin(spec, "g + tau"))):
+            S = ext_structure(src, tgt)
+            cases.append((f"structure {spec.header()} {src}", lambda seed, S=S:
+                          verify_structure(S, samples=30, seed=seed)))
+        cases.append((f"duality {spec.header()}", lambda seed, spec=spec:
+                      verify_duality(_drin(spec, "g + tau^3"),
+                                     _drin(spec, "g + tau^2"), classes=10,
+                                     seed=seed)))
+    S = _structure(F9, "g + tau^3", "g + tau^2")
+    wrong = dataclasses.replace(S, pi=twist_one_coefficient(S.pi))
+    cases.append(("mistwisted", lambda seed: verify_structure(
+        wrong, samples=30, seed=seed)))
+    bundle = _criterion_nine_bundle()
+    cases.append(("sixterm", lambda seed: verify_sixterm(
+        bundle, seed=seed, inner_samples=5)))
+    return cases
+
+
+def test_seeded_verdicts_match_the_reference_sampler(monkeypatch):
+    """Every seeded report equals the one made with the reference samplers
+    in the oracle's place; the mis-twisted structure is rejected."""
+    cases = _verdict_cases()
+    ours = {name: [case(seed).to_json() for seed in range(5)]
+            for name, case in cases}
+    for name, fn in _REFERENCE_SAMPLERS.items():
+        monkeypatch.setattr(oracle, name, fn)
+    for name, case in cases:
+        assert ours[name] == [case(seed).to_json() for seed in range(5)], name
+    assert not any(report["ok"] for report in ours["mistwisted"])
+    assert all(report["ok"] for name, reports in ours.items()
+               if name != "mistwisted" for report in reports)
 
 
 # ---------------------------------------------------------------------------
