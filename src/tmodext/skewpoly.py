@@ -247,14 +247,18 @@ _set_var = SkewPoly.var.__set__
 _set_pairs = SkewPoly._pairs.__set__
 
 
+def _terms(arith, acc):
+    """An accumulator's nonzero (degree, payload) pairs, ascending."""
+    is_zero = arith.is_zero
+    return sorted([(d, c) for d, c in acc.items() if not is_zero(c)])
+
+
 def _from_map(spec, var, acc):
     """The polynomial storing an accumulator's nonzero payloads, sorted."""
-    is_zero = spec._arith.is_zero
     p = _new(SkewPoly)
     _set_spec(p, spec)
     _set_var(p, var)
-    _set_pairs(p, tuple([(d, c) for d, c in sorted(acc.items())
-                         if not is_zero(c)]))
+    _set_pairs(p, tuple(_terms(spec._arith, acc)))
     return p
 
 
@@ -560,6 +564,11 @@ def _tokenize(text):
 
 
 class _Parser:
+    """Scalars are evaluated as {degree: payload} accumulators, which may
+    hold zeros, and each is wrapped as a SkewPoly once: when it leaves the
+    parser or becomes a matrix entry.  Matrices are SkewMatrix values under
+    their own operators, a scalar operand wrapped first."""
+
     def __init__(self, spec, var, var_names, text):
         self.spec = spec
         self.var = var
@@ -568,6 +577,8 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
+        self.arith = spec._arith
+        self.sign = twist_sign(var)
 
     # -- token plumbing -------------------------------------------------------
 
@@ -588,6 +599,42 @@ class _Parser:
         raise ParseError(f"{why} at position {tok[2]} in "
                          f"{self.text.strip()!r}")
 
+    # -- values ---------------------------------------------------------------
+
+    def wrap(self, value):
+        """value as a SkewPoly or SkewMatrix."""
+        if isinstance(value, SkewMatrix):
+            return value
+        return _from_map(self.spec, self.var, value)
+
+    def negative(self, value):
+        if isinstance(value, SkewMatrix):
+            return -value
+        neg = self.arith.neg
+        return {d: neg(c) for d, c in value.items()}
+
+    def product(self, a, b):
+        """a b on the nonzero terms in ascending order, as SkewPoly.__mul__
+        takes them, so that a twist which fails fails at the same term."""
+        arith = self.arith
+        return _mul_into(arith, {}, _terms(arith, a), _terms(arith, b),
+                         self.sign)
+
+    def power(self, value, n):
+        """value^n: for a scalar, the one term v^(d n) if value = 1 v^d, a
+        payload power for a constant, else square-and-multiply on
+        accumulators."""
+        if isinstance(value, SkewMatrix):
+            return value ** n
+        arith = self.arith
+        terms = _terms(arith, value)
+        if len(terms) == 1 and terms[0][1] == arith.one:
+            return {terms[0][0] * n: arith.one}
+        if not terms or terms[-1][0] == 0:
+            c = terms[0][1] if terms else arith.zero
+            return {0: _power(arith.one, c, n, arith.mul)}
+        return _power({0: arith.one}, value, n, self.product)
+
     # -- grammar --------------------------------------------------------------
 
     def parse(self):
@@ -595,7 +642,7 @@ class _Parser:
         tok = self.peek()
         if tok[0] != "end":
             self.fail(tok, f"unexpected {tok[1]!r}")
-        return value
+        return self.wrap(value)
 
     def expression(self, rbp):
         self.depth += 1
@@ -603,19 +650,22 @@ class _Parser:
             raise ParseError(f"expression nests deeper than {MAX_NESTING} "
                              f"levels at position {self.peek()[2]} "
                              f"(MAX_NESTING = {MAX_NESTING})")
-        value = self.nud(self.next())
-        tok = self.peek()
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        self.pos += 1
+        value = self.nud(tok)
+        tok = tokens[self.pos]
         while tok[0] == "op" and _LBP.get(tok[1], 0) > rbp:
-            self.next()
+            self.pos += 1
             value = self.led(tok, value)
-            tok = self.peek()
+            tok = tokens[self.pos]
         self.depth -= 1
         return value
 
     def nud(self, tok):
         kind, val, _ = tok
         if kind == "int":
-            return SkewPoly.const(self.spec, self.var, int(val))
+            return {0: self.spec.from_int(int(val)).payload}
         if kind == "name":
             return self.name_value(tok)
         if kind == "op" and val == "(":
@@ -623,7 +673,7 @@ class _Parser:
             self.expect(")")
             return value
         if kind == "op" and val == "-":
-            return -self.expression(_UNARY_BP)
+            return self.negative(self.expression(_UNARY_BP))
         if kind == "op" and val == "[":
             return self.matrix_literal()
         self.fail(tok, f"unexpected {val or 'end of input'!r}")
@@ -635,35 +685,39 @@ class _Parser:
             if ex[0] != "int":
                 self.fail(ex, "exponent must be a nonnegative integer "
                               "literal")
-            return left ** int(ex[1])
+            return self.power(left, int(ex[1]))
         if op == "/":
-            right = self.expression(_LBP["/"])
-            return self.divide(tok, left, right)
+            return self.divide(tok, left, self.expression(_LBP["/"]))
         right = self.expression(_LBP[op])
-        if op == "+":
-            return self.combine(tok, left, right, lambda a, b: a + b, "add")
-        if op == "-":
-            return self.combine(tok, left, right, lambda a, b: a - b,
-                                "subtract")
-        return left * right  # "*", the last operator of _LBP
-
-    def combine(self, tok, left, right, fn, verb):
+        if op == "*":
+            if isinstance(left, SkewMatrix) or isinstance(right, SkewMatrix):
+                return self.wrap(left) * self.wrap(right)
+            return self.product(left, right)
         if isinstance(left, SkewMatrix) != isinstance(right, SkewMatrix):
+            verb = "add" if op == "+" else "subtract"
             self.fail(tok, f"cannot {verb} a scalar and a matrix")
-        return fn(left, right)
+        if isinstance(left, SkewMatrix):
+            return left + right if op == "+" else left - right
+        if op == "-":
+            right = self.negative(right)
+        return _add_into(self.arith, left, right.items())
 
     def divide(self, tok, left, right):
         if isinstance(right, SkewMatrix):
             self.fail(tok, "cannot divide by a matrix")
-        if not right.is_constant():
+        arith = self.arith
+        terms = _terms(arith, right)
+        if terms and terms[-1][0] > 0:
             self.fail(tok, "can only divide by a degree-zero scalar")
-        inv = right.coefficient(0).inverse()
-        return left * SkewPoly.const(self.spec, self.var, inv)
+        inv = {0: arith.inv(terms[0][1] if terms else arith.zero)}
+        if isinstance(left, SkewMatrix):
+            return left * self.wrap(inv)
+        return self.product(left, inv)
 
     def name_value(self, tok):
         name = tok[1]
         if name in self.var_names:
-            return SkewPoly.term(self.spec, self.var, 1, 1)
+            return {1: self.arith.one}
         spec = self.spec
         if spec.kind == "formal" and name in spec.generators:
             idx = 0
@@ -678,11 +732,11 @@ class _Parser:
                     self.fail(num, "symbol index must be an integer")
                 idx = sign * int(num[1])
                 self.expect("]")
-            return SkewPoly.const(spec, self.var, spec.symbol(name, idx))
+            return {0: spec.symbol(name, idx).payload}
         if name == "th":
-            return SkewPoly.const(spec, self.var, spec.theta())
+            return {0: spec.theta().payload}
         if name == "g":
-            return SkewPoly.const(spec, self.var, spec.gen())
+            return {0: spec.gen().payload}
         self.fail(tok, f"unknown name {name!r}")
 
     def matrix_literal(self):
@@ -709,7 +763,7 @@ class _Parser:
         if isinstance(value, SkewMatrix):
             raise ParseError(f"nested matrix entries in "
                              f"{self.text.strip()!r}")
-        return value
+        return _from_map(self.spec, self.var, value)
 
 
 _VAR_NAMES = {TAU: frozenset({"tau"}), SIGMA: frozenset({"sig", "sigma"})}
