@@ -39,9 +39,12 @@ InvariantViolations (a plan that does not fit the pair ends at once), and
 ``reduce_canonical`` checks by products that the canonical form and witness
 recombine to the input (with the inner map of ``modules_t``); with the
 uniqueness of the canonical form, a fault in the loops raises instead of
-returning a wrong representative.  A reduction that took no step left an
-empty witness and a grid equal to the input, which is that identity for a
-zero witness, so the input itself is returned.
+returning a wrong representative.  An input whose every coefficient
+already lies in its slot is canonical: ``reduce_canonical`` tests each
+entry's top stored degree against its bound before it copies anything, and
+returns the input itself with the plan's zero witness, for which the
+recombination identity delta - delta^(0) = delta holds as it stands.  Any
+other input makes the loops step, and its result is checked by products.
 """
 
 from __future__ import annotations
@@ -235,17 +238,17 @@ MAX_REDUCTION_STEPS = 2 ** 16
 _memo = {}
 
 
-def _memoized(key, objs, build):
-    """build(), kept under key, which names the objects objs by id.  A hit
-    must find objs again by identity, so a recycled id never serves another
-    object's value; what build raises is not kept."""
+def _memoized(key, a, b, build, *args):
+    """build(*args), kept under key, which names the objects a and b by id.
+    A hit must find a and b again by identity, so a recycled id never
+    serves another object's value; what build raises is not kept."""
     hit = _memo.get(key)
-    if hit is not None and all(a is b for a, b in zip(hit[0], objs)):
-        return hit[1]
-    value = build()
+    if hit is not None and hit[0] is a and hit[1] is b:
+        return hit[2]
+    value = build(*args)
     if len(_memo) >= MAX_MEMO:
         _memo.clear()
-    _memo[key] = objs, value
+    _memo[key] = a, b, value
     return value
 
 
@@ -258,17 +261,18 @@ class ReductionPlan(SlottedValue):
     A forward entry divides only by source data; layered entries are
     forward, with lead None.
     phi, psi and lead_inv are grids of the stored (degree, payload) pairs
-    of their entries."""
+    of their entries; zero is the zero witness of every reduction that
+    takes no step."""
 
     __slots__ = ("regime", "layered", "entries", "sign", "phi", "psi",
-                 "lead_inv")  # lead_inv: None unless layered
+                 "lead_inv", "zero")  # lead_inv: None unless layered
 
 
 def reduction_plan(source, target, regime=None):
     """The plan of regime (by default the pair's, from select_regime),
     built once per (source, target, regime) while the memo keeps it."""
-    return _memoized((id(source), id(target), regime), (source, target),
-                     lambda: _build_plan(source, target, regime))
+    return _memoized((id(source), id(target), regime), source, target,
+                     _build_plan, source, target, regime)
 
 
 def _build_plan(source, target, regime):
@@ -303,7 +307,8 @@ def _build_plan(source, target, regime):
                                          source.leading_inverse)._pairs
     return ReductionPlan(regime, layered, tuple(entries),
                          twist_sign(source.var), src._pairs, tgt._pairs,
-                         lead_inv)
+                         lead_inv, SkewMatrix.zeros(source.spec, source.var,
+                                                    target.dim, source.dim))
 
 
 def canonical_slots(source, target, regime=None):
@@ -433,22 +438,16 @@ def _reduce_maps(arith, plan, grid):
     return witness
 
 
-def _holds(arith, accs, pairs):
-    """Whether the grid of accumulators holds, zeros aside, the grid of
-    stored pairs."""
+def _recombines(arith, plan, pairs, witness, canonical):
+    """Whether canonical + (W*Phi - Psi*W) == delta for the witness W,
+    summed from the stored pairs with one accumulator per entry and
+    compared, zeros aside, with delta's stored pairs."""
+    accs = [[dict(e) for e in row] for row in canonical._pairs]
+    _inner_into(arith, accs, witness._pairs, plan.phi, plan.psi, plan.sign)
     return all({d: c for d, c in acc.items() if not arith.is_zero(c)}
                == dict(want)
                for acc_row, want_row in zip(accs, pairs)
                for acc, want in zip(acc_row, want_row))
-
-
-def _recombines(arith, plan, pairs, witness, canonical):
-    """Whether canonical + (W*Phi - Psi*W) == delta for the witness W,
-    summed from the stored pairs with one accumulator per entry and
-    compared with delta's stored pairs."""
-    accs = [[dict(e) for e in row] for row in canonical._pairs]
-    _inner_into(arith, accs, witness._pairs, plan.phi, plan.psi, plan.sign)
-    return _holds(arith, accs, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -464,15 +463,17 @@ def reduce_canonical(delta, regime=None):
     unique in its extension class."""
     source, target = delta.source, delta.target
     plan = reduction_plan(source, target, regime)
+    rows = delta.matrix.entries
+    for r, c, bound, _, _ in plan.entries:
+        top = rows[r][c]._pairs
+        if top and top[-1][0] >= bound:
+            break
+    else:  # every coefficient is in its slot: delta is canonical
+        return ReductionResult(delta, plan.zero, plan.regime)
     spec, var, arith = source.spec, source.var, source.spec._arith
     pairs = delta.matrix._pairs
     grid = [[dict(e) for e in row] for row in pairs]
     witness = _reduce_maps(arith, plan, grid)
-    if not any(any(row) for row in witness) and _holds(arith, grid, pairs):
-        # no step was taken: with the witness zero, the recombination
-        # identity delta - delta^(0) = canonical is the check just made
-        return ReductionResult(delta, SkewMatrix.zeros(
-            spec, var, target.dim, source.dim), plan.regime)
     canonical = _from_maps(spec, var, grid)
     witness = _from_maps(spec, var, witness)
     if not _recombines(arith, plan, pairs, witness, canonical):

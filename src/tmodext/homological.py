@@ -45,8 +45,8 @@ def t_action(apoly, delta):
     class of delta: push out along the target's a-action Psi_a, which the
     memo keeps per (target, a), and reduce."""
     target = delta.target
-    psi_a = _memoized(("act", id(target), id(apoly)), (target, apoly),
-                      lambda: target.act(apoly))
+    psi_a = _memoized(("act", id(target), id(apoly)), target, apoly,
+                      target.act, apoly)
     return class_of(Biderivation(delta.source, target, psi_a * delta.matrix))
 
 

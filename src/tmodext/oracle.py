@@ -96,20 +96,41 @@ def _shifted(delta, rng, max_deg):
 # Enumeration of Ext groups through canonical coordinates.
 
 
-def coordinate_vectors(spec, length):
+def _carrier(spec, length):
+    """The field's elements, once its vectors of length are few enough."""
     spec._require_finite("coordinate enumeration needs")
     _guard_carrier(spec.carrier_size() ** length, "coordinate enumeration")
-    elements = list(spec.enumerate_elements())
-    return itertools.product(elements, repeat=length)
+    return list(spec.enumerate_elements())
+
+
+def coordinate_vectors(spec, length):
+    return itertools.product(_carrier(spec, length), repeat=length)
 
 
 def enumerate_ext(source, target):
-    """All canonical representatives of Ext(source, target)."""
+    """All canonical representatives of Ext(source, target), in the order
+    of coordinate_vectors over the canonical slots.  The slots run entry by
+    entry, degrees ascending, so each entry's polynomials are formed once
+    from the field's codes (0 is zero)."""
     slots = canonical_slots(source, target)
     spec, var = source.spec, source.var
-    return [Biderivation(source, target, SkewMatrix.from_slots(
-        spec, var, target.dim, source.dim, slots, coords))
-        for coords in coordinate_vectors(spec, len(slots))]
+    codes = [x.payload for x in _carrier(spec, len(slots))]
+    cells, polys = [], []
+    for cell, run in itertools.groupby(slots, lambda slot: slot[:2]):
+        degrees = [k for _, _, k in run]
+        cells.append(cell)
+        polys.append([SkewPoly(spec, var, tuple(
+            (k, x) for k, x in zip(degrees, xs) if x))
+            for xs in itertools.product(codes, repeat=len(degrees))])
+    zero = SkewPoly.zero(spec, var)
+    out = []
+    for entries in itertools.product(*polys):
+        grid = [[zero] * source.dim for _ in range(target.dim)]
+        for (r, c), poly in zip(cells, entries):
+            grid[r][c] = poly
+        out.append(Biderivation(source, target, SkewMatrix(
+            spec, var, tuple(map(tuple, grid)))))
+    return out
 
 
 # ---------------------------------------------------------------------------

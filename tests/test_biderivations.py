@@ -517,8 +517,10 @@ def test_unreduced_coefficient_raises_invariant_violation(monkeypatch, loop):
         reduce_canonical(scope["delta"])
 
 
-# A reduction that takes no step returns its input: with no witness, the
-# recombination identity delta - delta^(0) = canonical is grid == input.
+# An input with every coefficient in its slot is canonical: the slot test
+# returns it itself with the plan's zero witness, for which the
+# recombination identity delta - delta^(0) = delta holds as it stands.  The
+# inputs below are not in their slots; their canonical forms are.
 _NO_STEP_DELTAS = {
     "GF(3^2)": "g*tau^5 + tau^4 + 1",
     "GF(3)(th)": "th*tau^5 + tau^4 + 1",
@@ -558,6 +560,70 @@ def test_no_step_exit_keeps_a_dropped_witness_update(monkeypatch, header):
     with pytest.raises(InvariantViolation,
                        match="^reduction self-check failed"):
         reduce_canonical(delta)
+
+
+def _in_slot_deltas():
+    """For each regime of _pairs_f9, a biderivation with a nonzero value at
+    every canonical slot, so each entry's top degree is one below its
+    bound; and the canonical forms of _NO_STEP_DELTAS's inputs."""
+    rng = random.Random(35)
+    nonzero = [x for x in F9.enumerate_elements() if x]
+    for src, tgt in _pairs_f9():
+        slots = canonical_slots(src, tgt)
+        yield Biderivation(src, tgt, SkewMatrix.from_slots(
+            F9, TAU, tgt.dim, src.dim, slots,
+            [rng.choice(nonzero) for _ in slots]))
+    for header in sorted(_NO_STEP_DELTAS):
+        yield reduce_canonical(_no_step_delta(header)).canonical
+
+
+def test_in_slot_input_is_certified_by_the_slot_test(monkeypatch):
+    deltas = list(_in_slot_deltas())
+
+    def refuse(*args):
+        raise AssertionError("an in-slot input reached the reduction loops")
+
+    monkeypatch.setattr(biderivations, "_reduce_maps", refuse)
+    for delta in deltas:
+        plan = biderivations.reduction_plan(delta.source, delta.target)
+        result = reduce_canonical(delta)
+        assert result.canonical is delta
+        assert result.witness is plan.zero
+        assert plan.zero == Biderivation.zero(delta.source,
+                                              delta.target).matrix
+        assert result.regime == plan.regime
+
+
+def test_a_coefficient_at_its_bound_steps_and_is_checked_once(monkeypatch):
+    """Raising one entry of an in-slot input to degree == bound fails the
+    slot test: the loops step and the products check the result once."""
+    deltas = list(_in_slot_deltas())
+    steps = _counting(monkeypatch, "_step")
+    checks = _counting(monkeypatch, "_recombines")
+    for delta in deltas:
+        src, tgt = delta.source, delta.target
+        r, c, bound, _, _ = biderivations.reduction_plan(src, tgt).entries[0]
+        top = SkewMatrix.from_slots(src.spec, TAU, tgt.dim, src.dim,
+                                    [(r, c, bound)], [src.spec.one()])
+        raised = Biderivation(src, tgt, delta.matrix + top)
+        del steps[:], checks[:]
+        result = reduce_canonical(raised)
+        assert steps and len(checks) == 1
+        assert not result.witness.is_zero()
+        again = reduce_canonical(result.canonical)
+        assert again.canonical is result.canonical and len(checks) == 1
+
+
+def _counting(monkeypatch, name):
+    """Record the calls of biderivations' function name, which still runs."""
+    calls, real = [], getattr(biderivations, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(biderivations, name, counted)
+    return calls
 
 
 def test_forced_entrywise_tie_ends_at_once():

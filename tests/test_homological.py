@@ -192,7 +192,7 @@ def test_memo_hit_needs_the_same_objects(monkeypatch):
     monkeypatch.setattr(biderivations, "_memo", {})
     src, tgt = _pair_f9()
     other = biderivations.reduction_plan(tgt, src)
-    biderivations._memo[(id(src), id(tgt), None)] = (tgt, src), other
+    biderivations._memo[(id(src), id(tgt), None)] = tgt, src, other
     plan = biderivations.reduction_plan(src, tgt)
     assert plan is not other and plan.regime == "drinfeld-forward"
 

@@ -414,6 +414,42 @@ def test_verify_sixterm_planted_faults(monkeypatch, plant, failed):
     assert _failed(verify_sixterm(bundle, seed=1, inner_samples=5)) == failed
 
 
+def _enumerate_ext_reference(source, target):
+    """Every Ext node as enumerate_ext built it through
+    SkewMatrix.from_slots, one matrix per coordinate vector."""
+    slots = oracle.canonical_slots(source, target)
+    spec, var = source.spec, source.var
+    return [Biderivation(source, target, SkewMatrix.from_slots(
+        spec, var, target.dim, source.dim, slots, coords))
+        for coords in coordinate_vectors(spec, len(slots))]
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda slots: slots, id="true-slots"),
+    pytest.param(lambda slots: slots + (slots[-1][:2] + (slots[-1][2] + 1,),),
+                 id="extra-slot"),
+    pytest.param(lambda slots: slots[:-1], id="missing-slot"),
+])
+def test_enumerate_ext_matches_the_slot_construction(monkeypatch, edit):
+    """enumerate_ext lists the reference's representatives in its order, on
+    the six Ext nodes of criterion 9's bundle and a matrix-source pair over
+    GF(3^2), also on the slots that the planted faults above make."""
+    slots = oracle.canonical_slots
+    monkeypatch.setattr(oracle, "canonical_slots",
+                        lambda s, t: edit(slots(s, t)))
+    b = _criterion_nine_bundle()
+    G, E, X, F = b.partner, b.quotient, b.middle, b.sub
+    mat = tmodule(F9, parse_matrix(
+        F9, "[[g, 1], [0, g]] + [[1, 0], [0, 1]]*tau^2"))
+    pairs = [(G, F), (G, X), (G, E), (E, G), (X, G), (F, G),
+             (mat, _drin(F9, "g + tau"))]
+    for source, target in pairs:
+        got = enumerate_ext(source, target)
+        want = _enumerate_ext_reference(source, target)
+        assert len(got) == len(want) > 1
+        assert all(x == y for x, y in zip(got, want))
+
+
 @pytest.mark.parametrize("inner_samples", [0, 10])
 def test_verify_sixterm_evaluates_each_map_once_per_element(monkeypatch,
                                                             inner_samples):

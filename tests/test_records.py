@@ -88,7 +88,7 @@ RECORDS = {
         lambda: reduction_plan(PHI, PSI),
         "ReductionPlan(regime='drinfeld-forward', layered=False, "
         "entries=((0, 0, 2, True, 1),), sign=1, phi=[[((0, 1), (2, 1))]], "
-        "psi=[[((0, 1), (1, 1))]], lead_inv=None)"),
+        "psi=[[((0, 1), (1, 1))]], lead_inv=None, zero=[[0]])"),
     "ReductionResult": (lambda: reduce_canonical(DELTA),
                         f"ReductionResult(canonical={_CANONICAL}, "
                         "witness=[[1 + tau]], regime='drinfeld-forward')"),
