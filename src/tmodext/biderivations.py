@@ -347,24 +347,16 @@ def _degree(acc, is_zero):
 def _step(arith, phi, psi, grid, witness, r, c, k, a, s):
     """Add u = a*v^k to the witness at (r, c) and subtract delta^(u) =
     u*Phi - Psi*u, which touches only row r and column c, from the grid;
-    phi and psi are the pair grids of Phi_t and Psi_t.  The one-term
-    products go straight into the accumulators: (-a v^k)(y v^j) =
-    -a y^(q^(s k)) v^(k+j) along row r, and (x v^i)(a v^k) =
-    x a^(q^(s i)) v^(i+k) down column c."""
-    add, mul, twist = arith.add, arith.mul, arith.twist
-    minus_a, sk = arith.neg(a), s * k
+    phi and psi are the pair grids of Phi_t and Psi_t.  Two product kernel
+    calls per touched entry: (-a v^k)*Phi along row r and Psi*(a v^k) down
+    column c."""
+    mul_into, u = arith.mul_into, ((k, a),)
+    minus_u = ((k, arith.neg(a)),)
     for acc, pairs in zip(grid[r], phi[c]):
-        for j, y in pairs:
-            t = mul(minus_a, twist(y, sk))
-            cur = acc.get(j + k)
-            acc[j + k] = t if cur is None else add(cur, t)
+        mul_into(acc, minus_u, pairs, s)
     for row, psi_row in zip(grid, psi):
-        acc = row[c]
-        for i, x in psi_row[r]:
-            t = mul(x, twist(a, s * i))
-            cur = acc.get(i + k)
-            acc[i + k] = t if cur is None else add(cur, t)
-    _add_into(arith, witness[r][c], ((k, a),))
+        mul_into(row[c], psi_row[r], u, s)
+    _add_into(arith, witness[r][c], u)
 
 
 def _reduce_layered(arith, plan, grid, witness):
@@ -380,7 +372,9 @@ def _reduce_layered(arith, plan, grid, witness):
                                      f"layer left the top degree at {deg}")
         last = deg
         k = deg - n
-        # the top layer times the twisted inverse leading matrix
+        # the top layer times the twisted inverse leading matrix; each
+        # top is nonzero, as the product kernel asks of its operands, since
+        # _degree has just cleared the zeros above every accumulator's degree
         top = [[[(0, acc[deg])] if deg in acc else [] for acc in row]
                for row in grid]
         ainv = [[[(0, twist(x, sign * k)) for _, x in e] for e in row]

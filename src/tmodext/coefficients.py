@@ -169,7 +169,26 @@ def _prime_factors(n):
     return out + ([n] if n > 1 else [])
 
 
-class _PrimeOps:
+class _Ops:
+    """The product kernel of an ops object on add, mul and twist, which
+    every domain runs but the Zech-table fields (_ZechOps overrides it)."""
+
+    def mul_into(self, acc, a, b, s):
+        """Add the product of the payload pairs a and b into the accumulator
+        map acc, for the twist sign s: (x v^i)(y v^j) = x y^(q^(s i))
+        v^(i+j); return acc."""
+        add, mul, twist = self.add, self.mul, self.twist
+        for i, x in a:
+            k = s * i
+            for j, y in b:
+                t = mul(x, twist(y, k))
+                d = i + j
+                cur = acc.get(d)
+                acc[d] = t if cur is None else add(cur, t)
+        return acc
+
+
+class _PrimeOps(_Ops):
     """F_p: codes are residues mod p."""
 
     zero, one = 0, 1
@@ -297,7 +316,14 @@ class _ZechOps(_ExtOps):
     and Zech logarithms log(1 + alpha^k) make addition one.
 
     exp is indexed up to 4n (n = q - 1) and log[0] = 2n, so a product
-    involving zero lands in exp's zero upper half without a test."""
+    involving zero lands in exp's zero upper half without a test.
+
+    mul_into, the product kernel, works on the tables directly: the term
+    of (x v^i)(y v^j) is exp[log x + log y * p^(s i mod m) mod n], added
+    to the accumulator by XOR when p = 2 and by one Zech lookup otherwise,
+    and an accumulator value of 0 takes the term.  Its operand pairs must
+    hold nonzero payloads, as stored pairs do; accumulators may hold
+    zeros."""
 
     def __init__(self, p, modulus):
         super().__init__(p, modulus)
@@ -338,6 +364,30 @@ class _ZechOps(_ExtOps):
         if not a:
             raise DivisionByZero("division by zero")
         return self.exp[self.n - self.log[a]]
+
+    def mul_into(self, acc, a, b, s):
+        exp, log, n, m = self.exp, self.log, self.n, self.m
+        powers = self.p_powers
+        if self.p == 2:
+            for i, x in a:
+                lx, e = log[x], powers[s * i % m]
+                for j, y in b:
+                    d = i + j
+                    acc[d] = acc.get(d, 0) ^ exp[(lx + log[y] * e) % n]
+            return acc
+        zech = self.zech
+        for i, x in a:
+            lx, e = log[x], powers[s * i % m]
+            for j, y in b:
+                t = (lx + log[y] * e) % n
+                d = i + j
+                cur = acc.get(d)
+                if cur:
+                    c = log[cur]
+                    acc[d] = exp[c + zech[t - c]]
+                else:
+                    acc[d] = exp[t]
+        return acc
 
     def frob(self, a, i):
         if not a:
@@ -607,7 +657,7 @@ def _ftf_normal(num_terms, den_mono, ops):
 # the F_{p^m} ops object ops.
 
 
-class _FractionOps:
+class _FractionOps(_Ops):
     """What both fraction domains share: a numerator is a sorted tuple of
     (key, coefficient) terms, empty exactly for zero; the constant c is
     (((key, c),), den) for the constant key and the den of 1."""
@@ -1017,6 +1067,15 @@ class FieldElement(_Additive, SlottedValue):
     __slots__ = ("spec", "payload")
 
     # -- structure ----------------------------------------------------------
+
+    # Written out, as the record getters are slower; domains are interned.
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.spec is other.spec and self.payload == other.payload
+
+    def __hash__(self):
+        return hash((self.spec, self.payload))
 
     def is_zero(self):
         return self.spec._arith.is_zero(self.payload)

@@ -33,7 +33,7 @@ from .biderivations import (
     reduce_canonical,
     reduction_plan,
 )
-from .coefficients import SlottedValue
+from .coefficients import SlottedValue, _Ops
 from .errors import CarrierTooLarge, InvariantViolation, UnsupportedRegime
 from .modules_t import tmodule, trivial
 from .skewpoly import SkewMatrix, SkewPoly, _from_maps, _matmul_into
@@ -43,7 +43,7 @@ from .skewpoly import SkewMatrix, SkewPoly, _from_maps, _matmul_into
 # The form domain: Pi_t is the shared reduction run over linear forms.
 
 
-class _FormOps:
+class _FormOps(_Ops):
     """An ops object for the reduction loops whose payloads are linear
     forms next to the scalars of the domain's ops object arith.  A form is
     a map {(slot, i): w} with no zero weight, standing for the semilinear

@@ -47,7 +47,10 @@ def twist_sign(var):
 # (FieldSpec._arith).  A polynomial stores its nonzero coefficients as
 # ascending (degree, payload) pairs.  Products and sums add such pairs in
 # place into maps {degree: payload} that may hold zeros, and _from_map keeps
-# the nonzero ones; elements are built only where a coefficient leaves.
+# the nonzero ones; elements are built only where a coefficient leaves.  The
+# product kernel is the ops object's own, arith.mul_into(acc, a, b, s): the
+# generic loop on add, mul and twist, or the table lookups of the Zech
+# fields.
 
 
 def _add_into(arith, acc, pairs):
@@ -56,20 +59,6 @@ def _add_into(arith, acc, pairs):
     for d, c in pairs:
         cur = acc.get(d)
         acc[d] = c if cur is None else add(cur, c)
-    return acc
-
-
-def _mul_into(arith, acc, a, b, s):
-    """Add the product of the payload pairs a and b into acc, for the twist
-    sign s: (x v^i)(y v^j) = x y^(q^(s i)) v^(i+j); return acc."""
-    add, mul, twist = arith.add, arith.mul, arith.twist
-    for i, x in a:
-        k = s * i
-        for j, y in b:
-            t = mul(x, twist(y, k))
-            d = i + j
-            cur = acc.get(d)
-            acc[d] = t if cur is None else add(cur, t)
     return acc
 
 
@@ -85,12 +74,13 @@ def _apply_into(arith, acc, pairs, x, s):
 def _matmul_into(arith, accs, a, b, s):
     """Add the product of the grids a and b of (degree, payload) pairs into
     the grid of accumulators accs, one per output entry, in ascending k."""
+    mul_into = arith.mul_into
     for acc_row, a_row in zip(accs, a):
         for x, b_row in zip(a_row, b):
             if x:
                 for acc, y in zip(acc_row, b_row):
                     if y:
-                        _mul_into(arith, acc, x, y, s)
+                        mul_into(acc, x, y, s)
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +116,16 @@ class SkewPoly(_Additive, SlottedValue):
             spec._arith, {}, [(d, spec._payload(c)) for d, c in pairs]))
 
     # -- structure ------------------------------------------------------------
+
+    # Written out, as the record getters are slower; domains are interned.
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.spec is other.spec and self.var == other.var
+                and self._pairs == other._pairs)
+
+    def __hash__(self):
+        return hash((self.spec, self.var, self._pairs))
 
     @property
     def coeffs(self):
@@ -197,8 +197,8 @@ class SkewPoly(_Additive, SlottedValue):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return _from_map(self.spec, self.var, _mul_into(
-            self.spec._arith, {}, self._pairs, other._pairs, self.sign))
+        return _from_map(self.spec, self.var, self.spec._arith.mul_into(
+            {}, self._pairs, other._pairs, self.sign))
 
     def __rmul__(self, other):
         other = self._coerce(other)
@@ -617,8 +617,8 @@ class _Parser:
         """a b on the nonzero terms in ascending order, as SkewPoly.__mul__
         takes them, so that a twist which fails fails at the same term."""
         arith = self.arith
-        return _mul_into(arith, {}, _terms(arith, a), _terms(arith, b),
-                         self.sign)
+        return arith.mul_into({}, _terms(arith, a), _terms(arith, b),
+                              self.sign)
 
     def power(self, value, n):
         """value^n: for a scalar, the one term v^(d n) if value = 1 v^d, a

@@ -13,6 +13,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import textwrap
 import time
 
 import pytest
@@ -1139,6 +1140,56 @@ def test_a_closed_stdout_pipe_exits_one_and_prints_nothing(json_flag):
     finally:
         os.close(write_end)
     assert (result.returncode, result.stderr) == (1, "")
+
+
+# ---------------------------------------------------------------------------
+# The CI workflow's console-script step, run as the workflow runs it: the
+# workflow file stays the one source of its checks.
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_WORKFLOW = os.path.join(_ROOT, ".github", "workflows", "tier1.yml")
+
+
+def _console_script_block():
+    """The dedented `run: |` block of the workflow's console-script step."""
+    with open(_WORKFLOW, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    start = [i for i, line in enumerate(lines) if line.lstrip().startswith(
+        "- name: The installed console script ")]
+    assert len(start) == 1 and lines[start[0] + 1].strip() == "run: |"
+    run = lines[start[0] + 1]
+    depth = len(run) - len(run.lstrip())
+    block = []
+    for line in lines[start[0] + 2:]:
+        if line.strip() and len(line) - len(line.lstrip()) <= depth:
+            break
+        block.append(line)
+    return textwrap.dedent("\n".join(block)) + "\n"
+
+
+@pytest.mark.skipif(not (shutil.which("bash") and shutil.which("timeout")),
+                    reason="the step needs bash and timeout")
+def test_the_workflow_console_script_step_passes(tmp_path):
+    """The step's block under bash -euo pipefail, with `tmodext` on PATH
+    running this interpreter's tmodext.cli, `python` this interpreter and
+    RUNNER_TEMP a temporary directory."""
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    python = shlex.quote(sys.executable)
+    for name, args in (("tmodext", '-m tmodext.cli "$@"'),
+                       ("python", '"$@"')):
+        shim = bin_dir / name
+        shim.write_text(f"#!/bin/sh\nexec {python} {args}\n")
+        shim.chmod(0o755)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, RUNNER_TEMP=str(tmp_path), PATH=os.pathsep.join(
+        filter(None, [str(bin_dir), os.environ.get("PATH")])),
+        PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        ["bash", "-euo", "pipefail", "-c", _console_script_block()],
+        cwd=_ROOT, env=env, capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stdout + result.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from tmodext.coefficients import (
     _ftf_normal,
     _is_irreducible_fp,
     _mono_mul,
+    _Ops,
     _PolyOps,
     _prime_factors,
     _rat_normal,
@@ -395,6 +396,53 @@ def test_zech_tables_agree_with_polynomial_products(case):
     assert tables.frob(a, i) == poly.frob(a, i)
     if a:
         assert tables.inv(a) == poly.inv(a)
+
+
+_KERNEL_FIELDS = tuple(make_finite(p, m)
+                       for p, m in ((2, 2), (2, 4), (3, 2), (5, 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_zech_kernel_matches_the_generic_kernel(data):
+    """_ZechOps.mul_into adds the products of nonzero pairs into an
+    accumulator as the generic loop on add, mul and twist does, for both
+    twist signs, over accumulators holding zeros and values that the
+    product cancels."""
+    spec = data.draw(st.sampled_from(_KERNEL_FIELDS))
+    arith, q = spec._arith, spec.carrier_size()
+    assert isinstance(arith, _ZechOps)
+    s = data.draw(st.sampled_from((1, -1)))
+
+    def pairs():
+        degrees = data.draw(st.lists(st.integers(0, 5), unique=True,
+                                     min_size=1, max_size=4))
+        return [(d, data.draw(st.integers(1, q - 1))) for d in sorted(degrees)]
+
+    a, b = pairs(), pairs()
+    acc = data.draw(st.dictionaries(st.integers(0, 10),
+                                    st.integers(0, q - 1), max_size=3))
+    for d, c in _Ops.mul_into(arith, {}, a, b, s).items():
+        seed = data.draw(st.sampled_from(("none", "zero", "cancel")))
+        if seed == "zero":
+            acc[d] = 0
+        elif seed == "cancel":
+            acc[d] = arith.neg(c)
+    want = _Ops.mul_into(arith, dict(acc), a, b, s)
+    assert arith.mul_into(dict(acc), a, b, s) == want
+
+
+@pytest.mark.parametrize("spec", _KERNEL_FIELDS,
+                         ids=lambda spec: f"GF({spec.p}^{spec.m})")
+def test_zech_kernel_matches_the_generic_kernel_on_every_term(spec):
+    """Every one-term product x v^i times y, at every twist index mod m and
+    both signs, into every accumulator value, the product's negative
+    included."""
+    arith, q = spec._arith, spec.carrier_size()
+    for s, i, x, y, c in itertools.product(
+            (1, -1), range(spec.m), range(1, q), range(1, q), range(q)):
+        want = _Ops.mul_into(arith, {i: c}, ((i, x),), ((0, y),), s)
+        assert arith.mul_into({i: c}, ((i, x),), ((0, y),), s) == want
 
 
 @pytest.mark.parametrize("spec, text", [

@@ -358,17 +358,24 @@ def test_a_matrix_operator_builds_what_it_builds_on_parsed_values(
 ])
 def test_a_parse_multiplies_no_more_terms_than_the_reference(text):
     """A cancelled term is not carried into later products: the parser
-    makes at most the coefficient products the reference makes."""
+    makes at most the coefficient products the reference makes.  Both
+    count the term pairs of the product kernel, len(a) * len(b) a call,
+    and the scalar products."""
     spec = parse_field("GF(3^2)")
     counts = []
     for parser in (_ReferenceParser, skewpoly._Parser):
-        products, mul = [], spec._arith.mul
+        products, mul, mul_into = [], spec._arith.mul, spec._arith.mul_into
 
         def counted(a, b):
             products.append(None)
             return mul(a, b)
+
+        def counted_into(acc, a, b, s):
+            products.extend([None] * (len(a) * len(b)))
+            return mul_into(acc, a, b, s)
         with mock.patch.object(skewpoly, "_Parser", parser), \
-                mock.patch.object(spec._arith, "mul", counted):
+                mock.patch.object(spec._arith, "mul", counted), \
+                mock.patch.object(spec._arith, "mul_into", counted_into):
             parse_poly(spec, text)
         counts.append(len(products))
     reference, parser = counts

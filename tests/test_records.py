@@ -31,6 +31,7 @@ from tmodext import (
     parse_field,
     parse_matrix,
     parse_module,
+    parse_poly,
     reduce_canonical,
     six_term,
     verify_structure,
@@ -286,3 +287,31 @@ def test_cli_import_leaves_out_dataclasses_and_keeps_its_face():
                                "tokenize"})
     assert lines[1:] == [
         "['source', 'target', 'regime', 'basis', 'pi']", "bogus refused"]
+
+
+def test_elements_and_polynomials_compare_within_one_domain():
+    """FieldElement and SkewPoly compare by their domain, which is one
+    object, and their payloads; equal payloads in two domains differ, and
+    each hash is the hash of the field tuple."""
+    specs = [parse_field(h) for h in ("GF(3)", "GF(3^2)", "GF(2^2)",
+                                      "GF(3)(th)", "FTF(3; gens=th)")]
+    ones = [spec.one() for spec in specs]
+    for i, a in enumerate(ones):
+        twin = copy.deepcopy(a)
+        assert twin == a and not twin != a and hash(twin) == hash(a)
+        assert hash(a) == hash((a.spec, a.payload))
+        for b in ones[i + 1:]:
+            assert a != b and not a == b
+        for other in (1, "1", None, parse_poly(a.spec, "1")):
+            assert (a == other) is False and (a != other) is True
+    f3, f9 = make_finite(3), parse_field("GF(3^2)")
+    assert f3.one().payload == f9.one().payload == 1
+    assert f3.one() != f9.one() and len({f3.one(), f9.one()}) == 2
+    p = parse_poly(f9, "g + tau^2")
+    assert p == parse_poly(f9, "g + tau^2") != parse_poly(f9, "g + sig^2",
+                                                          "sigma")
+    assert parse_poly(f3, "1 + tau") != parse_poly(f9, "1 + tau")
+    assert hash(p) == hash((p.spec, p.var, p._pairs))
+    assert pickle.loads(pickle.dumps(p)) == p
+    for other in (p.coefficient(0), 0, None):
+        assert (p == other) is False and (p != other) is True

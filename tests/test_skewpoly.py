@@ -311,13 +311,13 @@ def test_product_kernel_runs_once_per_pair_of_nonzero_factors(monkeypatch):
     """A zero factor costs no kernel call, so the product of two sparse
     grids makes one call per nonzero pair, not one per (i, k, j)."""
     calls = []
-    kernel = skewpoly._mul_into
+    kernel = Q3._arith.mul_into  # the generic kernel
 
     def counting(*args):
         calls.append(1)
         return kernel(*args)
 
-    monkeypatch.setattr(skewpoly, "_mul_into", counting)
+    monkeypatch.setattr(Q3._arith, "mul_into", counting)
     for n in (1, 5, 12):
         N = _shift(Q3, n)
         pairs = sum(1 for i in range(n) for k in range(n) for j in range(n)
